@@ -3,11 +3,14 @@
 Three evaluation styles, always as functions of the sufficient summary:
 
 * closed forms (conjugate normal priors, point masses, the two-sample
-  and subset-selection constants kappa / kappa');
+  and subset-selection constants kappa / kappa'); the Gaussian t-test and
+  regression priors reduce to the subset-selection and known-variance
+  conjugate forms, and the CLI evaluates them that way;
 * adaptive quadrature over the prior;
-* power-series forms for the unknown-variance problems, built from the
-  even moments of the damped symmetric prior density, with a direct
-  nested-quadrature route kept alongside as a cross-check.
+* power-series forms for the t-test and regression problems, built from
+  the even moments of the damped prior density, with a direct
+  nested-quadrature route alongside.  Both are test oracles for the
+  closed forms and hold for any symmetric prior.
 
 All data-independent constants are computed explicitly so that the
 calibrated thresholds lambda are exact numbers, not ratios.
@@ -164,6 +167,28 @@ def bf_two_sided_normal_conjugate(t, n: int, tau: float):
 
 
 # ---------------------------------------------------------------------------
+# Power series (test oracles for the Gaussian closed forms)
+
+
+def _power_series(log_coefficient, x, tol: float, max_terms: int):
+    """sum_j a_j x^j for x >= 0, given j -> log a_j.
+
+    The coefficients overflow floats at high order, so each term is formed
+    in log space instead of accumulating powers.  Summation stops once the
+    largest new term falls below tol times the smallest partial sum.
+    """
+    with np.errstate(divide="ignore"):
+        log_x = np.log(x)
+    total = np.full(x.shape, math.exp(log_coefficient(0)))
+    for j in range(1, max_terms + 1):
+        term = np.exp(log_coefficient(j) + j * log_x)
+        total += term
+        if np.max(term) < tol * np.min(total):
+            return total if total.size > 1 else float(total[0])
+    raise NumericalIntegrityError(f"series did not converge within {max_terms} terms")
+
+
+# ---------------------------------------------------------------------------
 # One-sample t-test (unknown variance), series in xbar^2 / sum(x^2)
 
 
@@ -199,29 +224,12 @@ class TTestBf:
             )
         return self._log_coeffs[j]
 
-    def coefficient(self, j: int) -> float:
-        return math.exp(self.log_coefficient(j))
-
     def series(self, u):
         """Sum of the series at u = xbar^2/sum(x^2); u in [0, 1/n]."""
         u = np.atleast_1d(np.asarray(u, dtype=float))
         if np.any(u < 0) or np.any(u > 1.0 / self.n + 1e-12):
             raise ValueError("u must lie in [0, 1/n]")
-        with np.errstate(divide="ignore"):
-            log_u = np.log(u)
-        total = np.full(u.shape, math.exp(self.log_coefficient(0)))
-        for j in range(1, self.max_terms + 1):
-            # coefficients overflow floats at high order; sum term-by-term
-            # in log space instead of accumulating powers
-            term = np.exp(self.log_coefficient(j) + j * log_u)
-            total += term
-            if np.max(term) < self.tol * np.min(total):
-                break
-        else:
-            raise NumericalIntegrityError(
-                f"series did not converge within {self.max_terms} terms"
-            )
-        return total if total.size > 1 else float(total[0])
+        return _power_series(self.log_coefficient, u, self.tol, self.max_terms)
 
     def __call__(self, xbar, sum_sq):
         xbar = np.asarray(xbar, dtype=float)
@@ -295,15 +303,8 @@ def bf_t_test_quadrature(xbar: float, sum_sq: float, n: int, h: ScaledSymmetricP
 # Regression, known variance: radial Bayes factor psi(|T|)
 
 
-def _sphere_even_moment_factor(p: int, j: int) -> float:
-    """E[(u . s_hat)^{2j}] for s_hat uniform on the unit (p-1)-sphere."""
-    out = 1.0
-    for i in range(1, j + 1):
-        out *= (2 * i - 1) / (p + 2 * i - 2)
-    return out
-
-
 def _log_sphere_even_moment_factor(p: int, j: int) -> float:
+    """log E[(u . s_hat)^{2j}] for s_hat uniform on the unit (p-1)-sphere."""
     out = 0.0
     for i in range(1, j + 1):
         out += math.log(2 * i - 1) - math.log(p + 2 * i - 2)
@@ -353,30 +354,6 @@ def _log_angular_mean_exp(p: int, z: float) -> float:
     )
 
 
-def _angular_mean_exp(p: int, z):
-    """Mean of exp(z * cos angle) over the unit sphere in p dimensions.
-
-    Equals Gamma(p/2) (2/z)^{p/2-1} I_{p/2-1}(z); 1 at z = 0; cosh(z)
-    for p = 1.
-    """
-    z = np.asarray(z, dtype=float)
-    if p == 1:
-        return np.cosh(z)
-    nu = p / 2.0 - 1.0
-    out = np.ones_like(z)
-    nz = z != 0
-    zz = z[nz]
-    # ive = I_nu(z) * exp(-|z|), so multiply the exponential back in log space
-    log_val = (
-        special.gammaln(p / 2.0)
-        + nu * (math.log(2.0) - np.log(zz))
-        + np.log(special.ive(nu, zz))
-        + np.abs(zz)
-    )
-    out[nz] = np.exp(log_val)
-    return out
-
-
 class RegressionKnownVarBf:
     """psi(|T|) for a spherically symmetric prior on the coefficients.
 
@@ -402,25 +379,12 @@ class RegressionKnownVarBf:
             )
         return self._log_coeffs[j]
 
-    def coefficient(self, j: int) -> float:
-        return math.exp(self.log_coefficient(j))
-
     def series(self, t_abs):
         """B as a power series in |T| (the squared Euclidean norm)."""
         t_abs = np.atleast_1d(np.asarray(t_abs, dtype=float))
         if np.any(t_abs < 0):
             raise ValueError("|T| must be nonnegative")
-        with np.errstate(divide="ignore"):
-            log_t = np.log(t_abs)
-        total = np.full(t_abs.shape, math.exp(self.log_coefficient(0)))
-        for j in range(1, self.max_terms + 1):
-            term = np.exp(self.log_coefficient(j) + j * log_t)
-            total += term
-            if np.max(term) < self.tol * np.min(total):
-                break
-        else:
-            raise NumericalIntegrityError("radial series did not converge")
-        return total if total.size > 1 else float(total[0])
+        return _power_series(self.log_coefficient, t_abs, self.tol, self.max_terms)
 
     def quadrature(self, t_abs: float) -> float:
         """Radial-integral evaluation at |T| = t_abs."""
@@ -507,27 +471,12 @@ class RegressionUnknownVarBf:
             )
         return self._log_coeffs[j]
 
-    def coefficient(self, j: int) -> float:
-        return math.exp(self.log_coefficient(j))
-
     def series(self, t_hat):
         """B at T = y'Hy/y'y in [0, 1)."""
         t_hat = np.atleast_1d(np.asarray(t_hat, dtype=float))
         if np.any(t_hat < 0) or np.any(t_hat >= 1):
             raise ValueError("T must lie in [0, 1)")
-        with np.errstate(divide="ignore"):
-            log_t = np.log(t_hat)
-        total = np.full(t_hat.shape, math.exp(self.log_coefficient(0)))
-        for j in range(1, self.max_terms + 1):
-            term = np.exp(self.log_coefficient(j) + j * log_t)
-            total += term
-            if np.max(term) < self.tol * np.min(total):
-                break
-        else:
-            raise NumericalIntegrityError(
-                "series did not converge; T too close to 1 -- use quadrature()"
-            )
-        return total if total.size > 1 else float(total[0])
+        return _power_series(self.log_coefficient, t_hat, self.tol, self.max_terms)
 
     def quadrature(self, t_hat: float) -> float:
         """Nested-quadrature evaluation (independent of the series)."""

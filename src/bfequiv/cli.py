@@ -34,20 +34,12 @@ from .calibrate import (
     ClassViolationError,
     DecisionRule,
     calibrate,
-    gamma_from_alpha,
     gamma_from_lambda,
-    lambda_from_gamma,
     verify_equivalence,
 )
 from .expfamily import normal_mean_model
 from .power import dominance_study, exact_power, johnson_comparison, mc_power
-from .priors import (
-    DensityPrior,
-    PointMass,
-    ScaledSymmetricPrior,
-    SphericalPrior,
-    standard_normal_h,
-)
+from .priors import DensityPrior, PointMass
 from .properties import run_catalogue
 from .reports import format_float, write_csv, write_svg_lines, write_text
 from .rng import RngStream
@@ -58,8 +50,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE_LAMBDA = 2
 EXIT_CLASS_VIOLATION = 3
-
-MC_SUBCOMMANDS = {"verify", "power", "dominance", "johnson"}
 
 
 class ConfigError(Exception):
@@ -72,9 +62,6 @@ class RunConfig:
     prior: dict = dc_field(default_factory=dict)
     run: dict = dc_field(default_factory=dict)
     path: str = ""
-
-    def section(self, name: str) -> dict:
-        return getattr(self, name)
 
 
 def _parse_value(raw: str):
@@ -116,7 +103,7 @@ def parse_config(path: str) -> RunConfig:
                 raise ConfigError(f"{path}:{lineno}: unknown section {section!r}")
             if not name:
                 raise ConfigError(f"{path}:{lineno}: empty key name in {key!r}")
-            cfg.section(section)[name] = _parse_value(raw)
+            getattr(cfg, section)[name] = _parse_value(raw)
     return cfg
 
 
@@ -127,57 +114,7 @@ def _require(section: dict, name: str, where: str):
 
 
 # ---------------------------------------------------------------------------
-# Problem and Bayes-factor registry
-
-
-def build_problem(pcfg: dict) -> prob.TestProblem:
-    kind = _require(pcfg, "kind", "problem")
-    try:
-        if kind == "one_sided_normal":
-            return prob.OneSidedNormal(n=pcfg.get("n", 1), theta0=pcfg.get("theta0", 0.0))
-        if kind == "two_sided_normal":
-            return prob.TwoSidedNormal(n=pcfg.get("n", 1), theta0=pcfg.get("theta0", 0.0))
-        if kind == "t_test":
-            return prob.GaussianMeanUnknownVar(n=_require(pcfg, "n", "problem"))
-        if kind == "regression_known_var":
-            return prob.RegressionKnownVar(
-                p=_require(pcfg, "p", "problem"), n=_require(pcfg, "n", "problem")
-            )
-        if kind == "regression_unknown_var":
-            return prob.RegressionUnknownVar(
-                p=_require(pcfg, "p", "problem"), n=_require(pcfg, "n", "problem")
-            )
-        if kind == "two_sample_known_var":
-            return prob.TwoSampleMeansKnownVar(
-                n1=_require(pcfg, "n1", "problem"),
-                n2=_require(pcfg, "n2", "problem"),
-                tau1=pcfg.get("tau1", 1.0),
-                tau2=pcfg.get("tau2", 1.0),
-            )
-        if kind == "two_sample_t":
-            return prob.TwoSampleMeansUnknownEqualVar(
-                n1=_require(pcfg, "n1", "problem"), n2=_require(pcfg, "n2", "problem")
-            )
-        if kind == "variance_ratio":
-            return prob.VarianceRatio(
-                n1=_require(pcfg, "n1", "problem"), n2=_require(pcfg, "n2", "problem")
-            )
-        if kind == "subset_selection":
-            return prob.SubsetSelection(
-                n=_require(pcfg, "n", "problem"),
-                p1=_require(pcfg, "p1", "problem"),
-                p2=_require(pcfg, "p2", "problem"),
-            )
-        if kind == "subjective_variance":
-            return prob.SubjectiveVarianceEquality(
-                n1=_require(pcfg, "n1", "problem"),
-                n2=_require(pcfg, "n2", "problem"),
-                a=pcfg.get("a", 2.0),
-                b=pcfg.get("b", 2.0),
-            )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid problem parameters: {exc}") from exc
-    raise ConfigError(f"unknown problem.kind {kind!r}")
+# Problem kinds: one table entry per problem.kind
 
 
 @dataclass
@@ -189,112 +126,93 @@ class BfPair:
     of_summary: Callable
 
 
-def build_bf(problem: prob.TestProblem, prcfg: dict) -> BfPair:
-    kind = _require(prcfg, "kind", "prior")
-    model = normal_mean_model()
-
-    if isinstance(problem, prob.TwoSidedNormal):
-        n, theta0 = problem.n, problem.theta0
-        if kind == "normal":
-            tau = _require(prcfg, "precision", "prior")
-            g = lambda t: bf.bf_two_sided_normal_conjugate(np.asarray(t) - n * theta0, n, tau)
-        elif kind == "point_mass":
-            theta1 = _require(prcfg, "theta1", "prior")
-            g = lambda t: np.exp(model.log_ratio(np.asarray(t, dtype=float), theta1, theta0, n))
-        else:
-            raise ConfigError(f"prior.kind {kind!r} unsupported for two_sided_normal")
-        return BfPair(g, lambda s: g(s.t))
-
-    if isinstance(problem, prob.OneSidedNormal):
-        n, theta0 = problem.n, problem.theta0
-        if kind == "point_mass":
-            theta1 = _require(prcfg, "theta1", "prior")
-            prior = PointMass(theta1)
-            g = lambda t: bf.bf_one_sided(model, prior, np.asarray(t, dtype=float), n, theta0)
-        elif kind == "half_normal":
-            tau = _require(prcfg, "precision", "prior")
-            g = lambda t: bf.bf_one_sided_normal_halfnormal(np.asarray(t) - n * theta0, n, tau)
-        elif kind == "exponential":
-            rate = _require(prcfg, "rate", "prior")
-            g = lambda t: bf.bf_one_sided_normal_exponential(np.asarray(t) - n * theta0, n, rate)
-        else:
-            raise ConfigError(f"prior.kind {kind!r} unsupported for one_sided_normal")
-        return BfPair(g, lambda s: g(s.t))
-
-    if isinstance(problem, prob.GaussianMeanUnknownVar):
-        if kind != "gaussian_scale":
-            raise ConfigError(f"prior.kind {kind!r} unsupported for t_test")
-        engine = bf.TTestBf(ScaledSymmetricPrior(standard_normal_h), problem.n)
-        return BfPair(
-            lambda t: engine.from_t_squared(np.asarray(t, dtype=float) ** 2),
-            lambda s: engine(s.xbar, s.sum_sq),
-        )
-
-    if isinstance(problem, prob.RegressionUnknownVar):
-        if kind != "gaussian_spherical":
-            raise ConfigError(f"prior.kind {kind!r} unsupported for regression_unknown_var")
-        engine = bf.RegressionUnknownVarBf(
-            SphericalPrior.gaussian(problem.p, prcfg.get("precision", 1.0)), problem.n
-        )
-        return BfPair(engine.from_f, lambda s: engine(s.yHy, s.yy))
-
-    if isinstance(problem, prob.RegressionKnownVar):
-        if kind != "gaussian_spherical":
-            raise ConfigError(f"prior.kind {kind!r} unsupported for regression_known_var")
-        engine = bf.RegressionKnownVarBf(
-            SphericalPrior.gaussian(problem.p, prcfg.get("precision", 1.0))
-        )
-        g = lambda t_abs: engine.series(np.asarray(t_abs, dtype=float))
-        return BfPair(g, lambda s: g(s.t_abs))
-
-    if isinstance(problem, prob.TwoSampleMeansKnownVar):
-        if kind != "conjugate":
-            raise ConfigError(f"prior.kind {kind!r} unsupported for two_sample_known_var")
-        engine = bf.TwoSampleKnownVarBf(
-            problem.n1, problem.n2, problem.tau1, problem.tau2, prcfg.get("c", 1.0)
-        )
-        return BfPair(engine.from_t, lambda s: engine(s.xbar1, s.xbar2))
-
-    if isinstance(problem, prob.TwoSampleMeansUnknownEqualVar):
-        if kind != "conjugate":
-            raise ConfigError(f"prior.kind {kind!r} unsupported for two_sample_t")
-        engine = bf.TwoSampleTBf(problem.n1, problem.n2, prcfg.get("c", 1.0))
-        return BfPair(
-            engine.from_t, lambda s: engine(s.xbar1, s.xbar2, s.s1_sq, s.s2_sq)
-        )
-
-    if isinstance(problem, prob.VarianceRatio):
-        if kind == "point_mass":
-            prior = PointMass(_require(prcfg, "theta1", "prior"))
-        elif kind == "shifted_exponential":
-            rate = prcfg.get("rate", 1.0)
-            prior = DensityPrior(
-                lambda th: math.log(rate) - rate * (th - 1.0), (1.0, math.inf)
-            )
-        else:
-            raise ConfigError(f"prior.kind {kind!r} unsupported for variance_ratio")
-        engine = bf.VarianceRatioBf(prior, problem.n1, problem.n2)
-        return BfPair(engine, lambda s: engine(s.f))
-
-    if isinstance(problem, prob.SubsetSelection):
-        if kind != "conjugate":
-            raise ConfigError(f"prior.kind {kind!r} unsupported for subset_selection")
-        engine = bf.SubsetSelectionBf(problem.n, problem.p2, prcfg.get("c", 1.0))
-        return BfPair(engine.from_f, lambda s: engine(s.t_stat))
-
-    if isinstance(problem, prob.SubjectiveVarianceEquality):
-        if kind not in ("gamma", ""):
-            raise ConfigError(f"prior.kind {kind!r} unsupported for subjective_variance")
-        return BfPair(
-            lambda f: bf.bf_subjective_variance(0.0, bf.subjective_t_from_f(f)),
-            lambda s: bf.bf_subjective_variance(s.q, s.t_sub),
-        )
-
-    raise ConfigError(f"no Bayes factor registered for {type(problem).__name__}")
+def _stat_pair(g: Callable, field: str = "t") -> BfPair:
+    """Pair for the problems whose summary holds the statistic as `field`."""
+    return BfPair(g, lambda s: g(s[field]))
 
 
-# ---------------------------------------------------------------------------
-# Data files (CSV, columns = variables, header row)
+_MODEL = normal_mean_model()
+
+
+def _point_mass(problem, prcfg):
+    prior, n, theta0 = PointMass(_require(prcfg, "theta1", "prior")), problem.n, problem.theta0
+    return _stat_pair(lambda t: bf.bf_one_sided(_MODEL, prior, t, n, theta0))
+
+
+def _half_normal(problem, prcfg):
+    tau, n, shift = _require(prcfg, "precision", "prior"), problem.n, problem.n * problem.theta0
+    return _stat_pair(lambda t: bf.bf_one_sided_normal_halfnormal(np.asarray(t) - shift, n, tau))
+
+
+def _exponential(problem, prcfg):
+    rate, n, shift = _require(prcfg, "rate", "prior"), problem.n, problem.n * problem.theta0
+    return _stat_pair(lambda t: bf.bf_one_sided_normal_exponential(np.asarray(t) - shift, n, rate))
+
+
+def _normal(problem, prcfg):
+    tau, n, shift = _require(prcfg, "precision", "prior"), problem.n, problem.n * problem.theta0
+    return _stat_pair(lambda t: bf.bf_two_sided_normal_conjugate(np.asarray(t) - shift, n, tau))
+
+
+def _t_test_gaussian(problem, prcfg):
+    # The N(0, sigma^2) prior on the mean is Zellner's g-prior with g = n,
+    # so B is the subset-selection form with p2 = 1 and c = 1/n at
+    # T = n xbar^2 / sum(x^2) = t^2 / ((n-1) + t^2).
+    n = problem.n
+    engine = bf.SubsetSelectionBf(n, 1, 1.0 / n)
+    return BfPair(
+        lambda t: engine(np.square(t) / ((n - 1) + np.square(t))),
+        lambda s: engine(n * s.xbar**2 / s.sum_sq),
+    )
+
+
+def _regression_unknown_var_gaussian(problem, prcfg):
+    # B = (tau/(1+tau))^{p/2} (1 - T/(1+tau))^{-n/2} at T = y'Hy / y'y:
+    # the subset-selection form with c = tau.
+    engine = bf.SubsetSelectionBf(problem.n, problem.p, prcfg.get("precision", 1.0))
+    df_ratio = problem.p / (problem.n - problem.p)
+    return BfPair(lambda f: engine.from_f(np.asarray(f) * df_ratio), lambda s: engine(s.yHy / s.yy))
+
+
+def _regression_known_var_gaussian(problem, prcfg):
+    tau, p = prcfg.get("precision", 1.0), problem.p
+    if not tau > 0:
+        raise ValueError("precision must be > 0")
+    return _stat_pair(lambda t_abs: bf.bf_regression_known_var_gaussian(t_abs, p, tau), "t_abs")
+
+
+def _two_sample_known_var(problem, prcfg):
+    c = prcfg.get("c", 1.0)
+    engine = bf.TwoSampleKnownVarBf(problem.n1, problem.n2, problem.tau1, problem.tau2, c)
+    return BfPair(engine.from_t, lambda s: engine(s.xbar1, s.xbar2))
+
+
+def _two_sample_t(problem, prcfg):
+    engine = bf.TwoSampleTBf(problem.n1, problem.n2, prcfg.get("c", 1.0))
+    return BfPair(engine.from_t, lambda s: engine(s.xbar1, s.xbar2, s.s1_sq, s.s2_sq))
+
+
+def _variance_ratio_point_mass(problem, prcfg):
+    prior = PointMass(_require(prcfg, "theta1", "prior"))
+    return _stat_pair(bf.VarianceRatioBf(prior, problem.n1, problem.n2), "f")
+
+
+def _variance_ratio_shifted_exponential(problem, prcfg):
+    rate = prcfg.get("rate", 1.0)
+    prior = DensityPrior(lambda th: math.log(rate) - rate * (th - 1.0), (1.0, math.inf))
+    return _stat_pair(bf.VarianceRatioBf(prior, problem.n1, problem.n2), "f")
+
+
+def _subset_selection(problem, prcfg):
+    engine = bf.SubsetSelectionBf(problem.n, problem.p2, prcfg.get("c", 1.0))
+    return BfPair(engine.from_f, lambda s: engine(s.t_stat))
+
+
+def _subjective(problem, prcfg):
+    return BfPair(
+        lambda f: bf.bf_subjective_variance(0.0, bf.subjective_t_from_f(f)),
+        lambda s: bf.bf_subjective_variance(s.q, s.t_sub),
+    )
 
 
 class DataError(Exception):
@@ -302,6 +220,7 @@ class DataError(Exception):
 
 
 def load_columns(path: str, base_dir: str) -> dict:
+    """Columns of a CSV data file (header row, one column per variable)."""
     full = path if os.path.isabs(path) else os.path.join(base_dir, path)
     if not os.path.exists(full):
         raise DataError(f"data file not found: {full}")
@@ -321,54 +240,149 @@ def load_columns(path: str, base_dir: str) -> dict:
     return cols
 
 
-def _matrix(cols: dict, stem: str, count: int, path_hint: str) -> np.ndarray:
-    names = [f"{stem}{i}" for i in range(1, count + 1)]
-    missing = [nm for nm in names if nm not in cols]
-    if missing:
-        raise DataError(f"columns {missing} missing from {path_hint}")
-    return np.column_stack([cols[nm] for nm in names])
+def _column(cols: dict, name: str, path: str) -> np.ndarray:
+    if name not in cols:
+        raise DataError(f"column {name!r} missing from {path}")
+    return cols[name]
+
+
+def _matrix(cols: dict, stem: str, count: int, path: str) -> np.ndarray:
+    return np.column_stack([_column(cols, f"{stem}{i}", path) for i in range(1, count + 1)])
+
+
+def _load_x(problem, pcfg, base_dir):
+    if "data" not in pcfg:
+        return None
+    return problem.summarize(_column(load_columns(pcfg["data"], base_dir), "x", pcfg["data"]))
+
+
+def _load_regression(problem, pcfg, base_dir):
+    if "data" not in pcfg:
+        return None
+    path = pcfg["data"]
+    cols = load_columns(path, base_dir)
+    return problem.summarize(_column(cols, "y", path), _matrix(cols, "x", problem.p, path))
+
+
+def _load_subset(problem, pcfg, base_dir):
+    if "data" not in pcfg:
+        return None
+    path = pcfg["data"]
+    cols = load_columns(path, base_dir)
+    return problem.summarize(
+        _column(cols, "y", path),
+        _matrix(cols, "x", problem.p1, path),
+        _matrix(cols, "z", problem.p2, path),
+    )
+
+
+def _load_two_samples(problem, pcfg, base_dir):
+    if "data1" not in pcfg and "data2" not in pcfg:
+        return None
+    for key in ("data1", "data2"):
+        if key not in pcfg:
+            raise DataError(f"problem.{key} required when the other is given")
+    paths = (pcfg["data1"], pcfg["data2"])
+    return problem.summarize(*(_column(load_columns(p, base_dir), "x", p) for p in paths))
+
+
+@dataclass(frozen=True)
+class ProblemKind:
+    """What the CLI knows about one problem.kind.
+
+    The problem is ``problem(**args)`` with ``args`` read from the problem
+    section: every key in ``required``, and the keys of ``optional`` with
+    those defaults.  ``load(problem, problem section, base dir)`` returns
+    the observed summary from the data files the section names, or None.
+    ``priors`` maps each allowed prior.kind to its factory
+    ``(problem, prior section) -> BfPair``.
+    """
+
+    problem: type
+    required: tuple
+    optional: dict
+    load: Callable
+    priors: dict
+
+
+# Each entry: problem class, required and optional keys, data loader on
+# the first line; the allowed prior kinds and their factories below it.
+KINDS = {
+    "one_sided_normal": ProblemKind(
+        prob.OneSidedNormal, (), {"n": 1, "theta0": 0.0}, _load_x,
+        {"point_mass": _point_mass, "half_normal": _half_normal, "exponential": _exponential},
+    ),
+    "two_sided_normal": ProblemKind(
+        prob.TwoSidedNormal, (), {"n": 1, "theta0": 0.0}, _load_x,
+        {"normal": _normal, "point_mass": _point_mass},
+    ),
+    "t_test": ProblemKind(
+        prob.GaussianMeanUnknownVar, ("n",), {}, _load_x,
+        {"gaussian_scale": _t_test_gaussian},
+    ),
+    "regression_known_var": ProblemKind(
+        prob.RegressionKnownVar, ("p", "n"), {}, _load_regression,
+        {"gaussian_spherical": _regression_known_var_gaussian},
+    ),
+    "regression_unknown_var": ProblemKind(
+        prob.RegressionUnknownVar, ("p", "n"), {}, _load_regression,
+        {"gaussian_spherical": _regression_unknown_var_gaussian},
+    ),
+    "two_sample_known_var": ProblemKind(
+        prob.TwoSampleMeansKnownVar, ("n1", "n2"), {"tau1": 1.0, "tau2": 1.0}, _load_two_samples,
+        {"conjugate": _two_sample_known_var},
+    ),
+    "two_sample_t": ProblemKind(
+        prob.TwoSampleMeansUnknownEqualVar, ("n1", "n2"), {}, _load_two_samples,
+        {"conjugate": _two_sample_t},
+    ),
+    "variance_ratio": ProblemKind(
+        prob.VarianceRatio, ("n1", "n2"), {}, _load_two_samples,
+        {
+            "point_mass": _variance_ratio_point_mass,
+            "shifted_exponential": _variance_ratio_shifted_exponential,
+        },
+    ),
+    "subset_selection": ProblemKind(
+        prob.SubsetSelection, ("n", "p1", "p2"), {}, _load_subset,
+        {"conjugate": _subset_selection},
+    ),
+    "subjective_variance": ProblemKind(
+        prob.SubjectiveVarianceEquality, ("n1", "n2"), {"a": 2.0, "b": 2.0}, _load_two_samples,
+        {"gamma": _subjective, "": _subjective},
+    ),
+}
+_KIND_OF = {entry.problem: name for name, entry in KINDS.items()}
+
+
+def build_problem(pcfg: dict) -> prob.TestProblem:
+    kind = _require(pcfg, "kind", "problem")
+    if kind not in KINDS:
+        raise ConfigError(f"unknown problem.kind {kind!r}")
+    entry = KINDS[kind]
+    args = {key: _require(pcfg, key, "problem") for key in entry.required}
+    args.update((key, pcfg.get(key, default)) for key, default in entry.optional.items())
+    try:
+        return entry.problem(**args)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid problem parameters: {exc}") from exc
+
+
+def build_bf(problem: prob.TestProblem, prcfg: dict) -> BfPair:
+    kind = _require(prcfg, "kind", "prior")
+    name = _KIND_OF[type(problem)]
+    factory = KINDS[name].priors.get(kind)
+    if factory is None:
+        raise ConfigError(f"prior.kind {kind!r} unsupported for {name}")
+    try:
+        return factory(problem, prcfg)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid prior parameters: {exc}") from exc
 
 
 def load_observed_summary(problem: prob.TestProblem, pcfg: dict, base_dir: str):
     """Compute the sufficient summary from declared data files, if any."""
-    if isinstance(
-        problem, (prob.OneSidedNormal, prob.GaussianMeanUnknownVar)
-    ):  # includes TwoSidedNormal
-        if "data" not in pcfg:
-            return None
-        cols = load_columns(pcfg["data"], base_dir)
-        if "x" not in cols:
-            raise DataError(f"column 'x' missing from {pcfg['data']}")
-        return problem.summarize(cols["x"])
-    if isinstance(problem, (prob.RegressionKnownVar, prob.RegressionUnknownVar)):
-        if "data" not in pcfg:
-            return None
-        cols = load_columns(pcfg["data"], base_dir)
-        if "y" not in cols:
-            raise DataError(f"column 'y' missing from {pcfg['data']}")
-        X = _matrix(cols, "x", problem.p, pcfg["data"])
-        return problem.summarize(cols["y"], X)
-    if isinstance(problem, prob.SubsetSelection):
-        if "data" not in pcfg:
-            return None
-        cols = load_columns(pcfg["data"], base_dir)
-        if "y" not in cols:
-            raise DataError(f"column 'y' missing from {pcfg['data']}")
-        X1 = _matrix(cols, "x", problem.p1, pcfg["data"])
-        X2 = _matrix(cols, "z", problem.p2, pcfg["data"])
-        return problem.summarize(cols["y"], X1, X2)
-    # two-sample problems
-    if "data1" in pcfg or "data2" in pcfg:
-        for key in ("data1", "data2"):
-            if key not in pcfg:
-                raise DataError(f"problem.{key} required when the other is given")
-        c1 = load_columns(pcfg["data1"], base_dir)
-        c2 = load_columns(pcfg["data2"], base_dir)
-        for cols, key in ((c1, "data1"), (c2, "data2")):
-            if "x" not in cols:
-                raise DataError(f"column 'x' missing from {pcfg[key]}")
-        return problem.summarize(c1["x"], c2["x"])
-    return None
+    return KINDS[_KIND_OF[type(problem)]].load(problem, pcfg, base_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +406,14 @@ def _seed(args, cfg: RunConfig, required: bool) -> Optional[int]:
     return seed
 
 
+def _n_sims(cfg: RunConfig, default: int) -> int:
+    """run.n_sims; a verdict needs at least one simulated dataset."""
+    n_sims = cfg.run.get("n_sims", default)
+    if not isinstance(n_sims, (int, float)) or not n_sims >= 1:
+        raise ConfigError(f"run.n_sims must be at least 1, got {n_sims!r}")
+    return int(n_sims)
+
+
 def _theta_grid(cfg: RunConfig, default=None) -> Optional[np.ndarray]:
     grid = cfg.run.get("theta_grid", default)
     if grid is None:
@@ -401,20 +423,14 @@ def _theta_grid(cfg: RunConfig, default=None) -> Optional[np.ndarray]:
     return np.asarray([float(v) for v in grid])
 
 
-def _alpha_or_lambda(cfg: RunConfig):
-    has_alpha = "alpha" in cfg.run
-    has_lambda = "lambda" in cfg.run
-    if has_alpha == has_lambda:
-        raise ConfigError("exactly one of run.alpha or run.lambda must be set")
-    return (cfg.run.get("alpha"), cfg.run.get("lambda"))
-
-
 def _build_rule(problem, pair: BfPair, cfg: RunConfig):
     """Decision rule from either run.alpha or run.lambda."""
-    alpha, lam = _alpha_or_lambda(cfg)
-    if alpha is not None:
-        result = calibrate(problem, alpha, pair.of_stat)
+    if ("alpha" in cfg.run) == ("lambda" in cfg.run):
+        raise ConfigError("exactly one of run.alpha or run.lambda must be set")
+    if "alpha" in cfg.run:
+        result = calibrate(problem, cfg.run["alpha"], pair.of_stat)
         return result.rule, result.alpha
+    lam = cfg.run["lambda"]
     region, implied = gamma_from_lambda(problem, pair.of_stat, lam)
     if implied in (0.0, 1.0):
         raise InfeasibleLambda(
@@ -458,24 +474,9 @@ def cmd_calibrate(args) -> int:
     out = _out_dir(args, cfg)
     problem = build_problem(cfg.problem)
     pair = build_bf(problem, cfg.prior)
-    alpha, lam = _alpha_or_lambda(cfg)
+    rule, implied_alpha = _build_rule(problem, pair, cfg)
+    region, lam = rule.region, rule.lam
     base_dir = os.path.dirname(os.path.abspath(cfg.path))
-
-    if alpha is not None:
-        region = gamma_from_alpha(problem, alpha)
-        try:
-            lam, values = lambda_from_gamma(region, pair.of_stat)
-        except ClassViolationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CLASS_VIOLATION
-        implied_alpha = alpha
-    else:
-        try:
-            rule, implied_alpha = _build_rule(problem, pair, cfg)
-        except InfeasibleLambda as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INFEASIBLE_LAMBDA
-        region, lam = rule.region, rule.lam
 
     header = ["alpha", "lambda", "gamma_lower", "gamma_upper"]
     row = [
@@ -506,7 +507,7 @@ def cmd_verify(args) -> int:
     problem = build_problem(cfg.problem)
     pair = build_bf(problem, cfg.prior)
     rule, alpha = _build_rule(problem, pair, cfg)
-    n_sims = int(cfg.run.get("n_sims", 100_000))
+    n_sims = _n_sims(cfg, 100_000)
     thetas = _theta_grid(cfg)
     theta_list = (None,) if thetas is None else tuple(thetas)
     report = verify_equivalence(
@@ -532,7 +533,7 @@ def cmd_power(args) -> int:
     problem = build_problem(cfg.problem)
     pair = build_bf(problem, cfg.prior)
     rule, alpha = _build_rule(problem, pair, cfg)
-    n_sims = int(cfg.run.get("n_sims", 100_000))
+    n_sims = _n_sims(cfg, 100_000)
     thetas = _theta_grid(cfg)
     if thetas is None:
         thetas = _default_grid(problem, rule.region, alpha)
@@ -575,7 +576,7 @@ def cmd_dominance(args) -> int:
     if not isinstance(problem, prob.SubjectiveVarianceEquality):
         raise ConfigError("dominance requires problem.kind=subjective_variance")
     alpha = cfg.run.get("alpha", 0.05)
-    n_sims = int(cfg.run.get("n_sims", 1_000_000))
+    n_sims = _n_sims(cfg, 1_000_000)
     thetas = _theta_grid(cfg, default=[1.5, 2.0, 3.0, 5.0])
     rep = dominance_study(problem, alpha, thetas, RngStream(seed), n_sims)
     rows = [
@@ -632,7 +633,7 @@ def cmd_johnson(args) -> int:
     lam = float(cfg.run["lambda"])
     n = int(_require(cfg.problem, "n", "problem"))
     alpha = cfg.run.get("alpha", 0.05)
-    n_sims = int(cfg.run.get("n_sims", 100_000))
+    n_sims = _n_sims(cfg, 100_000)
     thetas = _theta_grid(cfg)
     if thetas is None:
         sd = math.sqrt(n)
@@ -769,7 +770,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=config_required)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=1)
         p.set_defaults(handler=handler)
     return parser
 

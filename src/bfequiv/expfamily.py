@@ -29,25 +29,6 @@ class ExpFamilyModel:
         if not lo < hi:
             raise ValueError("theta_domain must be a nonempty open interval")
 
-    def check_regularity(self, n_grid: int = 101) -> None:
-        """Grid checks: b finite and convex on the interior of the domain."""
-        lo, hi = self._interior()
-        grid = np.linspace(lo, hi, n_grid)
-        vals = np.asarray(self.b(grid), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("b is not finite on the interior of theta_domain")
-        second = vals[:-2] - 2 * vals[1:-1] + vals[2:]
-        h = grid[1] - grid[0]
-        if np.any(second / h**2 < -1e-7):
-            raise ValueError("b fails the convexity grid check")
-
-    def _interior(self, margin: float = 1e-6):
-        lo, hi = self.theta_domain
-        span_lo = lo if np.isfinite(lo) else -50.0
-        span_hi = hi if np.isfinite(hi) else 50.0
-        width = span_hi - span_lo
-        return span_lo + margin * width, span_hi - margin * width
-
     def log_ratio(self, t, theta2, theta1, n: int):
         """log of the likelihood ratio f(x|theta2)/f(x|theta1) at statistic t.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import integrate as _si
 
-__all__ = ["QuadratureError", "quad", "quad_halfline", "gauss_legendre_nodes"]
+__all__ = ["QuadratureError", "quad", "gauss_legendre_nodes"]
 
 DEFAULT_TOL = 1e-10
 
@@ -40,11 +40,6 @@ def quad(f, a, b, tol=DEFAULT_TOL, limit=200, check=True):
             error=err,
         )
     return value, err
-
-
-def quad_halfline(f, a=0.0, tol=DEFAULT_TOL, limit=200, check=True):
-    """Integrate f over (a, infinity)."""
-    return quad(f, a, np.inf, tol=tol, limit=limit, check=check)
 
 
 def gauss_legendre_nodes(n: int, a: float, b: float):

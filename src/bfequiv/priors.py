@@ -6,9 +6,8 @@ tests), and symmetric-paired densities for two-sided exponential-family
 tests, built from a half-line base and the pairing map r(theta) that
 makes the Bayes factor equal at both critical values.
 
-Nuisance priors are declarative: the diffuse kinds are flagged improper
-and are only ever used inside ratio-form computations where their
-normalization cancels.
+Nuisance priors are declarative: GammaPrec is a validated record of a
+proper Gamma(a, b) prior on a precision.
 """
 
 from __future__ import annotations
@@ -32,18 +31,12 @@ __all__ = [
     "half_normal_prior",
     "exponential_prior",
     "NuisancePrior",
-    "DiffusePrecision",
-    "DiffuseHalfPrecision",
-    "FlatLocation",
     "GammaPrec",
-    "NormalLocation",
     "ScaledSymmetricPrior",
     "SphericalPrior",
     "standard_normal_h",
     "solve_pairing",
     "build_symmetric_class_member",
-    "prior_logpdf",
-    "prior_sample",
 ]
 
 MASS_TOL = 1e-8
@@ -252,24 +245,6 @@ class SymmetricPaired(Prior):
                 out[i] = float(self.half_weight_log(self._invert_r(th)))
         return out if out.size > 1 else float(out[0])
 
-    def sample(self, rng, k: int = 1):
-        # mass of the upper side is c (base is normalized on the half line)
-        p_upper = math.exp(self._log_c)
-        upper = rng.generator.uniform(size=k) < p_upper
-        draws = np.empty(k)
-        n_up = int(upper.sum())
-        if n_up:
-            draws[upper] = self.base.sample(rng, n_up)
-        n_low = k - n_up
-        if n_low:
-            # lower-side density in theta_up coordinates is prop. to base*|r'|
-            low_base = DensityPrior(
-                lambda th: float(self.base.logpdf(th)) + math.log(abs(self._r_prime(th))),
-                self.base.support,
-            )
-            draws[~upper] = np.array([self.r(t) for t in low_base.sample(rng, n_low)])
-        return draws
-
 
 class PairingError(RuntimeError):
     """No pairing point was found inside the expanded bracket."""
@@ -383,30 +358,9 @@ def build_symmetric_class_member(
 
 
 class NuisancePrior:
-    """Marker base; improper kinds may only enter ratio-form computations."""
+    """Marker base for priors on nuisance parameters."""
 
     proper: bool
-
-
-@dataclass(frozen=True)
-class DiffusePrecision(NuisancePrior):
-    """pi(phi) prop. to 1/phi (improper)."""
-
-    proper = False
-
-
-@dataclass(frozen=True)
-class DiffuseHalfPrecision(NuisancePrior):
-    """pi prop. to phi^(-1/2) (improper)."""
-
-    proper = False
-
-
-@dataclass(frozen=True)
-class FlatLocation(NuisancePrior):
-    """pi(mu) prop. to 1 (improper)."""
-
-    proper = False
 
 
 @dataclass(frozen=True)
@@ -420,19 +374,6 @@ class GammaPrec(NuisancePrior):
     def __post_init__(self):
         if self.a <= 0 or self.b <= 0:
             raise ValueError("Gamma hyperparameters must be positive")
-
-
-@dataclass(frozen=True)
-class NormalLocation(NuisancePrior):
-    """Proper normal prior on a location, precision scaled by c*phi."""
-
-    mean: float
-    c: float
-    proper = True
-
-    def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("c must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -537,15 +478,3 @@ class SphericalPrior:
         if precision <= 0:
             raise ValueError("precision must be > 0")
         return SphericalPrior(p, lambda r: -0.5 * precision * r * r)
-
-
-# ---------------------------------------------------------------------------
-# Free-function facade
-
-
-def prior_logpdf(p: Prior, theta):
-    return p.logpdf(theta)
-
-
-def prior_sample(p: Prior, rng, k: int = 1):
-    return p.sample(rng, k)

@@ -140,9 +140,6 @@ class OneSidedNormal(TestProblem):
     def alt_law(self, theta):
         return DistSpec.normal(self.n * theta, math.sqrt(self.n))
 
-    def simulate_data(self, rng, theta):
-        return rng.generator.normal(theta, 1.0, size=self.n)
-
     def simulate_summary(self, rng, theta, size):
         t = rng.generator.normal(self.n * theta, math.sqrt(self.n), size=size)
         return SufficientSummary(t=t, n=self.n)
@@ -199,9 +196,6 @@ class GaussianMeanUnknownVar(TestProblem):
 
         ncp = math.sqrt(self.n) * theta * math.sqrt(phi)
         return stats.nct.cdf(np.asarray(x, dtype=float), self.n - 1, ncp)
-
-    def simulate_data(self, rng, theta, phi: float = 1.0):
-        return rng.generator.normal(theta, 1.0 / math.sqrt(phi), size=self.n)
 
     def simulate_summary(self, rng, theta, size, phi: float = 1.0):
         g = rng.generator

@@ -24,7 +24,14 @@ from .priors import (
     half_normal_prior,
     solve_pairing,
 )
-from .problems import OneSidedNormal, SubsetSelection
+from .problems import (
+    GaussianMeanUnknownVar,
+    OneSidedNormal,
+    RegressionKnownVar,
+    RegressionUnknownVar,
+    SubsetSelection,
+    SufficientSummary,
+)
 from .rng import RngStream
 
 __all__ = ["PropertySpec", "PropertyResult", "run_property", "catalogue", "run_catalogue"]
@@ -173,25 +180,23 @@ def _p04_tsq_draw(rng):
     return {"n": n, "xbar": xbar, "sum_sq": ss_c + n * xbar**2}
 
 
-_TTEST_CACHE = {}
+def _production_bf(problem, prior_kind: str, **params):
+    """The CLI's Bayes factor for the problem, so the catalogue certifies
+    the route the CLI decides with."""
+    from .cli import build_bf  # cli imports this module
 
-
-def _ttest_bf(n: int):
-    if n not in _TTEST_CACHE:
-        from .priors import ScaledSymmetricPrior, standard_normal_h
-
-        _TTEST_CACHE[n] = bf.TTestBf(ScaledSymmetricPrior(standard_normal_h), n)
-    return _TTEST_CACHE[n]
+    return build_bf(problem, {"kind": prior_kind, **params})
 
 
 def _p04_tsq_test(c):
-    tb = _ttest_bf(c["n"])
-    b_pos = float(tb(c["xbar"], c["sum_sq"]))
-    b_neg = float(tb(-c["xbar"], c["sum_sq"]))
+    n, xbar, sum_sq = c["n"], c["xbar"], c["sum_sq"]
+    pair = _production_bf(GaussianMeanUnknownVar(n=n), "gaussian_scale")
+    b_pos = float(pair.of_summary(SufficientSummary(xbar=xbar, sum_sq=sum_sq)))
+    b_neg = float(pair.of_summary(SufficientSummary(xbar=-xbar, sum_sq=sum_sq)))
     if abs(b_pos - b_neg) > 1e-12 * b_pos:
         return f"sign flip changed B: {b_pos} vs {b_neg}"
-    t_sq = c["n"] * c["xbar"] ** 2 / ((c["sum_sq"] - c["n"] * c["xbar"] ** 2) / (c["n"] - 1))
-    b_t = float(tb.from_t_squared(t_sq))
+    t_sq = n * xbar**2 / ((sum_sq - n * xbar**2) / (n - 1))
+    b_t = float(pair.of_stat(math.sqrt(t_sq)))
     if abs(b_pos - b_t) > 1e-9 * b_pos:
         return f"statistic route disagrees: {b_pos} vs {b_t}"
     return None
@@ -204,12 +209,13 @@ def _p05_rotation_draw(rng):
 
 
 def _p05_rotation_test(c):
-    from .priors import SphericalPrior
-
-    inst = bf.RegressionKnownVarBf(SphericalPrior.gaussian(c["p"], c["tau"]))
-    q, _ = np.linalg.qr(np.random.default_rng(c["seed_q"]).normal(size=(c["p"], c["p"])))
-    b0 = float(inst(t_vec=c["t_vec"]))
-    b1 = float(inst(t_vec=q @ c["t_vec"]))
+    # with the identity design the response is the statistic vector T
+    p = c["p"]
+    problem = RegressionKnownVar(p=p, n=p)
+    pair = _production_bf(problem, "gaussian_spherical", precision=c["tau"])
+    q, _ = np.linalg.qr(np.random.default_rng(c["seed_q"]).normal(size=(p, p)))
+    b0 = float(pair.of_summary(problem.summarize(c["t_vec"], np.eye(p))))
+    b1 = float(pair.of_summary(problem.summarize(q @ c["t_vec"], np.eye(p))))
     if abs(b0 - b1) > 1e-10 * b0:
         return f"rotation changed B: {b0} vs {b1}"
     return None
@@ -223,11 +229,10 @@ def _p06_fmono_draw(rng):
 
 
 def _p06_fmono_test(c):
-    from .priors import SphericalPrior
-
-    ru = bf.RegressionUnknownVarBf(SphericalPrior.gaussian(c["p"], c["tau"]), c["n"])
-    b1 = float(ru.from_f(c["f1"]))
-    b2 = float(ru.from_f(c["f1"] + c["df"]))
+    problem = RegressionUnknownVar(p=c["p"], n=c["n"])
+    pair = _production_bf(problem, "gaussian_spherical", precision=c["tau"])
+    b1 = float(pair.of_stat(c["f1"]))
+    b2 = float(pair.of_stat(c["f1"] + c["df"]))
     if not b2 > b1:
         return f"B not increasing in F: {b1} -> {b2}"
     return None

@@ -37,7 +37,3 @@ class RngStream:
         """An independent child stream; children of distinct parents never
         collide because the full path enters the seed sequence."""
         return RngStream(self.seed, self.path + (stream_id,))
-
-    def reset(self) -> "RngStream":
-        """A pristine copy of this stream (same seed and path)."""
-        return RngStream(self.seed, self.path)

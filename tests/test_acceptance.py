@@ -21,7 +21,7 @@ from scipy import stats
 
 from bfequiv import bayes_factors as bf
 from bfequiv.calibrate import calibrate, gamma_from_lambda, verify_equivalence
-from bfequiv.cli import main
+from bfequiv.cli import build_bf, main
 from bfequiv.expfamily import normal_mean_model
 from bfequiv.power import dominance_study, exact_power, johnson_comparison, mc_power
 from bfequiv.priors import (
@@ -56,28 +56,15 @@ def problem_catalogue():
     g2 = lambda t: bf.bf_two_sided_normal_conjugate(np.asarray(t, dtype=float), 4, 1.0)
     entries.append(("two_sided_normal", p, g2, lambda s: g2(s.t), np.linspace(-1.5, 1.5, 21)))
 
+    # the CLI's production routes (Gaussian closed forms)
     p = GaussianMeanUnknownVar(n=12)
-    eng = bf.TTestBf(ScaledSymmetricPrior(standard_normal_h), 12)
-    entries.append(
-        (
-            "t_test",
-            p,
-            lambda t, e=eng: e.from_t_squared(np.asarray(t, dtype=float) ** 2),
-            lambda s, e=eng: e(s.xbar, s.sum_sq),
-            np.linspace(-1.0, 1.0, 21),
-        )
-    )
+    pair = build_bf(p, {"kind": "gaussian_scale"})
+    entries.append(("t_test", p, pair.of_stat, pair.of_summary, np.linspace(-1.0, 1.0, 21)))
 
     p = RegressionUnknownVar(p=2, n=20)
-    eng = bf.RegressionUnknownVarBf(SphericalPrior.gaussian(2, 1.0), 20)
+    pair = build_bf(p, {"kind": "gaussian_spherical", "precision": 1.0})
     entries.append(
-        (
-            "regression_f",
-            p,
-            eng.from_f,
-            lambda s, e=eng: e(s.yHy, s.yy),
-            np.linspace(0.0, 3.0, 21),
-        )
+        ("regression_f", p, pair.of_stat, pair.of_summary, np.linspace(0.0, 3.0, 21))
     )
 
     p = TwoSampleMeansUnknownEqualVar(n1=8, n2=10)

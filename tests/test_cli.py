@@ -1,10 +1,20 @@
 import csv
+import math
 import os
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
-from bfequiv.cli import main
+from bfequiv import bayes_factors as bf
+from bfequiv.cli import build_bf, main
+from bfequiv.priors import ScaledSymmetricPrior, SphericalPrior, standard_normal_h
+from bfequiv.problems import (
+    GaussianMeanUnknownVar,
+    RegressionKnownVar,
+    RegressionUnknownVar,
+    SufficientSummary,
+)
 
 
 def write_config(tmp_path, name, text):
@@ -95,6 +105,26 @@ run.alpha = 0.05
         cfg = write_config(tmp_path, "c.cfg", ONE_SIDED + "problem.data = nope.csv\n")
         assert main(["calibrate", "--config", cfg, "--out", str(tmp_path)]) == 1
 
+    def test_strong_evidence_t_test_matches_closed_form(self, tmp_path):
+        n = 30
+        z = np.linspace(-1.0, 1.0, n)
+        x = 1.0 + 0.0322 * z / z.std(ddof=1)  # t = sqrt(30) / 0.0322, about 170
+        (tmp_path / "x.csv").write_text("x\n" + "\n".join(repr(float(v)) for v in x) + "\n")
+        cfg = write_config(
+            tmp_path,
+            "c.cfg",
+            "problem.kind = t_test\nproblem.n = 30\nproblem.data = x.csv\n"
+            "prior.kind = gaussian_scale\nrun.alpha = 0.05\n",
+        )
+        out = str(tmp_path / "out")
+        assert main(["calibrate", "--config", cfg, "--out", out]) == 0
+        row = read_csv(os.path.join(out, "calibration.csv"))[0]
+        assert 160 < float(row["stat"]) < 180
+        # B = (1+n)^{-1/2} (1 - n^2 u/(n+1))^{-n/2} with u = xbar^2 / sum(x^2)
+        u = x.mean() ** 2 / np.sum(x**2)
+        expected = (1 + n) ** -0.5 * (1 - n * n * u / (n + 1)) ** (-n / 2)
+        assert_allclose(float(row["bayes_factor"]), expected, rtol=1e-9)
+
 
 class TestVerifyCommand:
     def test_full_agreement_exit_0(self, tmp_path, capsys):
@@ -118,6 +148,51 @@ run.n_sims = 20000
     def test_missing_seed_exit_1(self, tmp_path):
         cfg = write_config(tmp_path, "v.cfg", ONE_SIDED)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("command", ["verify", "power"])
+    def test_zero_draws_exit_1(self, tmp_path, command, capsys):
+        cfg = write_config(
+            tmp_path, "v.cfg", ONE_SIDED + "run.seed = 1\nrun.n_sims = 0\nrun.theta_grid = 0.5\n"
+        )
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "run.n_sims" in capsys.readouterr().err
+
+
+class TestGaussianRoutes:
+    """The CLI's closed forms against each other and the series oracles,
+    on the range where the oracle's coefficients are accurate."""
+
+    @pytest.mark.parametrize("n", [3, 12, 20])
+    def test_t_test(self, n):
+        pair = build_bf(GaussianMeanUnknownVar(n=n), {"kind": "gaussian_scale"})
+        oracle = bf.TTestBf(ScaledSymmetricPrior(standard_normal_h), n)
+        for t in (0.0, 0.7, -2.5, 6.0, 10.0):
+            xbar = t / math.sqrt(n)
+            s = SufficientSummary(xbar=xbar, sum_sq=(n - 1) + n * xbar**2)  # S = 1
+            b = float(pair.of_summary(s))
+            assert_allclose(float(pair.of_stat(t)), b, rtol=1e-9)
+            assert_allclose(b, float(oracle(s.xbar, s.sum_sq)), rtol=1e-9)
+
+    @pytest.mark.parametrize("p, n, tau", [(1, 20, 1.0), (3, 12, 0.5), (2, 8, 2.0)])
+    def test_regression_unknown_var(self, p, n, tau):
+        prior = {"kind": "gaussian_spherical", "precision": tau}
+        pair = build_bf(RegressionUnknownVar(p=p, n=n), prior)
+        oracle = bf.RegressionUnknownVarBf(SphericalPrior.gaussian(p, tau), n)
+        for t_hat in (0.0, 0.05, 0.3, 0.5):
+            f = (t_hat / p) / ((1 - t_hat) / (n - p))
+            b = float(pair.of_summary(SufficientSummary(yHy=3.0 * t_hat, yy=3.0)))
+            assert_allclose(float(pair.of_stat(f)), b, rtol=1e-9)
+            assert_allclose(b, float(oracle.series(t_hat)), rtol=1e-9)
+
+    @pytest.mark.parametrize("p, tau", [(1, 1.0), (3, 0.5), (2, 1.0)])
+    def test_regression_known_var(self, p, tau):
+        prior = {"kind": "gaussian_spherical", "precision": tau}
+        pair = build_bf(RegressionKnownVar(p=p, n=p + 5), prior)
+        oracle = bf.RegressionKnownVarBf(SphericalPrior.gaussian(p, tau))
+        for t_abs in (0.0, 0.5, 8.0, 40.0):
+            b = float(pair.of_summary(SufficientSummary(t_abs=t_abs)))
+            assert_allclose(float(pair.of_stat(t_abs)), b, rtol=1e-9)
+            assert_allclose(b, float(oracle.series(t_abs)), rtol=1e-9)
 
 
 class TestReproducibility:
