@@ -22,7 +22,7 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 from scipy.optimize import minimize_scalar
 
 from .expfamily import ExpFamilyModel
@@ -112,7 +112,7 @@ def bf_one_sided_normal_halfnormal(t, n: int, tau: float):
     """Normal model, half-normal prior on theta > 0 with precision tau."""
     t = np.asarray(t, dtype=float)
     s = n + tau
-    return 2.0 * np.sqrt(tau / s) * np.exp(t**2 / (2.0 * s)) * stats.norm.cdf(t / np.sqrt(s))
+    return 2.0 * np.sqrt(tau / s) * np.exp(t**2 / (2.0 * s)) * special.ndtr(t / np.sqrt(s))
 
 
 def bf_one_sided_normal_exponential(t, n: int, rate: float):
@@ -123,7 +123,7 @@ def bf_one_sided_normal_exponential(t, n: int, rate: float):
         rate
         * np.sqrt(2.0 * np.pi / n)
         * np.exp(b**2 / (2.0 * n))
-        * stats.norm.cdf(b / np.sqrt(n))
+        * special.ndtr(b / np.sqrt(n))
     )
 
 
@@ -280,13 +280,24 @@ def bf_t_test_quadrature(xbar: float, sum_sq: float, n: int, h: ScaledSymmetricP
         lo, hi = min(0.0, mu) - 1.0, max(0.0, mu) + 1.0
         res = minimize_scalar(neg_log, bounds=(lo, hi), method="bounded")
         log_ref = float(-res.fun)
+        if res.fun >= 1e300:
+            # the search stopped where h underflows to 0; the best point
+            # of a grid over the bracket is the reference instead
+            log_ref = max(log_integrand(s) for s in np.linspace(lo, hi, 1001))
+        if log_ref < -745.0:
+            return 0.0
 
         def shifted(s):
             lg = log_integrand(s) - log_ref
+            if lg > 700.0:
+                raise NumericalIntegrityError(
+                    f"t-test quadrature: the inner integrand at s = {s:.6g} is "
+                    f"e^{lg:.0f} times its located peak"
+                )
             return math.exp(lg) if lg > -745.0 else 0.0
 
         val, _ = quad(shifted, -np.inf, np.inf, tol=1e-12)
-        return val * (math.exp(log_ref) if log_ref > -745.0 else 0.0)
+        return val * math.exp(log_ref)
 
     outer, _ = quad(
         lambda w: w ** (n / 2 - 1)
@@ -314,28 +325,35 @@ def _log_sphere_even_moment_factor(p: int, j: int) -> float:
 def _log_radial_damped_moment(prior: SphericalPrior, k: int) -> float:
     """log of int |s|^{2k} exp(-|s|^2/2) pi(s) ds for a spherical prior.
 
-    The peak of r^(p-1+2k) exp(-r^2/2) is factored out so high orders do
-    not overflow.
+    The full log-peak of the radial integrand, prior density included, is
+    factored out (as in `ScaledSymmetricPrior.log_even_moment`), so high
+    orders neither overflow nor fall below the quadrature's absolute
+    tolerance.
     """
-    p = prior.p
-    q = p - 1 + 2 * k
-    peak_log = 0.5 * q * (math.log(q) - 1.0) if q > 0 else 0.0
+    q = prior.p - 1 + 2 * k
 
-    def integrand(r):
+    def log_f(r):
         if r <= 0:
-            return 0.0
-        dens = prior.radial_density(r)
-        if dens <= 0:
-            return 0.0
-        log_mag = q * math.log(r) - 0.5 * r * r - peak_log + math.log(dens)
-        if log_mag < -745.0:
-            return 0.0
-        return prior.surface * math.exp(log_mag)
+            return -np.inf
+        return q * math.log(r) - 0.5 * r * r + prior.log_radial_density(r)
 
-    val, _ = quad(integrand, 0, np.inf, tol=1e-12)
+    res = minimize_scalar(
+        lambda r: -log_f(r) if np.isfinite(log_f(r)) else 1e300,
+        bounds=(0.0, math.sqrt(q) + 30.0),
+        method="bounded",
+    )
+    if res.fun >= 1e300:
+        raise ValueError(f"radial moment of order {2 * k} is not positive")
+    log_ref = float(-res.fun)
+
+    def shifted(r):
+        lg = log_f(r) - log_ref
+        return math.exp(lg) if lg > -745.0 else 0.0
+
+    val, _ = quad(shifted, 0, np.inf, tol=1e-12)
     if val <= 0:
         raise ValueError(f"radial moment of order {2 * k} is not positive")
-    return peak_log + math.log(val)
+    return math.log(prior.surface) + log_ref + math.log(val)
 
 
 def _log_angular_mean_exp(p: int, z: float) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import bayes_factors as bf
 from . import problems as prob
@@ -62,6 +62,11 @@ class RunConfig:
     prior: dict = dc_field(default_factory=dict)
     run: dict = dc_field(default_factory=dict)
     path: str = ""
+    lines: dict = dc_field(default_factory=dict)  # dotted key -> line number
+
+    def where(self, key: str) -> str:
+        """``path:line: key`` of a dotted key, to start an error message."""
+        return f"{self.path}:{self.lines[key]}: {key}" if key in self.lines else key
 
 
 def _parse_value(raw: str):
@@ -104,6 +109,7 @@ def parse_config(path: str) -> RunConfig:
             if not name:
                 raise ConfigError(f"{path}:{lineno}: empty key name in {key!r}")
             getattr(cfg, section)[name] = _parse_value(raw)
+            cfg.lines[key] = lineno
     return cfg
 
 
@@ -414,12 +420,30 @@ def _n_sims(cfg: RunConfig, default: int) -> int:
     return int(n_sims)
 
 
+def _alpha(cfg: RunConfig, default=None) -> float:
+    """run.alpha, a size strictly between 0 and 1."""
+    alpha = cfg.run.get("alpha", default)
+    if not isinstance(alpha, (int, float)) or not 0 < alpha < 1:
+        raise ConfigError(f"{cfg.where('run.alpha')} must lie in (0, 1), got {alpha!r}")
+    return alpha
+
+
+def _lambda(cfg: RunConfig) -> float:
+    """run.lambda, a Bayes-factor threshold."""
+    lam = cfg.run["lambda"]
+    if not isinstance(lam, (int, float)):
+        raise ConfigError(f"{cfg.where('run.lambda')} must be a number, got {lam!r}")
+    return lam
+
+
 def _theta_grid(cfg: RunConfig, default=None) -> Optional[np.ndarray]:
     grid = cfg.run.get("theta_grid", default)
     if grid is None:
         return None
-    if isinstance(grid, (int, float)):
+    if not isinstance(grid, list):
         grid = [grid]
+    if not all(isinstance(v, (int, float)) for v in grid):
+        raise ConfigError(f"{cfg.where('run.theta_grid')} must be numbers, got {grid!r}")
     return np.asarray([float(v) for v in grid])
 
 
@@ -428,9 +452,14 @@ def _build_rule(problem, pair: BfPair, cfg: RunConfig):
     if ("alpha" in cfg.run) == ("lambda" in cfg.run):
         raise ConfigError("exactly one of run.alpha or run.lambda must be set")
     if "alpha" in cfg.run:
-        result = calibrate(problem, cfg.run["alpha"], pair.of_stat)
+        result = calibrate(problem, _alpha(cfg), pair.of_stat)
         return result.rule, result.alpha
-    lam = cfg.run["lambda"]
+    lam = _lambda(cfg)
+    if problem.region_shape != "upper":
+        raise ConfigError(
+            f"{cfg.where('run.lambda')} needs a one-sided test; "
+            f"{_KIND_OF[type(problem)]} is two-sided, so set run.alpha instead"
+        )
     region, implied = gamma_from_lambda(problem, pair.of_stat, lam)
     if implied in (0.0, 1.0):
         raise InfeasibleLambda(
@@ -575,7 +604,7 @@ def cmd_dominance(args) -> int:
     problem = build_problem(cfg.problem)
     if not isinstance(problem, prob.SubjectiveVarianceEquality):
         raise ConfigError("dominance requires problem.kind=subjective_variance")
-    alpha = cfg.run.get("alpha", 0.05)
+    alpha = _alpha(cfg, 0.05)
     n_sims = _n_sims(cfg, 1_000_000)
     thetas = _theta_grid(cfg, default=[1.5, 2.0, 3.0, 5.0])
     rep = dominance_study(problem, alpha, thetas, RngStream(seed), n_sims)
@@ -630,15 +659,15 @@ def cmd_johnson(args) -> int:
     seed = _seed(args, cfg, required=True)
     if "lambda" not in cfg.run:
         raise ConfigError("run.lambda is required for the johnson subcommand")
-    lam = float(cfg.run["lambda"])
+    lam = float(_lambda(cfg))
     n = int(_require(cfg.problem, "n", "problem"))
-    alpha = cfg.run.get("alpha", 0.05)
+    alpha = _alpha(cfg, 0.05)
     n_sims = _n_sims(cfg, 100_000)
     thetas = _theta_grid(cfg)
     if thetas is None:
         sd = math.sqrt(n)
-        gamma = sd * stats.norm.ppf(1 - alpha)
-        hi = (gamma - sd * stats.norm.ppf(0.01)) / n
+        gamma = sd * special.ndtri(1 - alpha)
+        hi = (gamma - sd * special.ndtri(0.01)) / n
         thetas = np.linspace(0.0, hi, 21)
     comp = johnson_comparison(
         lam, n, thetas, alpha_matched=alpha, rng=RngStream(seed), n_sims=n_sims
@@ -719,7 +748,7 @@ def cmd_reproduce_sec6(args) -> int:
     # scaling is asymptotic in n >> tau, so a small prior precision keeps
     # the fitted slope clean already at n = 10
     tau = 0.1
-    z = stats.norm.ppf(0.95)
+    z = special.ndtri(0.95)
     ns = np.array([10.0, 100.0, 1000.0, 10_000.0])
     lams = np.array(
         [float(bf.bf_one_sided_normal_conjugate(math.sqrt(n) * z, int(n), tau)) for n in ns]

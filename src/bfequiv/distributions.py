@@ -6,7 +6,12 @@ chi-square, Student-t, central and noncentral F, noncentral chi-square.
 A ``scale`` multiplier supports statistics that are scaled versions of a
 standard law (e.g. a variance ratio distributed as theta * F).
 
-Backed by scipy.stats / scipy.special; the contract (round-trip quantile
+Each CDF, quantile and sampler calls the scipy.special kernel or numpy
+Generator method that scipy.stats dispatches to, with the same
+arithmetic, so values are bit-for-bit those of scipy.stats without
+paying for its import (a large share of a CLI process's start-up time
+and memory) or for building a frozen distribution on every call.  The
+contract (bit-for-bit agreement with scipy.stats, round-trip quantile
 accuracy, noncentral-to-central agreement at zero noncentrality) is
 enforced by the test suite.
 """
@@ -15,9 +20,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 __all__ = ["Family", "DistSpec", "pdf", "cdf", "quantile", "sample"]
 
@@ -107,37 +113,89 @@ class DistSpec:
             return DistSpec(Family.CHI_SQUARE, (df,), scale)
         return DistSpec(Family.NONCENTRAL_CHI_SQUARE, (df, nc), scale)
 
-    # -- scipy bridge -----------------------------------------------------
 
-    def _frozen(self):
-        p = self.params
-        if self.family is Family.NORMAL:
-            return stats.norm(loc=p[0], scale=p[1])
-        if self.family is Family.GAMMA:
-            return stats.gamma(p[0], scale=1.0 / p[1])
-        if self.family is Family.CHI_SQUARE:
-            return stats.chi2(p[0])
-        if self.family is Family.STUDENT_T:
-            return stats.t(p[0])
-        if self.family is Family.FISHER_F:
-            return stats.f(p[0], p[1])
-        if self.family is Family.NONCENTRAL_F:
-            return stats.ncf(p[0], p[1], p[2])
-        if self.family is Family.NONCENTRAL_CHI_SQUARE:
-            return stats.ncx2(p[0], p[1])
-        raise AssertionError(self.family)
+class _Law(NamedTuple):
+    """The kernels of one family; ``p`` is ``DistSpec.params``."""
+
+    lower: float  # left end of the support
+    cdf: Callable  # (p, x) -> P(Y <= x), for x above `lower`
+    quantile: Callable  # (p, q) -> inverse CDF, for 0 < q < 1
+    draw: Callable  # (p, numpy Generator, k) -> k variates
+    frozen: Callable  # (scipy.stats, p) -> frozen law, used for densities only
+
+
+# The kernels, and the arithmetic around them, are those of the scipy.stats
+# 1.17 `_cdf`, `_ppf` and `_rvs` methods with their loc/scale handling.
+_LAWS = {
+    Family.NORMAL: _Law(
+        -np.inf,
+        lambda p, x: special.ndtr((x - p[0]) / p[1]),
+        lambda p, q: special.ndtri(q) * p[1] + p[0],
+        lambda p, g, k: g.standard_normal(k) * p[1] + p[0],
+        lambda st, p: st.norm(loc=p[0], scale=p[1]),
+    ),
+    Family.GAMMA: _Law(
+        0.0,
+        lambda p, x: special.gammainc(p[0], x / (1.0 / p[1])),
+        lambda p, q: special.gammaincinv(p[0], q) * (1.0 / p[1]),
+        lambda p, g, k: g.standard_gamma(p[0], k) * (1.0 / p[1]),
+        lambda st, p: st.gamma(p[0], scale=1.0 / p[1]),
+    ),
+    Family.CHI_SQUARE: _Law(
+        0.0,
+        lambda p, x: special.chdtr(p[0], x),
+        lambda p, q: 2 * special.gammaincinv(p[0] / 2, q),
+        lambda p, g, k: g.chisquare(p[0], k),
+        lambda st, p: st.chi2(p[0]),
+    ),
+    Family.STUDENT_T: _Law(
+        -np.inf,
+        lambda p, x: special.stdtr(p[0], x),
+        lambda p, q: special.stdtrit(p[0], q),
+        lambda p, g, k: g.standard_t(p[0], k),
+        lambda st, p: st.t(p[0]),
+    ),
+    Family.FISHER_F: _Law(
+        0.0,
+        lambda p, x: special.fdtr(p[0], p[1], x),
+        lambda p, q: special.fdtri(p[0], p[1], q),
+        lambda p, g, k: g.f(p[0], p[1], k),
+        lambda st, p: st.f(p[0], p[1]),
+    ),
+    Family.NONCENTRAL_F: _Law(
+        0.0,
+        lambda p, x: special.ncfdtr(p[0], p[1], p[2], x),
+        lambda p, q: special.ncfdtri(p[0], p[1], p[2], q),
+        lambda p, g, k: g.noncentral_f(p[0], p[1], p[2], k),
+        lambda st, p: st.ncf(p[0], p[1], p[2]),
+    ),
+    Family.NONCENTRAL_CHI_SQUARE: _Law(
+        0.0,
+        lambda p, x: special.chndtr(x, p[0], p[1]),
+        lambda p, q: special.chndtrix(q, p[0], p[1]),
+        lambda p, g, k: g.noncentral_chisquare(p[0], p[1], k),
+        lambda st, p: st.ncx2(p[0], p[1]),
+    ),
+}
 
 
 def pdf(d: DistSpec, x):
     """Density of d at x (vectorized)."""
+    # No subcommand evaluates a density, so scipy.stats loads only here.
+    from scipy import stats
+
     x = np.asarray(x, dtype=float)
-    return d._frozen().pdf(x / d.scale) / d.scale
+    return _LAWS[d.family].frozen(stats, d.params).pdf(x / d.scale) / d.scale
 
 
 def cdf(d: DistSpec, x):
-    """CDF of d at x (vectorized)."""
-    x = np.asarray(x, dtype=float)
-    return d._frozen().cdf(x / d.scale)
+    """CDF of d at x (vectorized); a 0-d input gives a scalar."""
+    law = _LAWS[d.family]
+    x = np.asarray(x, dtype=float) / d.scale
+    # the kernels of the positive laws are nan below 0, where the CDF is 0;
+    # nan compares false, so a nan x stays nan, as in scipy.stats
+    out = np.where(x <= law.lower, 0.0, np.where(x == np.inf, 1.0, law.cdf(d.params, x)))
+    return out[()]
 
 
 def quantile(d: DistSpec, p):
@@ -145,11 +203,11 @@ def quantile(d: DistSpec, p):
     p = np.asarray(p, dtype=float)
     if np.any(p <= 0) or np.any(p >= 1):
         raise ValueError("quantile requires 0 < p < 1")
-    return d.scale * d._frozen().ppf(p)
+    return d.scale * _LAWS[d.family].quantile(d.params, p)
 
 
 def sample(d: DistSpec, rng, k: int):
     """Draw k iid variates using the given RngStream."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return d.scale * d._frozen().rvs(size=k, random_state=rng.generator)
+    return d.scale * _LAWS[d.family].draw(d.params, rng.generator, k)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .bayes_factors import bf_subjective_variance, johnson_umpbt_threshold
 from .calibrate import CriticalRegion, DecisionRule, gamma_from_alpha
@@ -338,9 +338,9 @@ def johnson_comparison(
     theta_star, g_min, _ = johnson_umpbt_threshold(model, lam, n, theta0)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     sd = math.sqrt(n)
-    implied_alpha = float(1.0 - stats.norm.cdf((g_min - n * theta0) / sd))
-    gamma_matched = n * theta0 + sd * stats.norm.ppf(1.0 - alpha_matched)
-    power_exact = 1.0 - stats.norm.cdf((gamma_matched - n * thetas) / sd)
+    implied_alpha = float(1.0 - special.ndtr((g_min - n * theta0) / sd))
+    gamma_matched = n * theta0 + sd * special.ndtri(1.0 - alpha_matched)
+    power_exact = 1.0 - special.ndtr((gamma_matched - n * thetas) / sd)
 
     if rng is None:
         rng = RngStream(0)

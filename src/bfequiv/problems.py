@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 from . import distributions as dist
 from .distributions import DistSpec
@@ -192,10 +193,8 @@ class GaussianMeanUnknownVar(TestProblem):
         return DistSpec.student_t(self.n - 1)
 
     def alt_cdf(self, theta, x, phi: float = 1.0):
-        from scipy import stats
-
         ncp = math.sqrt(self.n) * theta * math.sqrt(phi)
-        return stats.nct.cdf(np.asarray(x, dtype=float), self.n - 1, ncp)
+        return special.nctdtr(self.n - 1, ncp, np.asarray(x, dtype=float))
 
     def simulate_summary(self, rng, theta, size, phi: float = 1.0):
         g = rng.generator
@@ -404,10 +403,8 @@ class TwoSampleMeansUnknownEqualVar(TestProblem):
         return DistSpec.student_t(self.n - 2, self.stat_scale)
 
     def alt_cdf(self, theta, x, phi: float = 1.0):
-        from scipy import stats
-
         ncp = theta * math.sqrt(phi) / math.sqrt(1.0 / self.n1 + 1.0 / self.n2)
-        return stats.nct.cdf(np.asarray(x, dtype=float) / self.stat_scale, self.n - 2, ncp)
+        return special.nctdtr(self.n - 2, ncp, np.asarray(x, dtype=float) / self.stat_scale)
 
     def simulate_summary(self, rng, theta, size, phi: float = 1.0):
         g = rng.generator

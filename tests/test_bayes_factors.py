@@ -111,6 +111,17 @@ class TestTTest:
         )
         assert_allclose(val, oracle, rtol=1e-7)
 
+    @pytest.mark.parametrize("nu", [0.9, 0.95, 0.999])
+    def test_quadrature_at_strong_evidence(self, nu):
+        # n * xbar^2 / sum_sq = nu: from 0.95 on, the inner peak search
+        # once stopped where h underflows and quad raised a bare
+        # OverflowError; the Gaussian h has the closed form below
+        n = 12
+        b = bf.bf_t_test_quadrature(
+            math.sqrt(nu / n), 1.0, n, ScaledSymmetricPrior(standard_normal_h)
+        )
+        assert_allclose(b, (1 + n) ** -0.5 * (1 - n * nu / (n + 1)) ** (-n / 2), rtol=1e-10)
+
     def test_depends_on_t_only_through_t_squared(self):
         engine = bf.TTestBf(ScaledSymmetricPrior(standard_normal_h), n=5)
         t = 1.7
@@ -147,6 +158,20 @@ class TestRegressionKnownVar:
         engine = bf.RegressionKnownVarBf(SphericalPrior.gaussian(2, 1.0))
         for t_abs in [0.3, 3.0, 10.0]:
             assert_allclose(engine.series(t_abs), engine.quadrature(t_abs), rtol=1e-8)
+
+    @pytest.mark.parametrize("p,tau", [(1, 1.0), (1, 4.0), (3, 1.0), (3, 4.0)])
+    def test_radial_damped_moment_closed_form(self, p, tau):
+        # int |s|^{2k} e^{-|s|^2/2} pi(s) ds for pi = N(0, I/tau); with only
+        # the peak of r^q e^{-r^2/2} factored out, p = 1 lost 77 % at k = 45
+        prior = SphericalPrior.gaussian(p, tau)
+        for k in range(81):
+            exact = (
+                0.5 * p * math.log(tau / (1 + tau))
+                + k * math.log(2 / (1 + tau))
+                + math.lgamma(p / 2 + k)
+                - math.lgamma(p / 2)
+            )
+            assert abs(bf._log_radial_damped_moment(prior, k) - exact) < 1e-12, k
 
     def test_depends_on_t_vec_through_norm(self):
         engine = bf.RegressionKnownVarBf(SphericalPrior.gaussian(3, 1.0))

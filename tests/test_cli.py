@@ -1,11 +1,14 @@
 import csv
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import bfequiv
 from bfequiv import bayes_factors as bf
 from bfequiv.cli import build_bf, main
 from bfequiv.priors import ScaledSymmetricPrior, SphericalPrior, standard_normal_h
@@ -126,6 +129,32 @@ run.alpha = 0.05
         assert_allclose(float(row["bayes_factor"]), expected, rtol=1e-9)
 
 
+class TestBadConfigValues:
+    """A bad value exits 1 with the key and its path:line, not a traceback."""
+
+    def test_alpha_outside_unit_interval(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.cfg", ONE_SIDED.replace("0.05", "1.5"))
+        assert main(["calibrate", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert f"{cfg}:6: run.alpha" in capsys.readouterr().err
+
+    def test_lambda_on_two_sided_problem(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "c.cfg",
+            "problem.kind = two_sided_normal\nprior.kind = normal\n"
+            "prior.precision = 1.0\nrun.lambda = 3.0\n",
+        )
+        assert main(["calibrate", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert f"{cfg}:4: run.lambda" in capsys.readouterr().err
+
+    def test_non_numeric_theta_grid(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, "v.cfg", ONE_SIDED + "run.seed = 1\nrun.theta_grid = 0.1, abc\n"
+        )
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert f"{cfg}:8: run.theta_grid" in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_full_agreement_exit_0(self, tmp_path, capsys):
         cfg = write_config(
@@ -244,6 +273,45 @@ run.theta_grid = 0.5
         mc1 = [r for r in rows1 if r["method"] == "mc_classical"]
         mc2 = [r for r in rows2 if r["method"] == "mc_classical"]
         assert mc1[0]["power"] != mc2[0]["power"]
+
+
+IMPORT_GUARD = """
+import sys
+from bfequiv.cli import main
+
+out, configs = sys.argv[1], sys.argv[2:]
+for cfg in configs:
+    for command in ("calibrate", "verify", "power"):
+        assert main([command, "--config", cfg, "--out", out]) == 0, (command, cfg)
+assert "scipy.stats" not in sys.modules, "a subcommand imported scipy.stats"
+"""
+
+
+def test_subcommands_never_import_scipy_stats(tmp_path):
+    # importing scipy.stats is a large share of each CLI process's start-up
+    # time and memory, and distributions evaluates every law without it
+    common = "run.alpha = 0.05\nrun.seed = 3\nrun.n_sims = 2000\n"
+    configs = [
+        write_config(
+            tmp_path,
+            "t.cfg",
+            "problem.kind = t_test\nproblem.n = 12\nprior.kind = gaussian_scale\n" + common,
+        ),
+        write_config(
+            tmp_path,
+            "t2.cfg",
+            "problem.kind = two_sample_t\nproblem.n1 = 5\nproblem.n2 = 8\nprior.kind = conjugate\n"
+            + common,
+        ),
+    ]
+    src = os.path.dirname(os.path.dirname(bfequiv.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, str(tmp_path / "out"), *configs],
+        env=env,
+        check=True,
+        timeout=300,
+    )
 
 
 class TestPropsCommand:
