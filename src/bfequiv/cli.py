@@ -22,7 +22,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -119,6 +119,15 @@ def _require(section: dict, name: str, where: str):
     return section[name]
 
 
+def _check_number(value, where: str, integer: bool = False):
+    """value itself if it is a finite number (an integer when asked), else
+    a ConfigError that starts with ``where``."""
+    if isinstance(value, int) or (isinstance(value, float) and not integer and math.isfinite(value)):
+        return value
+    kind = "an integer" if integer else "a finite number"
+    raise ConfigError(f"{where} must be {kind}, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Problem kinds: one table entry per problem.kind
 
@@ -140,23 +149,31 @@ def _stat_pair(g: Callable, field: str = "t") -> BfPair:
 _MODEL = normal_mean_model()
 
 
+def _positive(prcfg: dict, name: str, default: Optional[float] = None) -> float:
+    """prior.<name>, required unless a default is given; must be > 0."""
+    value = _require(prcfg, name, "prior") if default is None else prcfg.get(name, default)
+    if not value > 0:
+        raise ValueError(f"prior.{name} must be > 0, got {value!r}")
+    return value
+
+
 def _point_mass(problem, prcfg):
     prior, n, theta0 = PointMass(_require(prcfg, "theta1", "prior")), problem.n, problem.theta0
     return _stat_pair(lambda t: bf.bf_one_sided(_MODEL, prior, t, n, theta0))
 
 
 def _half_normal(problem, prcfg):
-    tau, n, shift = _require(prcfg, "precision", "prior"), problem.n, problem.n * problem.theta0
+    tau, n, shift = _positive(prcfg, "precision"), problem.n, problem.n * problem.theta0
     return _stat_pair(lambda t: bf.bf_one_sided_normal_halfnormal(np.asarray(t) - shift, n, tau))
 
 
 def _exponential(problem, prcfg):
-    rate, n, shift = _require(prcfg, "rate", "prior"), problem.n, problem.n * problem.theta0
+    rate, n, shift = _positive(prcfg, "rate"), problem.n, problem.n * problem.theta0
     return _stat_pair(lambda t: bf.bf_one_sided_normal_exponential(np.asarray(t) - shift, n, rate))
 
 
 def _normal(problem, prcfg):
-    tau, n, shift = _require(prcfg, "precision", "prior"), problem.n, problem.n * problem.theta0
+    tau, n, shift = _positive(prcfg, "precision"), problem.n, problem.n * problem.theta0
     return _stat_pair(lambda t: bf.bf_two_sided_normal_conjugate(np.asarray(t) - shift, n, tau))
 
 
@@ -181,9 +198,7 @@ def _regression_unknown_var_gaussian(problem, prcfg):
 
 
 def _regression_known_var_gaussian(problem, prcfg):
-    tau, p = prcfg.get("precision", 1.0), problem.p
-    if not tau > 0:
-        raise ValueError("precision must be > 0")
+    tau, p = _positive(prcfg, "precision", 1.0), problem.p
     return _stat_pair(lambda t_abs: bf.bf_regression_known_var_gaussian(t_abs, p, tau), "t_abs")
 
 
@@ -361,29 +376,40 @@ KINDS = {
 _KIND_OF = {entry.problem: name for name, entry in KINDS.items()}
 
 
-def build_problem(pcfg: dict) -> prob.TestProblem:
+def build_problem(pcfg: dict, where: Callable[[str], str] = str) -> prob.TestProblem:
+    """The problem a problem section declares.  ``where`` maps a dotted
+    key to the start of an error message (``RunConfig.where`` gives its
+    path:line)."""
     kind = _require(pcfg, "kind", "problem")
     if kind not in KINDS:
-        raise ConfigError(f"unknown problem.kind {kind!r}")
+        raise ConfigError(f"{where('problem.kind')} {kind!r} is not a known problem kind")
     entry = KINDS[kind]
     args = {key: _require(pcfg, key, "problem") for key in entry.required}
     args.update((key, pcfg.get(key, default)) for key, default in entry.optional.items())
+    types = {f.name: f.type for f in fields(entry.problem)}
+    for key, value in args.items():
+        _check_number(value, where(f"problem.{key}"), integer=types[key] in (int, "int"))
     try:
         return entry.problem(**args)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid problem parameters: {exc}") from exc
+        raise ConfigError(f"{where('problem.kind')} {kind!r}: invalid parameters: {exc}") from exc
 
 
-def build_bf(problem: prob.TestProblem, prcfg: dict) -> BfPair:
+def build_bf(problem: prob.TestProblem, prcfg: dict, where: Callable[[str], str] = str) -> BfPair:
+    """The Bayes factor a prior section declares for ``problem``;
+    ``where`` as in `build_problem`."""
     kind = _require(prcfg, "kind", "prior")
     name = _KIND_OF[type(problem)]
     factory = KINDS[name].priors.get(kind)
     if factory is None:
-        raise ConfigError(f"prior.kind {kind!r} unsupported for {name}")
+        raise ConfigError(f"{where('prior.kind')} {kind!r} is unsupported for {name}")
+    for key, value in prcfg.items():
+        if key != "kind":
+            _check_number(value, where(f"prior.{key}"))
     try:
         return factory(problem, prcfg)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid prior parameters: {exc}") from exc
+        raise ConfigError(f"{where('prior.kind')} {kind!r}: invalid parameters: {exc}") from exc
 
 
 def load_observed_summary(problem: prob.TestProblem, pcfg: dict, base_dir: str):
@@ -412,12 +438,13 @@ def _seed(args, cfg: RunConfig, required: bool) -> Optional[int]:
     return seed
 
 
-def _n_sims(cfg: RunConfig, default: int) -> int:
-    """run.n_sims; a verdict needs at least one simulated dataset."""
-    n_sims = cfg.run.get("n_sims", default)
-    if not isinstance(n_sims, (int, float)) or not n_sims >= 1:
-        raise ConfigError(f"run.n_sims must be at least 1, got {n_sims!r}")
-    return int(n_sims)
+def _count(cfg: RunConfig, key: str, default: int) -> int:
+    """run.<key>, a number of simulated datasets or trials; a verdict
+    needs at least one."""
+    value = cfg.run.get(key, default)
+    if not isinstance(value, (int, float)) or not value >= 1:
+        raise ConfigError(f"{cfg.where('run.' + key)} must be at least 1, got {value!r}")
+    return int(value)
 
 
 def _alpha(cfg: RunConfig, default=None) -> float:
@@ -501,8 +528,8 @@ def _default_grid(problem, region, alpha, points=21):
 def cmd_calibrate(args) -> int:
     cfg = parse_config(args.config)
     out = _out_dir(args, cfg)
-    problem = build_problem(cfg.problem)
-    pair = build_bf(problem, cfg.prior)
+    problem = build_problem(cfg.problem, cfg.where)
+    pair = build_bf(problem, cfg.prior, cfg.where)
     rule, implied_alpha = _build_rule(problem, pair, cfg)
     region, lam = rule.region, rule.lam
     base_dir = os.path.dirname(os.path.abspath(cfg.path))
@@ -533,10 +560,10 @@ def cmd_verify(args) -> int:
     cfg = parse_config(args.config)
     out = _out_dir(args, cfg)
     seed = _seed(args, cfg, required=True)
-    problem = build_problem(cfg.problem)
-    pair = build_bf(problem, cfg.prior)
+    problem = build_problem(cfg.problem, cfg.where)
+    pair = build_bf(problem, cfg.prior, cfg.where)
     rule, alpha = _build_rule(problem, pair, cfg)
-    n_sims = _n_sims(cfg, 100_000)
+    n_sims = _count(cfg, "n_sims", 100_000)
     thetas = _theta_grid(cfg)
     theta_list = (None,) if thetas is None else tuple(thetas)
     report = verify_equivalence(
@@ -559,10 +586,10 @@ def cmd_power(args) -> int:
     cfg = parse_config(args.config)
     out = _out_dir(args, cfg)
     seed = _seed(args, cfg, required=True)
-    problem = build_problem(cfg.problem)
-    pair = build_bf(problem, cfg.prior)
+    problem = build_problem(cfg.problem, cfg.where)
+    pair = build_bf(problem, cfg.prior, cfg.where)
     rule, alpha = _build_rule(problem, pair, cfg)
-    n_sims = _n_sims(cfg, 100_000)
+    n_sims = _count(cfg, "n_sims", 100_000)
     thetas = _theta_grid(cfg)
     if thetas is None:
         thetas = _default_grid(problem, rule.region, alpha)
@@ -601,11 +628,11 @@ def cmd_dominance(args) -> int:
     cfg = parse_config(args.config)
     out = _out_dir(args, cfg)
     seed = _seed(args, cfg, required=True)
-    problem = build_problem(cfg.problem)
+    problem = build_problem(cfg.problem, cfg.where)
     if not isinstance(problem, prob.SubjectiveVarianceEquality):
         raise ConfigError("dominance requires problem.kind=subjective_variance")
     alpha = _alpha(cfg, 0.05)
-    n_sims = _n_sims(cfg, 1_000_000)
+    n_sims = _count(cfg, "n_sims", 1_000_000)
     thetas = _theta_grid(cfg, default=[1.5, 2.0, 3.0, 5.0])
     rep = dominance_study(problem, alpha, thetas, RngStream(seed), n_sims)
     rows = [
@@ -660,9 +687,9 @@ def cmd_johnson(args) -> int:
     if "lambda" not in cfg.run:
         raise ConfigError("run.lambda is required for the johnson subcommand")
     lam = float(_lambda(cfg))
-    n = int(_require(cfg.problem, "n", "problem"))
+    n = _check_number(_require(cfg.problem, "n", "problem"), cfg.where("problem.n"), integer=True)
     alpha = _alpha(cfg, 0.05)
-    n_sims = _n_sims(cfg, 100_000)
+    n_sims = _count(cfg, "n_sims", 100_000)
     thetas = _theta_grid(cfg)
     if thetas is None:
         sd = math.sqrt(n)
@@ -709,7 +736,7 @@ def cmd_props(args) -> int:
     out = _out_dir(args, cfg if args.config else None)
     seed = _seed(args, cfg, required=False)
     seed = 0 if seed is None else seed
-    n_trials = int(cfg.run.get("n_trials", 200))
+    n_trials = _count(cfg, "n_trials", 200)
     results, transcript = run_catalogue(RngStream(seed), n_trials=n_trials)
     write_text(os.path.join(out, "props.txt"), transcript)
     write_csv(

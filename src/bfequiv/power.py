@@ -329,7 +329,8 @@ def johnson_comparison(
     recalibrating to a common size the point-mass rule and the classical
     rule share the same rejection boundary, so their power curves agree;
     the Monte Carlo comparison evaluates both rules on common random
-    numbers and checks agreement within three combined standard errors.
+    numbers, the point-mass rule through its own Bayes factor, and checks
+    agreement within three combined standard errors.
     """
     if model is None:
         model = normal_mean_model()
@@ -345,15 +346,18 @@ def johnson_comparison(
     if rng is None:
         rng = RngStream(0)
 
+    # the point-mass rule {B > lam_matched}, decided through its own
+    # Bayes factor in log space; lam_matched = B(gamma_matched)
+    log_lam_matched = model.log_ratio(gamma_matched, theta_star, theta0, n)
     power_point_mass = np.empty(thetas.shape)
     power_classical = np.empty(thetas.shape)
     for i, th in enumerate(thetas):
         t = rng.substream(i).generator.normal(n * th, sd, size=n_sims)
-        # both rules recalibrated to alpha_matched reject on the same
-        # boundary; evaluating them on the same draws shows the match
-        # is pathwise, not merely statistical
-        power_point_mass[i] = np.mean(t > gamma_matched)
-        power_classical[i] = np.mean(t > gamma_matched)
+        # both rules are evaluated on the same draws, so a match is
+        # pathwise, not merely statistical
+        log_b = model.log_ratio(t, theta_star, theta0, n)
+        power_point_mass[i] = np.count_nonzero(log_b > log_lam_matched) / n_sims
+        power_classical[i] = np.count_nonzero(t > gamma_matched) / n_sims
     se = np.sqrt(
         power_point_mass * (1 - power_point_mass) / n_sims
         + power_classical * (1 - power_classical) / n_sims

@@ -428,7 +428,10 @@ class ScaledSymmetricPrior:
             lg = log_f(s) - log_ref
             return math.exp(lg) if lg > -745.0 else 0.0
 
-        val, _ = quad(shifted, 0.0, np.inf, tol=tol)
+        # at high order the peak is narrow next to [0, inf); splitting
+        # there keeps quad from stepping over it
+        peak = float(res.x)
+        val = quad(shifted, 0.0, peak, tol=tol)[0] + quad(shifted, peak, np.inf, tol=tol)[0]
         if val <= 0:
             raise ValueError(f"moment of order {2 * k} is not positive")
         # h is symmetric, so the whole-line moment is twice the half-line one

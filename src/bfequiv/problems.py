@@ -126,6 +126,10 @@ class OneSidedNormal(TestProblem):
 
     region_shape = "upper"
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("need n >= 1")
+
     def summarize(self, x):
         x = np.asarray(x, dtype=float)
         if x.size != self.n:
@@ -227,6 +231,10 @@ class RegressionKnownVar(TestProblem):
     n: int = 2
     region_shape = "upper"
 
+    def __post_init__(self):
+        if not 1 <= self.p <= self.n:
+            raise ValueError("need 1 <= p <= n")
+
     def summarize(self, y, X):
         y = np.asarray(y, dtype=float)
         Z, Q = orthonormalize(np.asarray(X, dtype=float))
@@ -266,8 +274,8 @@ class RegressionUnknownVar(TestProblem):
     region_shape = "upper"
 
     def __post_init__(self):
-        if self.n <= self.p:
-            raise ValueError("need n > p")
+        if not 1 <= self.p < self.n:
+            raise ValueError("need 1 <= p < n")
 
     def summarize(self, y, X):
         y = np.asarray(y, dtype=float)
@@ -323,6 +331,10 @@ class TwoSampleMeansKnownVar(TestProblem):
     tau1: float = 1.0
     tau2: float = 1.0
     region_shape = "upper"
+
+    def __post_init__(self):
+        if self.n1 < 1 or self.n2 < 1 or not (self.tau1 > 0 and self.tau2 > 0):
+            raise ValueError("need n1, n2 >= 1 and tau1, tau2 > 0")
 
     @property
     def diff_var(self):
@@ -491,8 +503,8 @@ class SubsetSelection(TestProblem):
     region_shape = "upper"
 
     def __post_init__(self):
-        if self.n <= self.p1 + self.p2:
-            raise ValueError("need n > p1 + p2")
+        if self.p1 < 0 or self.p2 < 1 or self.n <= self.p1 + self.p2:
+            raise ValueError("need p1 >= 0, p2 >= 1 and n > p1 + p2")
 
     @property
     def resid_df(self):
@@ -559,6 +571,10 @@ class SubjectiveVarianceEquality(TestProblem):
     b: float = 2.0
     region_shape = "two_tail"
     theta0 = 1.0
+
+    def __post_init__(self):
+        if self.n1 < 1 or self.n2 < 1 or not (self.a > 0 and self.b > 0):
+            raise ValueError("need n1, n2 >= 1 and a, b > 0")
 
     def summarize(self, x1, x2):
         x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)

@@ -249,6 +249,40 @@ class TestVarianceRatioBf:
         vals = engine(f)
         assert np.all(np.diff(vals) > 0)
 
+    def test_blocks_match_single_values(self):
+        # 1 500 values span three row blocks of 512
+        prior = DensityPrior(lambda th: -(th - 1.0), (1.0, np.inf))
+        engine = bf.VarianceRatioBf(prior, 8, 10)
+        f = np.linspace(0.01, 20.0, 1500)
+        vals = engine(f)
+        singles = np.array([engine(x) for x in f])
+        assert_allclose(vals, singles, rtol=1e-15, atol=0)
+        assert np.all(np.diff(vals) > 0)
+        for edge in (512, 1024):
+            assert vals[edge - 1] < vals[edge]
+
+    @pytest.mark.parametrize("n1, n2", [(8, 10), (5, 6), (61, 60)])
+    def test_batch_matches_adaptive(self, n1, n2):
+        prior = DensityPrior(lambda th: -(th - 1.0), (1.0, np.inf))
+        engine = bf.VarianceRatioBf(prior, n1, n2)
+        f = np.array([0.2, 0.9, 1.0, 1.7, 3.5])
+        assert_allclose(engine(f), [engine.adaptive(x) for x in f], rtol=1e-12)
+
+    def test_batch_memory_is_blocked(self):
+        # one 20 000 x 200 float64 matrix alone would be 32 MB
+        import tracemalloc
+
+        prior = DensityPrior(lambda th: -(th - 1.0), (1.0, np.inf))
+        engine = bf.VarianceRatioBf(prior, 30, 30)
+        f = RngStream(7).generator.f(30, 30, size=20_000)
+        tracemalloc.start()
+        try:
+            engine(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
 
 class TestSubsetSelection:
     def test_routes_agree(self):

@@ -154,6 +154,40 @@ class TestBadConfigValues:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert f"{cfg}:8: run.theta_grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new, expected",
+        [
+            ("problem.n = 4", "problem.n = four", ":3: problem.n must be an integer"),
+            ("problem.n = 4", "problem.n = -3", ":2: problem.kind 'one_sided_normal'"),
+            (
+                "problem.n = 4",
+                "problem.n = 4\nproblem.theta0 = nan",
+                ":4: problem.theta0 must be a finite number",
+            ),
+            ("prior.theta1 = 1.0", "prior.theta1 = x", ":5: prior.theta1 must be a finite number"),
+        ],
+    )
+    def test_bad_problem_or_prior_value(self, tmp_path, capsys, old, new, expected):
+        cfg = write_config(tmp_path, "c.cfg", ONE_SIDED.replace(old, new))
+        assert main(["calibrate", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert f"{cfg}{expected}" in capsys.readouterr().err
+
+    def test_non_numeric_n_trials(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "p.cfg", "run.n_trials = abc\n")
+        assert main(["props", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert f"{cfg}:1: run.n_trials" in capsys.readouterr().err
+
+    def test_nonpositive_prior_precision(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "c.cfg",
+            ONE_SIDED.replace("prior.kind = point_mass", "prior.kind = half_normal").replace(
+                "prior.theta1 = 1.0", "prior.precision = -2.0"
+            ),
+        )
+        assert main(["calibrate", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "prior.precision must be > 0" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_full_agreement_exit_0(self, tmp_path, capsys):

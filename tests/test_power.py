@@ -6,6 +6,7 @@ from scipy import stats
 
 from bfequiv import bayes_factors as bf
 from bfequiv.calibrate import calibrate, gamma_from_alpha
+from bfequiv.expfamily import ExpFamilyModel
 from bfequiv.power import (
     calibrate_lambda_mc,
     dominance_study,
@@ -123,6 +124,18 @@ class TestJohnsonComparison:
         # P(T > g_min) with g_min = n theta*
         expected = 1.0 - stats.norm.cdf(10 * comp.theta_star / math.sqrt(10))
         assert_allclose(comp.implied_alpha, expected, rtol=1e-6)
+
+    def test_verdict_fails_on_wrong_sign_bayes_factor(self, monkeypatch):
+        # the point-mass rule is decided through log B; with B's sign
+        # flipped it rejects on the wrong side and the verdict must say so
+        log_ratio = ExpFamilyModel.log_ratio
+        monkeypatch.setattr(
+            ExpFamilyModel, "log_ratio", lambda self, *args: -log_ratio(self, *args)
+        )
+        comp = johnson_comparison(
+            10.0, 10, np.linspace(0, 1.2, 5), rng=RngStream(52), n_sims=20_000
+        )
+        assert comp.verdict == "FAIL"
 
     def test_recalibrated_curves_match(self):
         comp = johnson_comparison(

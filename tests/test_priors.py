@@ -65,6 +65,19 @@ class TestScaledSymmetricPrior:
         val = h.log_even_moment(300, 0.5)
         assert np.isfinite(val)
 
+    @pytest.mark.parametrize("k, d", [(800, 30.0), (40, 1.0)])
+    def test_log_moment_closed_form_at_high_order(self, k, d):
+        # at (800, 30) the integrand's peak (s ~ 7.2) is ~0.18 wide
+        h = ScaledSymmetricPrior(standard_normal_h)
+        expected = (
+            -0.5 * math.log1p(d)
+            - k * math.log1p(d)
+            + k * math.log(2.0)
+            + math.lgamma(k + 0.5)
+            - 0.5 * math.log(math.pi)
+        )
+        assert abs(h.log_even_moment(k, d) - expected) <= 1e-10
+
 
 class TestSphericalPrior:
     def test_gaussian_mass_integrates_to_one(self):
