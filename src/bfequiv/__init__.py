@@ -50,7 +50,6 @@ from .power import (
 )
 from .priors import (
     DensityPrior,
-    GammaPrec,
     PairingError,
     PointMass,
     ScaledSymmetricPrior,
@@ -60,7 +59,7 @@ from .priors import (
     exponential_prior,
     half_normal_prior,
     solve_pairing,
-    standard_normal_h,
+    standard_normal_log_h,
 )
 from .problems import (
     DegenerateDataError,

@@ -23,10 +23,10 @@ from typing import Optional
 
 import numpy as np
 from scipy import special
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq
 
 from .expfamily import ExpFamilyModel
-from .integrate import quad, gauss_legendre_nodes
+from .integrate import gauss_legendre_nodes, log_quad, quad
 from .priors import (
     DensityPrior,
     NormalMeanPrec,
@@ -57,6 +57,14 @@ __all__ = [
 
 class NumericalIntegrityError(RuntimeError):
     """Two independent evaluation routes disagree beyond tolerance."""
+
+
+def _exp_b(log_b: float) -> float:
+    """B from log B; NumericalIntegrityError where B overflows a float."""
+    try:
+        return math.exp(log_b)
+    except OverflowError:
+        raise NumericalIntegrityError(f"B = e^{log_b:.6g} overflows a float") from None
 
 
 # ---------------------------------------------------------------------------
@@ -259,55 +267,27 @@ def bf_t_test_quadrature(xbar: float, sum_sq: float, n: int, h: ScaledSymmetricP
     c = n*xbar*sqrt(2/sum_sq) and I(z) = int e^{z s} e^{-n s^2/2} h(s) ds.
     """
     c = n * xbar * math.sqrt(2.0 / sum_sq)
-    u = xbar**2 / sum_sq  # z^2/(2n) = n*u*w, and u <= 1/n keeps 1-nu >= 0
 
-    def inner_centered(z):
-        # int exp(z*s - n s^2/2) h(s) ds = exp(z^2/(2n)) * this value.
-        # Factor the integrand's log-peak out so the adaptive tolerance
-        # acts relatively even deep in the tails.
-        mu = z / n
+    def log_inner(z):
+        mu = z / n  # the peak of e^{z s - n s^2/2}
+        return log_quad(
+            lambda s: s * (z - 0.5 * n * s) + h.log_h(s),
+            -np.inf,
+            np.inf,
+            (min(0.0, mu) - 1.0, max(0.0, mu) + 1.0),
+            tol=1e-12,
+        )
 
-        def log_integrand(s):
-            dens = h.h(s)
-            if dens <= 0.0:
-                return -np.inf
-            return -0.5 * n * (s - mu) ** 2 + math.log(dens)
+    def log_outer(w):
+        if w <= 0:
+            return -np.inf
+        return (n / 2 - 1) * math.log(w) - w + log_inner(c * math.sqrt(w))
 
-        def neg_log(s):
-            val = log_integrand(s)
-            return -val if np.isfinite(val) else 1e300
-
-        lo, hi = min(0.0, mu) - 1.0, max(0.0, mu) + 1.0
-        res = minimize_scalar(neg_log, bounds=(lo, hi), method="bounded")
-        log_ref = float(-res.fun)
-        if res.fun >= 1e300:
-            # the search stopped where h underflows to 0; the best point
-            # of a grid over the bracket is the reference instead
-            log_ref = max(log_integrand(s) for s in np.linspace(lo, hi, 1001))
-        if log_ref < -745.0:
-            return 0.0
-
-        def shifted(s):
-            lg = log_integrand(s) - log_ref
-            if lg > 700.0:
-                raise NumericalIntegrityError(
-                    f"t-test quadrature: the inner integrand at s = {s:.6g} is "
-                    f"e^{lg:.0f} times its located peak"
-                )
-            return math.exp(lg) if lg > -745.0 else 0.0
-
-        val, _ = quad(shifted, -np.inf, np.inf, tol=1e-12)
-        return val * math.exp(log_ref)
-
-    outer, _ = quad(
-        lambda w: w ** (n / 2 - 1)
-        * math.exp(-(1.0 - n * u) * w)
-        * inner_centered(c * math.sqrt(w)),
-        0,
-        np.inf,
-        tol=1e-10,
-    )
-    return outer / math.gamma(n / 2)
+    # for the Gaussian h the outer log-integrand is (n/2 - 1) log w -
+    # (1 - n nu/(n+1)) w with nu = n xbar^2/sum_sq <= 1, so its peak lies
+    # below (n/2 - 1)(n + 1)
+    log_b = log_quad(log_outer, 0.0, np.inf, (0.0, n * (n + 1.0)), tol=1e-10)
+    return _exp_b(log_b - special.gammaln(n / 2))
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +303,7 @@ def _log_sphere_even_moment_factor(p: int, j: int) -> float:
 
 
 def _log_radial_damped_moment(prior: SphericalPrior, k: int) -> float:
-    """log of int |s|^{2k} exp(-|s|^2/2) pi(s) ds for a spherical prior.
-
-    The full log-peak of the radial integrand, prior density included, is
-    factored out (as in `ScaledSymmetricPrior.log_even_moment`), so high
-    orders neither overflow nor fall below the quadrature's absolute
-    tolerance.
-    """
+    """log of int |s|^{2k} exp(-|s|^2/2) pi(s) ds for a spherical prior."""
     q = prior.p - 1 + 2 * k
 
     def log_f(r):
@@ -337,23 +311,10 @@ def _log_radial_damped_moment(prior: SphericalPrior, k: int) -> float:
             return -np.inf
         return q * math.log(r) - 0.5 * r * r + prior.log_radial_density(r)
 
-    res = minimize_scalar(
-        lambda r: -log_f(r) if np.isfinite(log_f(r)) else 1e300,
-        bounds=(0.0, math.sqrt(q) + 30.0),
-        method="bounded",
+    # the peak of r^q e^{-r^2/2} is sqrt(q); the prior only pulls it inwards
+    return math.log(prior.surface) + log_quad(
+        log_f, 0.0, np.inf, (0.0, math.sqrt(q) + 30.0), tol=1e-12
     )
-    if res.fun >= 1e300:
-        raise ValueError(f"radial moment of order {2 * k} is not positive")
-    log_ref = float(-res.fun)
-
-    def shifted(r):
-        lg = log_f(r) - log_ref
-        return math.exp(lg) if lg > -745.0 else 0.0
-
-    val, _ = quad(shifted, 0, np.inf, tol=1e-12)
-    if val <= 0:
-        raise ValueError(f"radial moment of order {2 * k} is not positive")
-    return math.log(prior.surface) + log_ref + math.log(val)
 
 
 def _log_angular_mean_exp(p: int, z: float) -> float:
@@ -409,21 +370,19 @@ class RegressionKnownVarBf:
         s = math.sqrt(t_abs)
         p = self.p
 
-        def integrand(r):
-            dens = self.prior.radial_density(r)
-            if r <= 0 or dens <= 0:
-                return 0.0
-            log_val = (
-                math.log(self.prior.surface)
-                + (p - 1) * math.log(r)
-                + math.log(dens)
+        def log_f(r):
+            if r <= 0:
+                return -np.inf
+            return (
+                (p - 1) * math.log(r)
+                + self.prior.log_radial_density(r)
                 - 0.5 * r * r
                 + _log_angular_mean_exp(p, r * s)
             )
-            return math.exp(log_val)
 
-        val, _ = quad(integrand, 0, np.inf, tol=1e-11)
-        return val
+        # e^{r s - r^2/2} peaks at r = s
+        log_b = log_quad(log_f, 0.0, np.inf, (0.0, s + math.sqrt(p) + 30.0), tol=1e-11)
+        return _exp_b(math.log(self.prior.surface) + log_b)
 
     def __call__(self, t_vec=None, t_abs=None):
         """Evaluate from the statistic vector (or its squared norm)."""
@@ -501,42 +460,28 @@ class RegressionUnknownVarBf:
         p, n = self.p, self.n
         s_norm = math.sqrt(t_hat)  # |T|_2 / sqrt(y'y)
 
-        def inner_log(z):
-            def log_integrand(r):
+        def log_inner(z):
+            def log_f(r):
                 if r <= 0:
-                    return -1e300  # finite so the optimizer can compare values
+                    return -np.inf
                 return (
-                    math.log(self.h.surface)
-                    + (p - 1) * math.log(r)
+                    (p - 1) * math.log(r)
                     + self.h.log_radial_density(r)
                     - 0.5 * r * r
                     + _log_angular_mean_exp(p, r * z)
                 )
 
-            # factor out the numerically located peak of the integrand so
-            # the quadrature never overflows or collapses to zero
-            res = minimize_scalar(
-                lambda r: -log_integrand(r),
-                bounds=(1e-12, max(4.0, 2.0 * z)),
-                method="bounded",
-                options={"xatol": 1e-10},
-            )
-            peak = -float(res.fun)
-            r_peak = float(res.x)
-            # split at the peak so the adaptive rule cannot step over it
-            shifted = lambda r: math.exp(log_integrand(r) - peak)
-            val = quad(shifted, 0, r_peak, tol=1e-11)[0]
-            val += quad(shifted, r_peak, np.inf, tol=1e-11)[0]
-            return peak + math.log(val)
+            return log_quad(log_f, 0.0, np.inf, (0.0, max(4.0, 2.0 * z)), tol=1e-11)
 
-        def outer_integrand(w):
+        def log_outer(w):
             if w <= 0:
-                return 0.0
-            z = math.sqrt(2.0 * w) * s_norm
-            return math.exp((n / 2 - 1) * math.log(w) - w + inner_log(z))
+                return -np.inf
+            return (n / 2 - 1) * math.log(w) - w + log_inner(math.sqrt(2.0 * w) * s_norm)
 
-        outer, _ = quad(outer_integrand, 0, np.inf, tol=1e-9)
-        return outer / math.gamma(n / 2)
+        # the inner integral grows at most like e^{T w}, so the outer peak
+        # lies below (n/2 - 1)/(1 - T)
+        log_b = log_quad(log_outer, 0.0, np.inf, (0.0, n / (1.0 - t_hat)), tol=1e-9)
+        return _exp_b(math.log(self.h.surface) + log_b - special.gammaln(n / 2))
 
     def __call__(self, yHy, yy):
         yHy = np.asarray(yHy, dtype=float)
@@ -774,39 +719,35 @@ def subjective_t_from_f(f):
 def johnson_umpbt_threshold(
     model: ExpFamilyModel, lam: float, n: int, theta0: float = 0.0
 ):
-    """Minimizer theta* of (log lam + n(b(theta)-b(theta0)))/(theta-theta0).
+    """Minimizer theta* of g(theta) = (log lam + n(b(theta)-b(theta0)))/(theta-theta0).
 
-    Returns (theta_star, g_min, prior) where prior is the point mass at
+    theta* solves the first-order condition
+    n[(theta-theta0) b'(theta) - (b(theta)-b(theta0))] = log lam, whose
+    left side rises from 0 at theta0 for every convex b.  Returns
+    (theta_star, g_min, prior) where prior is the point mass at
     theta_star.  For lam -> 1+ the minimizer collapses to the boundary
     theta0; that case is reported with theta_star = theta0.
     """
     if lam < 1.0:
         raise ValueError("lam must be >= 1")
     log_lam = math.log(lam)
-
-    def g(th):
-        return (log_lam + n * (float(model.b(th)) - float(model.b(theta0)))) / (th - theta0)
-
     if log_lam == 0.0:
         return theta0, float("nan"), PointMass(theta0)
+    b0 = float(model.b(theta0))
 
-    hi = theta0 + 1.0
+    def first_order(th):
+        return n * ((th - theta0) * float(model.db(th)) - (float(model.b(th)) - b0)) - log_lam
+
+    # widen the bracket: double its width on an unbounded domain, halve
+    # the gap to a finite upper end otherwise
     dom_hi = model.theta_domain[1]
-    while g(hi) > g(min((hi - theta0) * 2 + theta0, dom_hi - 1e-9 if np.isfinite(dom_hi) else (hi - theta0) * 2 + theta0)):
-        hi = min((hi - theta0) * 2 + theta0, dom_hi - 1e-9 if np.isfinite(dom_hi) else (hi - theta0) * 2 + theta0)
-        if np.isfinite(dom_hi) and hi >= dom_hi - 1e-9:
+    hi = theta0 + 1.0 if not np.isfinite(dom_hi) else 0.5 * (theta0 + dom_hi)
+    for _ in range(60):
+        if first_order(hi) >= 0:
             break
-    upper = min((hi - theta0) * 4 + theta0, dom_hi - 1e-9 if np.isfinite(dom_hi) else (hi - theta0) * 4 + theta0)
-    res = minimize_scalar(
-        g, bounds=(theta0 + 1e-12, upper), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    theta_star = float(res.x)
-    # first-order condition check on a local grid
-    h = 1e-6 * max(1.0, abs(theta_star))
-    deriv = (g(theta_star + h) - g(theta_star - h)) / (2 * h)
-    if abs(deriv) > 1e-4:
-        raise RuntimeError(
-            f"no interior minimum found (derivative {deriv:.3e} at {theta_star:.6f})"
-        )
-    return theta_star, float(res.fun), PointMass(theta_star)
+        hi = 0.5 * (hi + dom_hi) if np.isfinite(dom_hi) else 2.0 * hi - theta0
+    else:
+        raise RuntimeError(f"no interior minimum: the first-order condition is negative at {hi:.6g}")
+    theta_star = brentq(first_order, theta0, hi, xtol=1e-15)
+    g_min = (log_lam + n * (float(model.b(theta_star)) - b0)) / (theta_star - theta0)
+    return theta_star, g_min, PointMass(theta_star)

@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 TWO_SIDED_MATCH_RTOL = 1e-8
+# disagreeing draws kept in EquivalenceReport.examples
+MAX_EXAMPLES = 5
 
 
 class ClassViolationError(ValueError):
@@ -109,11 +111,7 @@ def gamma_from_alpha(problem: TestProblem, alpha: float) -> CriticalRegion:
     )
 
 
-def lambda_from_gamma(
-    region: CriticalRegion,
-    bf_of_stat: Callable,
-    match_rtol: float = TWO_SIDED_MATCH_RTOL,
-) -> CalibrationResult | tuple:
+def lambda_from_gamma(region: CriticalRegion, bf_of_stat: Callable) -> tuple:
     """lambda = B(gamma); for two-tailed regions B must agree at both ends.
 
     bf_of_stat maps the decision statistic to the Bayes factor.  Returns
@@ -123,7 +121,7 @@ def lambda_from_gamma(
     if region.shape == "upper":
         return b_up, (b_up,)
     b_lo = float(np.asarray(bf_of_stat(region.lower), dtype=float))
-    if abs(b_lo - b_up) > match_rtol * max(abs(b_lo), abs(b_up)):
+    if abs(b_lo - b_up) > TWO_SIDED_MATCH_RTOL * max(abs(b_lo), abs(b_up)):
         raise ClassViolationError(
             f"B({region.lower:.6g}) = {b_lo:.12g} but B({region.upper:.6g}) = {b_up:.12g}; "
             "the prior is outside the calibrated two-sided class"
@@ -141,14 +139,10 @@ def calibrate(
     return CalibrationResult(DecisionRule(region, lam), alpha, values)
 
 
-def gamma_from_lambda(
-    problem: TestProblem,
-    bf_of_stat: Callable,
-    lam: float,
-    stat_bracket: tuple = None,
-) -> tuple:
+def gamma_from_lambda(problem: TestProblem, bf_of_stat: Callable, lam: float) -> tuple:
     """Invert lambda to the critical value of a monotone one-sided test.
 
+    The search runs between the null law's 1e-12 and 1 - 1e-12 quantiles.
     Returns (region, implied_alpha).  implied_alpha is 1.0 when B exceeds
     lambda everywhere on the bracket (always reject) and 0.0 when it
     never does.
@@ -156,11 +150,8 @@ def gamma_from_lambda(
     if problem.region_shape != "upper":
         raise ValueError("inversion is defined for one-sided (upper) regions")
     law = problem.null_law()
-    if stat_bracket is None:
-        lo = dist.quantile(law, 1e-12)
-        hi = dist.quantile(law, 1.0 - 1e-12)
-    else:
-        lo, hi = stat_bracket
+    lo = dist.quantile(law, 1e-12)
+    hi = dist.quantile(law, 1.0 - 1e-12)
     f_lo = float(np.asarray(bf_of_stat(lo))) - lam
     f_hi = float(np.asarray(bf_of_stat(hi))) - lam
     if f_lo > 0 and f_hi > 0:
@@ -199,7 +190,6 @@ def verify_equivalence(
     n_sims: int,
     thetas: Sequence = (None,),
     chunk_size: int = 100_000,
-    max_examples: int = 5,
     **sim_kwargs,
 ) -> EquivalenceReport:
     """Draw summaries, apply both rules, count disagreements.
@@ -212,26 +202,19 @@ def verify_equivalence(
     null_theta = getattr(problem, "theta0", 0.0)
     for j, theta in enumerate(thetas):
         theta_val = null_theta if theta is None else theta
-        stream = rng.substream(j)
-        done = 0
-        piece = 0
-        while done < n_sims:
-            m = min(chunk_size, n_sims - done)
-            sub = stream.substream(piece)
-            summary = problem.simulate_summary(sub, theta_val, m, **sim_kwargs)
+        chunks = problem.simulate_chunks(rng.substream(j), theta_val, n_sims, chunk_size, **sim_kwargs)
+        for summary in chunks:
             stat = np.asarray(problem.decision_stat(summary), dtype=float)
             classical = rule.classical(stat)
             bayes = rule.bayes(bf_of_summary(summary))
             bad = classical != bayes
-            report.n_total += m
             report.n_reject += int(np.count_nonzero(classical))
             if np.any(bad):
                 report.n_mismatch += int(np.count_nonzero(bad))
-                idx = np.flatnonzero(bad)[: max(0, max_examples - len(report.examples))]
+                idx = np.flatnonzero(bad)[: max(0, MAX_EXAMPLES - len(report.examples))]
                 for i in idx:
                     report.examples.append(
                         {"theta": theta_val, "stat": float(stat[i])}
                     )
-            done += m
-            piece += 1
+        report.n_total += n_sims
     return report

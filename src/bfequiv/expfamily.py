@@ -1,8 +1,9 @@
 """One-parameter exponential-family models in natural form.
 
-A model is the triple (d, b, theta_domain) for densities proportional to
-exp{theta * d(x) - b(theta)}.  The base measure never appears: every
-quantity we compute is a likelihood ratio, in which it cancels.
+A model is the triple (b, b', theta_domain) for densities proportional to
+exp{theta * d(x) - b(theta)}.  Only the sufficient statistic t = sum d(x_i)
+enters, and the base measure never appears: every quantity we compute is a
+likelihood ratio, in which it cancels.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ __all__ = ["ExpFamilyModel", "normal_mean_model"]
 class ExpFamilyModel:
     """Natural exponential family exp{theta*d(x) - b(theta)}."""
 
-    d: Callable[[np.ndarray], np.ndarray]
     b: Callable[[np.ndarray], np.ndarray]
+    db: Callable[[np.ndarray], np.ndarray]  # b'(theta)
     theta_domain: Tuple[float, float]
     name: str = "expfamily"
 
@@ -58,8 +59,8 @@ def normal_mean_model(sd: float = 1.0) -> ExpFamilyModel:
     if sd != 1.0:
         raise ValueError("only the unit-variance normal model is provided")
     return ExpFamilyModel(
-        d=lambda x: np.asarray(x, dtype=float),
         b=lambda th: np.asarray(th, dtype=float) ** 2 / 2.0,
+        db=lambda th: np.asarray(th, dtype=float),
         theta_domain=(-np.inf, np.inf),
         name="normal_mean_sd1",
     )

@@ -97,13 +97,8 @@ def mc_power(
     p_bayes = np.zeros(thetas.shape) if bf_of_summary is not None else None
     identical = True
     for i, th in enumerate(thetas):
-        stream = rng.substream(i)
-        done = 0
-        piece = 0
         n_c = n_b = 0
-        while done < n_sims:
-            m = min(chunk_size, n_sims - done)
-            summary = problem.simulate_summary(stream.substream(piece), th, m, **sim_kwargs)
+        for summary in problem.simulate_chunks(rng.substream(i), th, n_sims, chunk_size, **sim_kwargs):
             stat = np.asarray(problem.decision_stat(summary), dtype=float)
             classical = rule.classical(stat)
             n_c += int(np.count_nonzero(classical))
@@ -112,8 +107,6 @@ def mc_power(
                 n_b += int(np.count_nonzero(bayes))
                 if not np.array_equal(classical, bayes):
                     identical = False
-            done += m
-            piece += 1
         p_classical[i] = n_c / n_sims
         if p_bayes is not None:
             p_bayes[i] = n_b / n_sims
@@ -205,6 +198,11 @@ def _check_psi_conditions(grid_q=None, grid_t=None) -> bool:
     return True
 
 
+# nuisance scale at which the proper-prior rule's size is taken as its
+# Q -> 0 limit, the worst case over the composite null
+LIMIT_SCALE = 1e8
+
+
 def dominance_study(
     problem: SubjectiveVarianceEquality,
     alpha: float,
@@ -212,7 +210,6 @@ def dominance_study(
     rng: RngStream,
     n_sims: int,
     chunk_size: int = 250_000,
-    limit_scale: float = 1e8,
 ) -> DominanceReport:
     """Size-matched power comparison on the variance-equality problem.
 
@@ -240,21 +237,14 @@ def dominance_study(
     size_classical = region_f.size(problem.null_law())
 
     def mc_rates(theta, stream, scale2):
-        done = piece = 0
         hits_p = hits_c = 0
-        while done < n_sims:
-            m = min(chunk_size, n_sims - done)
-            summary = problem.simulate_summary(
-                stream.substream(piece), theta, m, scale2=scale2
-            )
+        for summary in problem.simulate_chunks(stream, theta, n_sims, chunk_size, scale2=scale2):
             hits_p += int(np.count_nonzero(_proper_rejects(summary, lam)))
             hits_c += int(np.count_nonzero(summary.t_sub > gamma_t))
-            done += m
-            piece += 1
         return hits_p / n_sims, hits_c / n_sims
 
     size_slice, _ = mc_rates(1.0, rng.substream(0), 1.0)
-    size_limit, _ = mc_rates(1.0, rng.substream(1), limit_scale)
+    size_limit, _ = mc_rates(1.0, rng.substream(1), LIMIT_SCALE)
 
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     power_subjective = np.empty(thetas.shape)

@@ -1,4 +1,4 @@
-"""Priors on the hypothesized parameter and on nuisance parameters.
+"""Priors on the hypothesized parameter.
 
 Hypothesis priors come in five kinds: point mass, generic density on an
 interval, normal with mean/precision, half-line densities (for one-sided
@@ -6,8 +6,8 @@ tests), and symmetric-paired densities for two-sided exponential-family
 tests, built from a half-line base and the pairing map r(theta) that
 makes the Bayes factor equal at both critical values.
 
-Nuisance priors are declarative: GammaPrec is a validated record of a
-proper Gamma(a, b) prior on a precision.
+The t-test and regression problems put scaled symmetric and spherical
+priors on the coefficients; every density is given by its logarithm.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .expfamily import ExpFamilyModel
-from .integrate import quad
+from .integrate import log_quad, quad
 
 __all__ = [
     "Prior",
@@ -30,11 +30,9 @@ __all__ = [
     "SymmetricPaired",
     "half_normal_prior",
     "exponential_prior",
-    "NuisancePrior",
-    "GammaPrec",
     "ScaledSymmetricPrior",
     "SphericalPrior",
-    "standard_normal_h",
+    "standard_normal_log_h",
     "solve_pairing",
     "build_symmetric_class_member",
 ]
@@ -49,9 +47,6 @@ class Prior:
     proper: bool = True
 
     def logpdf(self, theta):
-        raise NotImplementedError
-
-    def sample(self, rng, k: int = 1):
         raise NotImplementedError
 
 
@@ -69,19 +64,15 @@ class PointMass(Prior):
         theta = np.asarray(theta, dtype=float)
         return np.where(theta == self.theta1, 0.0, -np.inf)
 
-    def sample(self, rng, k: int = 1):
-        return np.full(k, self.theta1)
-
 
 class DensityPrior(Prior):
     """Prior given by an unnormalized log-density on an interval.
 
     The normalizing constant is computed at construction by adaptive
     quadrature; construction fails if the density is not integrable.
-    Sampling uses a cached inverse-CDF table on a transformed grid.
     """
 
-    def __init__(self, log_density: Callable, support: Tuple[float, float], grid_size: int = 4097):
+    def __init__(self, log_density: Callable, support: Tuple[float, float]):
         a, b = support
         if not a < b:
             raise ValueError("support must be a nonempty interval")
@@ -91,8 +82,6 @@ class DensityPrior(Prior):
         if not np.isfinite(z) or z <= 0:
             raise ValueError("density is not integrable over its support")
         self._log_z = math.log(z)
-        self._grid_size = grid_size
-        self._cdf_cache = None
 
     def logpdf(self, theta):
         scalar = np.isscalar(theta) or np.ndim(theta) == 0
@@ -104,35 +93,6 @@ class DensityPrior(Prior):
             vec = np.vectorize(self._log_density, otypes=[float])
             out[inside] = vec(arr[inside]) - self._log_z
         return float(out[0]) if scalar else out
-
-    def _grid(self):
-        if self._cdf_cache is None:
-            a, b = self.support
-            # map (a,b) to a finite grid; unbounded ends via tan transform
-            lo = a if np.isfinite(a) else None
-            hi = b if np.isfinite(b) else None
-            if lo is None or hi is None:
-                u = np.linspace(-0.5 * np.pi + 1e-6, 0.5 * np.pi - 1e-6, self._grid_size)
-                center = 0.0
-                if lo is not None:
-                    x = lo + np.tan(np.linspace(1e-8, 0.5 * np.pi - 1e-6, self._grid_size))
-                elif hi is not None:
-                    x = hi - np.tan(np.linspace(0.5 * np.pi - 1e-6, 1e-8, self._grid_size))
-                else:
-                    x = center + np.tan(u)
-            else:
-                x = np.linspace(lo, hi, self._grid_size)
-            dens = np.exp(np.asarray(self.logpdf(x), dtype=float))
-            cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(x))])
-            cdf /= cdf[-1]
-            keep = np.concatenate([[True], np.diff(cdf) > 0])
-            self._cdf_cache = (x[keep], cdf[keep])
-        return self._cdf_cache
-
-    def sample(self, rng, k: int = 1):
-        x, cdf = self._grid()
-        u = rng.generator.uniform(size=k)
-        return np.interp(u, cdf, x)
 
 
 @dataclass(frozen=True)
@@ -153,9 +113,6 @@ class NormalMeanPrec(Prior):
     def logpdf(self, theta):
         theta = np.asarray(theta, dtype=float)
         return 0.5 * np.log(self.precision / (2 * np.pi)) - 0.5 * self.precision * (theta - self.mean) ** 2
-
-    def sample(self, rng, k: int = 1):
-        return rng.generator.normal(self.mean, 1.0 / math.sqrt(self.precision), size=k)
 
 
 def half_normal_prior(theta0: float, precision: float) -> DensityPrior:
@@ -354,93 +311,45 @@ def build_symmetric_class_member(
 
 
 # ---------------------------------------------------------------------------
-# Nuisance priors
-
-
-class NuisancePrior:
-    """Marker base for priors on nuisance parameters."""
-
-    proper: bool
-
-
-@dataclass(frozen=True)
-class GammaPrec(NuisancePrior):
-    """Proper Gamma(a, b) prior on a precision."""
-
-    a: float
-    b: float
-    proper = True
-
-    def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("Gamma hyperparameters must be positive")
-
-
-# ---------------------------------------------------------------------------
 # Scaled symmetric priors for nuisance-variance problems
 
 
 class ScaledSymmetricPrior:
     """Conditional prior pi(theta | phi) = h(theta * sqrt(phi)) * sqrt(phi).
 
-    h is a symmetric density on the real line; symmetry is checked on a
+    h is a symmetric density on the real line, given by its logarithm
+    log_h so that its tails never underflow; symmetry is checked on a
     grid at construction.
     """
 
-    def __init__(self, h: Callable, grid_half_width: float = 8.0, check_points: int = 101):
+    def __init__(self, log_h: Callable, grid_half_width: float = 8.0, check_points: int = 101):
         g = np.linspace(0.0, grid_half_width, check_points)
-        hv = np.array([h(x) for x in g])
-        hm = np.array([h(-x) for x in g])
+        hv = np.array([log_h(x) for x in g])
+        hm = np.array([log_h(-x) for x in g])
         if not np.allclose(hv, hm, rtol=1e-10, atol=1e-12):
             raise ValueError("h must be symmetric about 0")
-        if np.any(hv < 0):
-            raise ValueError("h must be nonnegative")
-        self.h = h
+        self.log_h = log_h
 
     def even_moment(self, k: int, damping: float, tol: float = 1e-12) -> float:
         """m_{2k} of h*(s) = exp(-damping*s^2/2) * h(s), over the whole line."""
         return math.exp(self.log_even_moment(k, damping, tol))
 
     def log_even_moment(self, k: int, damping: float, tol: float = 1e-12) -> float:
-        """log m_{2k}; the full log-peak of the integrand (including h)
-        is factored out so high orders neither overflow nor lose relative
-        accuracy when the integrand is small in absolute terms."""
+        """log m_{2k}, by `log_quad` over the half-line."""
 
         def log_f(s):
-            dens = self.h(s)
-            if dens <= 0.0:
-                return -np.inf
             if s <= 0.0:
-                return math.log(dens) if k == 0 else -np.inf
-            return 2 * k * math.log(s) - 0.5 * damping * s * s + math.log(dens)
+                return self.log_h(s) if k == 0 else -np.inf
+            return 2 * k * math.log(s) - 0.5 * damping * s * s + self.log_h(s)
 
         guess = math.sqrt(2 * k / damping) if k > 0 else 0.0
-        res = minimize_scalar(
-            lambda s: -log_f(s) if np.isfinite(log_f(s)) else 1e300,
-            bounds=(0.0, guess + 30.0),
-            method="bounded",
-        )
-        log_ref = float(-res.fun)
-        if not np.isfinite(log_ref):
-            raise ValueError(f"moment of order {2 * k} is not positive")
-
-        def shifted(s):
-            lg = log_f(s) - log_ref
-            return math.exp(lg) if lg > -745.0 else 0.0
-
-        # at high order the peak is narrow next to [0, inf); splitting
-        # there keeps quad from stepping over it
-        peak = float(res.x)
-        val = quad(shifted, 0.0, peak, tol=tol)[0] + quad(shifted, peak, np.inf, tol=tol)[0]
-        if val <= 0:
-            raise ValueError(f"moment of order {2 * k} is not positive")
         # h is symmetric, so the whole-line moment is twice the half-line one
-        return log_ref + math.log(2.0 * val)
+        return math.log(2.0) + log_quad(log_f, 0.0, np.inf, (0.0, guess + 30.0), tol=tol)
 
 
-def standard_normal_h(x):
-    """Standard normal density, the default symmetric h."""
-    return math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
+def standard_normal_log_h(x):
+    """Log of the standard normal density, the default symmetric h."""
+    return -0.5 * x * x - 0.5 * math.log(2 * math.pi)
 
 
 class SphericalPrior:

@@ -111,6 +111,16 @@ class TestProblem:
     def simulate_summary(self, rng, theta, size: int) -> SufficientSummary:
         raise NotImplementedError
 
+    def simulate_chunks(self, stream, theta, n_sims: int, chunk_size: int, **sim_kwargs):
+        """Yield summaries of n_sims draws at theta, at most chunk_size at a time.
+
+        Chunk i is drawn from stream.substream(i), so the draws depend on
+        (stream, chunk_size) and not on how the caller consumes them.
+        """
+        for piece, done in enumerate(range(0, n_sims, chunk_size)):
+            m = min(chunk_size, n_sims - done)
+            yield self.simulate_summary(stream.substream(piece), theta, m, **sim_kwargs)
+
 
 # ---------------------------------------------------------------------------
 # One-parameter normal problems (known variance 1), statistic T = sum(x_i)

@@ -28,7 +28,7 @@ from bfequiv.priors import (
     PointMass,
     ScaledSymmetricPrior,
     SphericalPrior,
-    standard_normal_h,
+    standard_normal_log_h,
 )
 from bfequiv.problems import (
     GaussianMeanUnknownVar,
@@ -226,7 +226,7 @@ class TestNumericalIntegrity:
 
     def test_t_test_series_vs_quadrature(self):
         gen = np.random.default_rng(701)
-        h = ScaledSymmetricPrior(standard_normal_h)
+        h = ScaledSymmetricPrior(standard_normal_log_h)
         for _ in range(50):
             n = int(gen.integers(3, 25))
             xbar = float(gen.normal(0.0, 1.0))

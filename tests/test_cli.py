@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 import bfequiv
 from bfequiv import bayes_factors as bf
 from bfequiv.cli import build_bf, main
-from bfequiv.priors import ScaledSymmetricPrior, SphericalPrior, standard_normal_h
+from bfequiv.priors import ScaledSymmetricPrior, SphericalPrior, standard_normal_log_h
 from bfequiv.problems import (
     GaussianMeanUnknownVar,
     RegressionKnownVar,
@@ -228,7 +228,7 @@ class TestGaussianRoutes:
     @pytest.mark.parametrize("n", [3, 12, 20])
     def test_t_test(self, n):
         pair = build_bf(GaussianMeanUnknownVar(n=n), {"kind": "gaussian_scale"})
-        oracle = bf.TTestBf(ScaledSymmetricPrior(standard_normal_h), n)
+        oracle = bf.TTestBf(ScaledSymmetricPrior(standard_normal_log_h), n)
         for t in (0.0, 0.7, -2.5, 6.0, 10.0):
             xbar = t / math.sqrt(n)
             s = SufficientSummary(xbar=xbar, sum_sq=(n - 1) + n * xbar**2)  # S = 1
