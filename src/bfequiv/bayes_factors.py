@@ -26,10 +26,9 @@ from scipy import special
 from scipy.optimize import brentq
 
 from .expfamily import ExpFamilyModel
-from .integrate import gauss_legendre_nodes, log_quad, quad
+from .integrate import gauss_legendre_nodes, log_quad, peak_bracket, quad
 from .priors import (
     DensityPrior,
-    NormalMeanPrec,
     PointMass,
     Prior,
     ScaledSymmetricPrior,
@@ -82,28 +81,24 @@ def bf_one_sided(
     """B(t) = integral of the likelihood ratio against theta0 over the prior.
 
     Monotone increasing in t for priors supported above theta0.
-    Closed forms are used for point masses and (on the normal model)
-    normal priors; anything else goes through adaptive quadrature.
+    Point masses use the closed form; any other prior, whose support
+    must start at a finite point, goes through log-space quadrature,
+    which raises NumericalIntegrityError where B overflows a float.
     """
     t = np.asarray(t, dtype=float)
     if isinstance(prior, PointMass):
         return np.exp(model.log_ratio(t, prior.theta1, theta0, n))
-    if isinstance(prior, NormalMeanPrec) and model.name == "normal_mean_sd1":
-        if prior.mean != theta0:
-            raise NotImplementedError("conjugate closed form requires prior mean theta0")
-        return bf_one_sided_normal_conjugate(t - n * theta0, n, prior.precision)
-    # generic adaptive quadrature over the prior support
     lo, hi = prior.support
-    out = np.empty(t.shape if t.shape else (1,))
-    flat = np.atleast_1d(t)
-    for i, ti in enumerate(flat):
-        val, _ = quad(
-            lambda th: math.exp(float(model.log_ratio(ti, th, theta0, n)) + float(prior.logpdf(th))),
-            lo,
-            hi,
-            tol=tol,
-        )
-        out[i] = val
+    if not math.isfinite(lo):
+        raise ValueError("the prior's support must have a finite lower end")
+
+    def log_b(ti):
+        def log_f(th):
+            return float(model.log_ratio(ti, th, theta0, n)) + float(prior.logpdf(th))
+
+        return log_quad(log_f, lo, hi, peak_bracket(log_f, lo, hi), tol=tol)
+
+    out = np.array([_exp_b(log_b(ti)) for ti in np.atleast_1d(t)])
     return out.reshape(t.shape) if t.shape else float(out[0])
 
 
@@ -639,17 +634,18 @@ class VarianceRatioBf:
         return vals.reshape(f.shape) if f.shape else float(vals[0])
 
     def adaptive(self, f: float, tol: float = 1e-10) -> float:
-        """Adaptive-quadrature evaluation of a single value."""
+        """Log-space adaptive-quadrature evaluation of a single value."""
         if isinstance(self.prior, PointMass):
             return float(self(f))
         lo, hi = self.prior.support
-        val, _ = quad(
-            lambda th: self._integrand(f, th) * math.exp(float(self.prior.logpdf(th))),
-            max(lo, 1.0),
-            hi,
-            tol=tol,
-        )
-        return self.kappa * val
+        lo = max(lo, 1.0)
+        log_f1 = math.log(f + 1.0)
+
+        def log_f(th):
+            log_ratio = log_f1 - math.log(f + th)
+            return (self.n2 / 2.0) * math.log(th) + (self.n / 2.0) * log_ratio + float(self.prior.logpdf(th))
+
+        return self.kappa * _exp_b(log_quad(log_f, lo, hi, peak_bracket(log_f, lo, hi), tol=tol))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from scipy.optimize import brentq
 
 from . import distributions as dist
 from .problems import SufficientSummary, TestProblem
-from .rng import RngStream
+from .rng import RngStream, tally
 
 __all__ = [
     "ClassViolationError",
@@ -29,6 +29,7 @@ __all__ = [
     "lambda_from_gamma",
     "gamma_from_lambda",
     "EquivalenceReport",
+    "decide_chunk",
     "verify_equivalence",
 ]
 
@@ -182,6 +183,25 @@ class EquivalenceReport:
         return 1.0 - self.n_mismatch / self.n_total if self.n_total else float("nan")
 
 
+def decide_chunk(problem: TestProblem, rule: DecisionRule, bf_of_summary, summary) -> tuple:
+    """(classical rejections, Bayes rejections, disagreements, statistics of
+    the first MAX_EXAMPLES disagreeing draws) on one simulated chunk, taken
+    ROW_BLOCK draws at a time; without bf_of_summary, classical only."""
+    n_classical = n_bayes = n_mismatch = 0
+    examples = []
+    for block in summary.blocks():
+        stat = np.asarray(problem.decision_stat(block), dtype=float)
+        classical = rule.classical(stat)
+        n_classical += int(np.count_nonzero(classical))
+        if bf_of_summary is not None:
+            bayes = rule.bayes(bf_of_summary(block))
+            n_bayes += int(np.count_nonzero(bayes))
+            bad = classical != bayes
+            n_mismatch += int(np.count_nonzero(bad))
+            examples += [float(x) for x in stat[bad][: MAX_EXAMPLES - len(examples)]]
+    return n_classical, n_bayes, n_mismatch, examples
+
+
 def verify_equivalence(
     problem: TestProblem,
     bf_of_summary: Callable[[SufficientSummary], np.ndarray],
@@ -190,31 +210,26 @@ def verify_equivalence(
     n_sims: int,
     thetas: Sequence = (None,),
     chunk_size: int = 100_000,
-    **sim_kwargs,
 ) -> EquivalenceReport:
     """Draw summaries, apply both rules, count disagreements.
 
     thetas entries of None mean the null.  Work is split over numbered
     substreams, one per chunk, so results are reproducible for a fixed
-    (seed, chunk_size) pair and chunks can be processed in any order.
+    (seed, chunk_size) pair; the chunks run on up to two threads.
     """
-    report = EquivalenceReport(problem=type(problem).__name__)
     null_theta = getattr(problem, "theta0", 0.0)
-    for j, theta in enumerate(thetas):
-        theta_val = null_theta if theta is None else theta
-        chunks = problem.simulate_chunks(rng.substream(j), theta_val, n_sims, chunk_size, **sim_kwargs)
-        for summary in chunks:
-            stat = np.asarray(problem.decision_stat(summary), dtype=float)
-            classical = rule.classical(stat)
-            bayes = rule.bayes(bf_of_summary(summary))
-            bad = classical != bayes
-            report.n_reject += int(np.count_nonzero(classical))
-            if np.any(bad):
-                report.n_mismatch += int(np.count_nonzero(bad))
-                idx = np.flatnonzero(bad)[: max(0, MAX_EXAMPLES - len(report.examples))]
-                for i in idx:
-                    report.examples.append(
-                        {"theta": theta_val, "stat": float(stat[i])}
-                    )
-        report.n_total += n_sims
-    return report
+    thetas = [null_theta if theta is None else theta for theta in thetas]
+
+    def count(j, stream, size):
+        summary = problem.simulate_summary(stream, thetas[j], size)
+        n_reject, _, n_mismatch, stats = decide_chunk(problem, rule, bf_of_summary, summary)
+        return n_reject, n_mismatch, [{"theta": thetas[j], "stat": x} for x in stats]
+
+    sums = tally(count, [rng.substream(j) for j in range(len(thetas))], n_sims, chunk_size)
+    return EquivalenceReport(
+        problem=type(problem).__name__,
+        n_total=n_sims * len(thetas),
+        n_reject=sum(s[0] for s in sums),
+        n_mismatch=sum(s[1] for s in sums),
+        examples=[e for s in sums for e in s[2]][:MAX_EXAMPLES],
+    )

@@ -662,6 +662,7 @@ def cmd_dominance(args) -> int:
         f"bridge_residual: {format_float(rep.bridge_residual)}",
         f"threshold_conditions_hold: {rep.conditions_ok}",
         f"N: {rep.n_sims}",
+        f"proper_only_rejections: {rep.n_proper_only}",
     ]
     write_text(os.path.join(out, "dominance.txt"), "\n".join(lines) + "\n")
     write_svg_lines(
@@ -720,6 +721,8 @@ def cmd_johnson(args) -> int:
                 f"gamma_matched: {format_float(comp.gamma_matched)}",
                 f"max_gap: {format_float(comp.max_gap)}",
                 f"verdict: {comp.verdict}",
+                f"disagreements: {comp.n_disagree}",
+                f"sampler_points_beyond_3se: {comp.sampler_points_beyond_3se}",
             ]
         )
         + "\n",

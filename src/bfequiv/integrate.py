@@ -17,7 +17,7 @@ import numpy as np
 from scipy import integrate as _si
 from scipy.optimize import minimize_scalar
 
-__all__ = ["QuadratureError", "quad", "log_quad", "gauss_legendre_nodes"]
+__all__ = ["QuadratureError", "quad", "log_quad", "peak_bracket", "gauss_legendre_nodes"]
 
 DEFAULT_TOL = 1e-10
 # subintervals QUADPACK may bisect into before it gives up
@@ -87,6 +87,15 @@ def log_quad(log_f, a, b, bracket, tol=DEFAULT_TOL):
     if not val > 0:
         raise QuadratureError(f"integral {val!r} is not positive", value=val)
     return log_peak + math.log(val)
+
+
+def peak_bracket(log_f, lo: float, hi: float) -> tuple:
+    """A bracket (lo, b) for the maximum of a unimodal log_f on (lo, hi), lo
+    finite: b = lo + 2s, s doubling from 1 until log_f(b) <= log_f(lo + s)."""
+    step = 1.0
+    while lo + 2.0 * step < hi and step < 1e300 and log_f(lo + 2.0 * step) > log_f(lo + step):
+        step *= 2.0
+    return lo, min(lo + 2.0 * step, hi)
 
 
 def gauss_legendre_nodes(n: int, a: float, b: float):

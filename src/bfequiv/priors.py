@@ -1,8 +1,7 @@
 """Priors on the hypothesized parameter.
 
-Hypothesis priors come in five kinds: point mass, generic density on an
-interval, normal with mean/precision, half-line densities (for one-sided
-tests), and symmetric-paired densities for two-sided exponential-family
+Hypothesis priors come in four kinds: point mass, generic density on an
+interval, half-line densities (for one-sided tests), and symmetric-paired densities for two-sided exponential-family
 tests, built from a half-line base and the pairing map r(theta) that
 makes the Bayes factor equal at both critical values.
 
@@ -26,7 +25,6 @@ __all__ = [
     "Prior",
     "PointMass",
     "DensityPrior",
-    "NormalMeanPrec",
     "SymmetricPaired",
     "half_normal_prior",
     "exponential_prior",
@@ -93,26 +91,6 @@ class DensityPrior(Prior):
             vec = np.vectorize(self._log_density, otypes=[float])
             out[inside] = vec(arr[inside]) - self._log_z
         return float(out[0]) if scalar else out
-
-
-@dataclass(frozen=True)
-class NormalMeanPrec(Prior):
-    """Normal prior with given mean and precision (inverse variance)."""
-
-    mean: float
-    precision: float
-
-    def __post_init__(self):
-        if self.precision <= 0:
-            raise ValueError("precision must be > 0")
-
-    @property
-    def support(self):
-        return (-np.inf, np.inf)
-
-    def logpdf(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return 0.5 * np.log(self.precision / (2 * np.pi)) - 0.5 * self.precision * (theta - self.mean) ** 2
 
 
 def half_normal_prior(theta0: float, precision: float) -> DensityPrior:

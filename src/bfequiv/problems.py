@@ -39,6 +39,10 @@ __all__ = [
 ]
 
 
+# draws per block when one simulated chunk is decided block by block
+ROW_BLOCK = 16_384
+
+
 class SufficientSummary(dict):
     """Problem-dependent bag of sufficient statistics (attribute access)."""
 
@@ -47,6 +51,16 @@ class SufficientSummary(dict):
             return self[name]
         except KeyError as exc:
             raise AttributeError(name) from exc
+
+    def blocks(self):
+        """Views of ROW_BLOCK draws each of a simulated summary: every array
+        field (one value per draw) is sliced, the other fields shared."""
+        size = max((len(v) for v in self.values() if isinstance(v, np.ndarray)), default=0)
+        for start in range(0, size, ROW_BLOCK):
+            yield SufficientSummary(
+                (k, v[start : start + ROW_BLOCK] if isinstance(v, np.ndarray) else v)
+                for k, v in self.items()
+            )
 
 
 class DegenerateDataError(ValueError):
@@ -109,17 +123,9 @@ class TestProblem:
         raise UnsupportedExactLaw(type(self).__name__)
 
     def simulate_summary(self, rng, theta, size: int) -> SufficientSummary:
+        """`size` datasets at theta: only the fields the decision statistic
+        and the Bayes factor read, built in place where possible."""
         raise NotImplementedError
-
-    def simulate_chunks(self, stream, theta, n_sims: int, chunk_size: int, **sim_kwargs):
-        """Yield summaries of n_sims draws at theta, at most chunk_size at a time.
-
-        Chunk i is drawn from stream.substream(i), so the draws depend on
-        (stream, chunk_size) and not on how the caller consumes them.
-        """
-        for piece, done in enumerate(range(0, n_sims, chunk_size)):
-            m = min(chunk_size, n_sims - done)
-            yield self.simulate_summary(stream.substream(piece), theta, m, **sim_kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +212,14 @@ class GaussianMeanUnknownVar(TestProblem):
     def null_law(self):
         return DistSpec.student_t(self.n - 1)
 
-    def alt_cdf(self, theta, x, phi: float = 1.0):
-        ncp = math.sqrt(self.n) * theta * math.sqrt(phi)
+    def alt_cdf(self, theta, x):
+        ncp = math.sqrt(self.n) * theta
         return special.nctdtr(self.n - 1, ncp, np.asarray(x, dtype=float))
 
-    def simulate_summary(self, rng, theta, size, phi: float = 1.0):
+    def simulate_summary(self, rng, theta, size):
         g = rng.generator
-        sd = 1.0 / math.sqrt(phi)
-        xbar = g.normal(theta, sd / math.sqrt(self.n), size=size)
-        ss_centered = sd**2 * g.chisquare(self.n - 1, size=size)
+        xbar = g.normal(theta, 1.0 / math.sqrt(self.n), size=size)
+        ss_centered = g.chisquare(self.n - 1, size=size)
         s = np.sqrt(ss_centered / (self.n - 1))
         return SufficientSummary(
             xbar=xbar,
@@ -307,22 +312,21 @@ class RegressionUnknownVar(TestProblem):
     def null_law(self):
         return DistSpec.fisher_f(self.p, self.n - self.p)
 
-    def alt_law(self, delta_norm_sq, phi: float = 1.0):
-        return DistSpec.noncentral_f(self.p, self.n - self.p, delta_norm_sq * phi)
+    def alt_law(self, delta_norm_sq):
+        return DistSpec.noncentral_f(self.p, self.n - self.p, delta_norm_sq)
 
-    def simulate_summary(self, rng, delta_norm_sq, size, phi: float = 1.0):
+    def simulate_summary(self, rng, delta_norm_sq, size):
         g = rng.generator
-        sd = 1.0 / math.sqrt(phi)
         if delta_norm_sq == 0:
-            yHy = sd**2 * g.chisquare(self.p, size=size)
+            yHy = g.chisquare(self.p, size=size)
         else:
-            yHy = sd**2 * g.noncentral_chisquare(self.p, delta_norm_sq * phi, size=size)
-        rss2 = sd**2 * g.chisquare(self.n - self.p, size=size)
+            yHy = g.noncentral_chisquare(self.p, delta_norm_sq, size=size)
+        rss2 = g.chisquare(self.n - self.p, size=size)
         yy = yHy + rss2
-        f = (yHy / self.p) / (rss2 / (self.n - self.p))
-        return SufficientSummary(
-            rss1=yy, rss2=rss2, yHy=yHy, yy=yy, f=f, p=self.p, n=self.n
-        )
+        f = yHy / self.p
+        rss2 /= self.n - self.p
+        f /= rss2
+        return SufficientSummary(yHy=yHy, yy=yy, f=f, p=self.p, n=self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -424,26 +428,25 @@ class TwoSampleMeansUnknownEqualVar(TestProblem):
     def null_law(self):
         return DistSpec.student_t(self.n - 2, self.stat_scale)
 
-    def alt_cdf(self, theta, x, phi: float = 1.0):
-        ncp = theta * math.sqrt(phi) / math.sqrt(1.0 / self.n1 + 1.0 / self.n2)
+    def alt_cdf(self, theta, x):
+        ncp = theta / math.sqrt(1.0 / self.n1 + 1.0 / self.n2)
         return special.nctdtr(self.n - 2, ncp, np.asarray(x, dtype=float) / self.stat_scale)
 
-    def simulate_summary(self, rng, theta, size, phi: float = 1.0):
+    def simulate_summary(self, rng, theta, size):
         g = rng.generator
-        sd = 1.0 / math.sqrt(phi)
-        xbar1 = g.normal(0.0, sd / math.sqrt(self.n1), size=size)
-        xbar2 = g.normal(theta, sd / math.sqrt(self.n2), size=size)
-        s1_sq = sd**2 * g.chisquare(self.n1 - 1, size=size) / (self.n1 - 1)
-        s2_sq = sd**2 * g.chisquare(self.n2 - 1, size=size) / (self.n2 - 1)
-        pooled = (self.n1 - 1) * s1_sq + (self.n2 - 1) * s2_sq
+        xbar1 = g.normal(0.0, 1.0 / math.sqrt(self.n1), size=size)
+        xbar2 = g.normal(theta, 1.0 / math.sqrt(self.n2), size=size)
+        s1_sq = g.chisquare(self.n1 - 1, size=size)
+        s1_sq /= self.n1 - 1
+        s2_sq = g.chisquare(self.n2 - 1, size=size)
+        s2_sq /= self.n2 - 1
+        t = np.empty(size)
+        for start in range(0, size, ROW_BLOCK):
+            rows = slice(start, start + ROW_BLOCK)
+            pooled = (self.n1 - 1) * s1_sq[rows] + (self.n2 - 1) * s2_sq[rows]
+            np.divide(xbar2[rows] - xbar1[rows], np.sqrt(pooled), out=t[rows])
         return SufficientSummary(
-            xbar1=xbar1,
-            xbar2=xbar2,
-            s1_sq=s1_sq,
-            s2_sq=s2_sq,
-            t=(xbar2 - xbar1) / np.sqrt(pooled),
-            n1=self.n1,
-            n2=self.n2,
+            xbar1=xbar1, xbar2=xbar2, s1_sq=s1_sq, s2_sq=s2_sq, t=t, n1=self.n1, n2=self.n2
         )
 
 
@@ -492,11 +495,10 @@ class VarianceRatio(TestProblem):
 
     def simulate_summary(self, rng, theta, size):
         g = rng.generator
-        s1_sq = theta * g.chisquare(self.n1 - 1, size=size)
-        s2_sq = g.chisquare(self.n2 - 1, size=size)
-        return SufficientSummary(
-            s1_sq=s1_sq, s2_sq=s2_sq, f=s1_sq / s2_sq, n1=self.n1, n2=self.n2
-        )
+        f = g.chisquare(self.n1 - 1, size=size)
+        f *= theta
+        f /= g.chisquare(self.n2 - 1, size=size)
+        return SufficientSummary(f=f, n1=self.n1, n2=self.n2)
 
 
 @dataclass(frozen=True)
@@ -548,22 +550,21 @@ class SubsetSelection(TestProblem):
         scale = self.p2 / self.resid_df
         return DistSpec.fisher_f(self.p2, self.resid_df, scale)
 
-    def alt_law(self, ncp, phi: float = 1.0):
-        # ncp = phi * b2' X'X b2 with X = (I - H1) X2
+    def alt_law(self, ncp):
+        # ncp = b2' X'X b2 / sigma^2 with X = (I - H1) X2
         scale = self.p2 / self.resid_df
-        return DistSpec.noncentral_f(self.p2, self.resid_df, ncp * phi, scale)
+        return DistSpec.noncentral_f(self.p2, self.resid_df, ncp, scale)
 
-    def simulate_summary(self, rng, ncp, size, phi: float = 1.0):
+    def simulate_summary(self, rng, ncp, size):
         g = rng.generator
         if ncp == 0:
-            num = g.chisquare(self.p2, size=size)
+            f = g.chisquare(self.p2, size=size)
         else:
-            num = g.noncentral_chisquare(self.p2, ncp * phi, size=size)
-        den = g.chisquare(self.resid_df, size=size)
-        f = num / den
-        return SufficientSummary(
-            f=f, t_stat=f / (1.0 + f), n=self.n, p1=self.p1, p2=self.p2
-        )
+            f = g.noncentral_chisquare(self.p2, ncp, size=size)
+        f /= g.chisquare(self.resid_df, size=size)
+        t_stat = np.add(f, 1.0)
+        np.divide(f, t_stat, out=t_stat)
+        return SufficientSummary(f=f, t_stat=t_stat, n=self.n, p1=self.p1, p2=self.p2)
 
 
 @dataclass(frozen=True)
@@ -618,15 +619,16 @@ class SubjectiveVarianceEquality(TestProblem):
     def simulate_summary(self, rng, theta, size, scale2: float = 1.0):
         # theta = var1/var2; scale2 = var2 (the nuisance slice held fixed)
         g = rng.generator
-        s1_sq = theta * scale2 * g.chisquare(self.n1, size=size)
-        s2_sq = scale2 * g.chisquare(self.n2, size=size)
-        f = s1_sq / s2_sq
-        return SufficientSummary(
-            s1_sq=s1_sq,
-            s2_sq=s2_sq,
-            f=f,
-            q=self.b / (s1_sq + s2_sq),
-            t_sub=0.25 - f / (1.0 + f) ** 2,
-            n1=self.n1,
-            n2=self.n2,
-        )
+        s1_sq = g.chisquare(self.n1, size=size)
+        s1_sq *= theta * scale2
+        s2_sq = g.chisquare(self.n2, size=size)
+        s2_sq *= scale2
+        q = np.add(s1_sq, s2_sq)
+        np.divide(self.b, q, out=q)
+        f = np.divide(s1_sq, s2_sq, out=s1_sq)
+        # t_sub = 1/4 - f/(1+f)^2, built in the buffer of S2^2
+        t_sub = np.add(f, 1.0, out=s2_sq)
+        np.square(t_sub, out=t_sub)
+        np.divide(f, t_sub, out=t_sub)
+        np.subtract(0.25, t_sub, out=t_sub)
+        return SufficientSummary(f=f, q=q, t_sub=t_sub, n1=self.n1, n2=self.n2)

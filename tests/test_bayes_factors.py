@@ -71,6 +71,18 @@ class TestOneSidedClosedForms:
         closed = bf.bf_one_sided_normal_halfnormal(t, 4, 1.5)
         assert_allclose(generic, closed, rtol=1e-8)
 
+    def test_generic_path_at_strong_evidence(self):
+        # B = 1.4e142: the log-space route keeps the closed form's digits
+        model = normal_mean_model()
+        generic = bf.bf_one_sided(model, half_normal_prior(0.0, 1.5), 60.0, n=4)
+        assert_allclose(generic, bf.bf_one_sided_normal_halfnormal(60.0, 4, 1.5), rtol=1e-10)
+
+    def test_generic_path_overflow_is_typed(self):
+        # log B = 363 636: no float holds B, and the error says so
+        model = normal_mean_model()
+        with pytest.raises(bf.NumericalIntegrityError):
+            bf.bf_one_sided(model, half_normal_prior(0.0, 1.5), 2000.0, n=4)
+
     def test_monotone_in_t(self):
         t = np.linspace(-3, 6, 200)
         vals = bf.bf_one_sided_normal_halfnormal(t, 4, 1.0)
@@ -286,6 +298,14 @@ class TestVarianceRatioBf:
         engine = bf.VarianceRatioBf(prior, n1, n2)
         f = np.array([0.2, 0.9, 1.0, 1.7, 3.5])
         assert_allclose(engine(f), [engine.adaptive(x) for x in f], rtol=1e-12)
+
+    def test_adaptive_overflow_is_typed(self):
+        # log B is about 9 500 at F = 1e6 with n2 = 3000
+        prior = DensityPrior(lambda th: -(th - 1.0), (1.0, np.inf))
+        with np.errstate(over="ignore"):  # the batch route's node weights overflow too
+            engine = bf.VarianceRatioBf(prior, 10, 3000)
+        with pytest.raises(bf.NumericalIntegrityError):
+            engine.adaptive(1e6)
 
     def test_batch_memory_is_blocked(self):
         # one 20 000 x 200 float64 matrix alone would be 32 MB

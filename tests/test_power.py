@@ -107,6 +107,19 @@ class TestDominance:
         assert abs(rep.size_subjective_limit - 0.05) < 0.003
         # at any fixed nuisance scale the proper-prior rule is conservative
         assert rep.size_subjective_slice < 0.05
+        assert rep.n_proper_only == 0
+
+    def test_verdict_fails_on_threshold_one_percent_low(self, monkeypatch):
+        # lambda x 0.99: the proper rule rejects some draws that {T > gamma}
+        # accepts, although its power stays within 3 se of the classical one
+        from bfequiv import power
+
+        bf_subjective = power.bf_subjective_variance
+        monkeypatch.setattr(power, "bf_subjective_variance", lambda q, t: 0.99 * bf_subjective(q, t))
+        p = SubjectiveVarianceEquality(n1=10, n2=10, a=2.0, b=2.0)
+        rep = dominance_study(p, 0.05, [1.5, 2.0, 3.0, 5.0], RngStream(3), 200_000)
+        assert rep.verdict == "FAIL"
+        assert rep.n_proper_only > 0
 
     def test_strict_dominance_away_from_null(self):
         p = SubjectiveVarianceEquality(n1=10, n2=10, a=2.0, b=2.0)
@@ -137,11 +150,31 @@ class TestJohnsonComparison:
         )
         assert comp.verdict == "FAIL"
 
+    def test_verdict_fails_on_threshold_a_tenth_of_a_percent_high(self, monkeypatch):
+        # lambda_matched x 1.001 (the scalar log_ratio call is the
+        # threshold; the draws go in as arrays), at the CLI's default grid
+        # and N: some 200 of 2.1M draws fall between the two boundaries
+        log_ratio = ExpFamilyModel.log_ratio
+
+        def shifted(self, t, *args):
+            out = log_ratio(self, t, *args)
+            return out + math.log(1.001) if np.ndim(t) == 0 else out
+
+        monkeypatch.setattr(ExpFamilyModel, "log_ratio", shifted)
+        sd = math.sqrt(10)
+        hi = (sd * stats.norm.ppf(0.95) - sd * stats.norm.ppf(0.01)) / 10
+        comp = johnson_comparison(
+            10.0, 10, np.linspace(0.0, hi, 21), rng=RngStream(53), n_sims=100_000
+        )
+        assert comp.verdict == "FAIL"
+        assert comp.n_disagree > 0
+
     def test_recalibrated_curves_match(self):
         comp = johnson_comparison(
             10.0, 10, np.linspace(0, 1.2, 7), rng=RngStream(52), n_sims=50_000
         )
         assert comp.verdict == "PASS"
+        assert comp.n_disagree == 0
         assert comp.max_gap == 0.0
         # and the MC curve tracks the exact one
         assert np.all(

@@ -9,7 +9,6 @@ from scipy.integrate import quad as scipy_quad
 from bfequiv.expfamily import normal_mean_model
 from bfequiv.priors import (
     DensityPrior,
-    NormalMeanPrec,
     PairingError,
     ScaledSymmetricPrior,
     SphericalPrior,
@@ -125,11 +124,3 @@ class TestPairing:
         total, _ = scipy_quad(lambda x: math.exp(paired.logpdf(x)), -np.inf, np.inf)
         assert_allclose(total, 1.0, rtol=1e-6)
 
-
-class TestSimplePriors:
-    def test_normal_mean_prec_density(self):
-        prior = NormalMeanPrec(0.0, 4.0)
-        xs = np.array([-1.0, 0.0, 0.5])
-        assert_allclose(
-            np.exp(prior.logpdf(xs)), stats.norm.pdf(xs, scale=0.5), rtol=1e-12
-        )
