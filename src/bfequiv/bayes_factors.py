@@ -19,16 +19,15 @@ calibrated thresholds lambda are exact numbers, not ratios.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Callable
 
 import numpy as np
 from scipy import special
 from scipy.optimize import brentq
 
 from .expfamily import ExpFamilyModel
-from .integrate import gauss_legendre_nodes, log_quad, peak_bracket, quad
+from .integrate import gauss_legendre_nodes, log_quad, peak_bracket
 from .priors import (
-    DensityPrior,
     PointMass,
     Prior,
     ScaledSymmetricPrior,
@@ -66,18 +65,18 @@ def _exp_b(log_b: float) -> float:
         raise NumericalIntegrityError(f"B = e^{log_b:.6g} overflows a float") from None
 
 
+def _exp_each(log_b: Callable, t):
+    """`_exp_b(log_b(t_i))` at each entry of t, shaped like t (0-d: a float)."""
+    t = np.asarray(t, dtype=float)
+    out = np.array([_exp_b(log_b(ti)) for ti in t.ravel()])
+    return out.reshape(t.shape) if t.shape else float(out[0])
+
+
 # ---------------------------------------------------------------------------
 # One-sided exponential-family Bayes factors
 
 
-def bf_one_sided(
-    model: ExpFamilyModel,
-    prior: Prior,
-    t,
-    n: int,
-    theta0: float = 0.0,
-    tol: float = 1e-10,
-):
+def bf_one_sided(model: ExpFamilyModel, prior: Prior, t, n: int, theta0: float = 0.0):
     """B(t) = integral of the likelihood ratio against theta0 over the prior.
 
     Monotone increasing in t for priors supported above theta0.
@@ -85,7 +84,6 @@ def bf_one_sided(
     must start at a finite point, goes through log-space quadrature,
     which raises NumericalIntegrityError where B overflows a float.
     """
-    t = np.asarray(t, dtype=float)
     if isinstance(prior, PointMass):
         return np.exp(model.log_ratio(t, prior.theta1, theta0, n))
     lo, hi = prior.support
@@ -96,10 +94,9 @@ def bf_one_sided(
         def log_f(th):
             return float(model.log_ratio(ti, th, theta0, n)) + float(prior.logpdf(th))
 
-        return log_quad(log_f, lo, hi, peak_bracket(log_f, lo, hi), tol=tol)
+        return log_quad(log_f, lo, hi, peak_bracket(log_f, lo, hi))
 
-    out = np.array([_exp_b(log_b(ti)) for ti in np.atleast_1d(t)])
-    return out.reshape(t.shape) if t.shape else float(out[0])
+    return _exp_each(log_b, t)
 
 
 def bf_one_sided_normal_conjugate(t, n: int, tau: float):
@@ -134,34 +131,27 @@ def bf_one_sided_normal_exponential(t, n: int, rate: float):
 # Two-sided exponential-family Bayes factors
 
 
-def bf_two_sided(
-    model: ExpFamilyModel,
-    prior: SymmetricPaired,
-    t,
-    n: int,
-    theta0: float = 0.0,
-    tol: float = 1e-10,
-):
+def bf_two_sided(model: ExpFamilyModel, prior: SymmetricPaired, t, n: int):
     """Two-sided Bayes factor for a symmetric-paired prior.
 
     B(t) = int_{theta>theta0} [g(t,theta) + g(t,r(theta))] w(theta) dtheta
-    where w is the prior's half-line weight; convex in t, with equal
-    values at any calibrated critical pair by construction of r.
+    with theta0 = prior.theta0 and w the prior's half-line weight; convex
+    in t, with equal values at any calibrated critical pair by
+    construction of r.  The integral runs in log space, so a B past the
+    float range raises NumericalIntegrityError.
     """
-    t = np.asarray(t, dtype=float)
-    lo = prior.theta0
-    hi = prior.base.support[1]
+    lo, hi = prior.theta0, prior.base.support[1]
 
-    def integrand(ti, th):
-        w = math.exp(float(prior.half_weight_log(th)))
-        return float(model.pair_sum(ti, th, prior.r(th), theta0, n)) * w
+    def log_b(ti):
+        def log_f(th):
+            pair = np.logaddexp(
+                model.log_ratio(ti, th, lo, n), model.log_ratio(ti, prior.r(th), lo, n)
+            )
+            return float(pair) + float(prior.half_weight_log(th))
 
-    flat = np.atleast_1d(t)
-    out = np.empty(flat.shape)
-    for i, ti in enumerate(flat):
-        val, _ = quad(lambda th: integrand(ti, th), lo, hi, tol=tol)
-        out[i] = val
-    return out.reshape(t.shape) if t.shape else float(out[0])
+        return log_quad(log_f, lo, hi, peak_bracket(log_f, lo, hi))
+
+    return _exp_each(log_b, t)
 
 
 def bf_two_sided_normal_conjugate(t, n: int, tau: float):
@@ -173,12 +163,16 @@ def bf_two_sided_normal_conjugate(t, n: int, tau: float):
 # Power series (test oracles for the Gaussian closed forms)
 
 
-def _power_series(log_coefficient, x, tol: float, max_terms: int):
+# relative size of the last term a power series adds
+SERIES_TOL = 1e-12
+
+
+def _power_series(log_coefficient, x, max_terms: int):
     """sum_j a_j x^j for x >= 0, given j -> log a_j.
 
     The coefficients overflow floats at high order, so each term is formed
     in log space instead of accumulating powers.  Summation stops once the
-    largest new term falls below tol times the smallest partial sum.
+    largest new term falls below SERIES_TOL times the smallest partial sum.
     """
     with np.errstate(divide="ignore"):
         log_x = np.log(x)
@@ -186,7 +180,7 @@ def _power_series(log_coefficient, x, tol: float, max_terms: int):
     for j in range(1, max_terms + 1):
         term = np.exp(log_coefficient(j) + j * log_x)
         total += term
-        if np.max(term) < tol * np.min(total):
+        if np.max(term) < SERIES_TOL * np.min(total):
             return total if total.size > 1 else float(total[0])
     raise NumericalIntegrityError(f"series did not converge within {max_terms} terms")
 
@@ -205,13 +199,11 @@ class TTestBf:
     h*(s) = exp(-n s^2/2) h(s).
     """
 
-    def __init__(self, h: ScaledSymmetricPrior, n: int, tol: float = 1e-12, max_terms: int = 3000):
+    def __init__(self, h: ScaledSymmetricPrior, n: int):
         if n < 2:
             raise ValueError("need n >= 2")
         self.h = h
         self.n = n
-        self.tol = tol
-        self.max_terms = max_terms
         self._log_coeffs = [h.log_even_moment(0, damping=n)]
 
     def log_coefficient(self, j: int) -> float:
@@ -232,7 +224,7 @@ class TTestBf:
         u = np.atleast_1d(np.asarray(u, dtype=float))
         if np.any(u < 0) or np.any(u > 1.0 / self.n + 1e-12):
             raise ValueError("u must lie in [0, 1/n]")
-        return _power_series(self.log_coefficient, u, self.tol, self.max_terms)
+        return _power_series(self.log_coefficient, u, max_terms=3000)
 
     def __call__(self, xbar, sum_sq):
         xbar = np.asarray(xbar, dtype=float)
@@ -336,11 +328,9 @@ class RegressionKnownVarBf:
     of the angular mean of exp(rho * |T|_2).
     """
 
-    def __init__(self, prior: SphericalPrior, tol: float = 1e-12, max_terms: int = 3000):
+    def __init__(self, prior: SphericalPrior):
         self.prior = prior
         self.p = prior.p
-        self.tol = tol
-        self.max_terms = max_terms
         self._log_coeffs = []
 
     def log_coefficient(self, j: int) -> float:
@@ -358,7 +348,7 @@ class RegressionKnownVarBf:
         t_abs = np.atleast_1d(np.asarray(t_abs, dtype=float))
         if np.any(t_abs < 0):
             raise ValueError("|T| must be nonnegative")
-        return _power_series(self.log_coefficient, t_abs, self.tol, self.max_terms)
+        return _power_series(self.log_coefficient, t_abs, max_terms=3000)
 
     def quadrature(self, t_abs: float) -> float:
         """Radial-integral evaluation at |T| = t_abs."""
@@ -414,14 +404,12 @@ class RegressionUnknownVarBf:
     in T = y'Hy/y'y = F/(kappa + F), kappa = (n-p)/p.
     """
 
-    def __init__(self, h: SphericalPrior, n: int, tol: float = 1e-12, max_terms: int = 2000):
+    def __init__(self, h: SphericalPrior, n: int):
         self.h = h
         self.p = h.p
         self.n = n
         if n <= self.p:
             raise ValueError("need n > p")
-        self.tol = tol
-        self.max_terms = max_terms
         self._log_coeffs = []
 
     @property
@@ -448,7 +436,7 @@ class RegressionUnknownVarBf:
         t_hat = np.atleast_1d(np.asarray(t_hat, dtype=float))
         if np.any(t_hat < 0) or np.any(t_hat >= 1):
             raise ValueError("T must lie in [0, 1)")
-        return _power_series(self.log_coefficient, t_hat, self.tol, self.max_terms)
+        return _power_series(self.log_coefficient, t_hat, max_terms=2000)
 
     def quadrature(self, t_hat: float) -> float:
         """Nested-quadrature evaluation (independent of the series)."""
@@ -569,30 +557,32 @@ class TwoSampleTBf:
 
 
 # Draws per block in the batch route of VarianceRatioBf: one block of
-# 512 x nodes float64 values (800 kB at 200 nodes) is the only temporary.
+# 512 x 200 node float64 values (800 kB) is the only temporary.
 _ROW_BLOCK = 512
 
 
 class VarianceRatioBf:
-    """B(F) = kappa * int_{theta>1} theta^{n2/2} ((F+1)/(F+theta))^{n/2} dpi.
+    """B(F) = int_{theta>1} theta^{n2/2} ((F+1)/(F+theta))^{n/2} dpi.
 
-    kappa is not identified under the diffuse nuisance priors and is
-    fixed at 1.  Batch evaluation uses fixed Gauss-Legendre nodes on the
-    transformed half-line, which keeps B exactly monotone in F; the
-    adaptive path is used for high-accuracy single values.
+    The constant in front of the integral is not identified under the
+    diffuse nuisance priors and is 1.  Batch evaluation uses fixed
+    Gauss-Legendre nodes on the transformed half-line, which keeps B
+    exactly monotone in F; the adaptive path is used for high-accuracy
+    single values.
 
     With r = 1/(1+F) and c_j = theta_j - 1 the batch route is
-    B(F) = kappa * sum_j w'_j (1 + c_j r)^(-n/2), where the node weight
+    B(F) = sum_j w'_j (1 + c_j r)^(-n/2), where the node weight
     w'_j = w_j theta_j^{n2/2} pi(theta_j) / (1-u_j)^2 folds the
     Gauss-Legendre weight, the Jacobian, theta^{n2/2} and the prior
     density together.  Every base is >= 1, so each power lies in (0, 1].
+    A node weight past the float range (large n2) makes the batch route
+    raise NumericalIntegrityError when called.
     """
 
-    def __init__(self, prior: Prior, n1: int, n2: int, kappa: float = 1.0, nodes: int = 200):
+    def __init__(self, prior: Prior, n1: int, n2: int):
         self.prior = prior
         self.n1, self.n2 = n1, n2
         self.n = n1 + n2
-        self.kappa = kappa
         if isinstance(prior, PointMass):
             if prior.theta1 < 1.0:
                 raise ValueError("prior must sit on theta >= 1")
@@ -602,7 +592,7 @@ class VarianceRatioBf:
             if lo < 1.0 - 1e-12:
                 raise ValueError("prior must be supported on theta > 1")
             # theta = 1 + u/(1-u) maps (0,1) -> (1, inf)
-            u, w = gauss_legendre_nodes(nodes, 0.0, 1.0)
+            u, w = gauss_legendre_nodes(200, 0.0, 1.0)
             theta = 1.0 + u / (1.0 - u)
             log_weight = (
                 np.log(w)
@@ -610,7 +600,8 @@ class VarianceRatioBf:
                 + (n2 / 2.0) * np.log(theta)
                 + np.asarray(prior.logpdf(theta), dtype=float)
             )
-            self._nodes = (theta - 1.0, np.exp(log_weight))
+            with np.errstate(over="ignore"):  # reported when called
+                self._nodes = (theta - 1.0, np.exp(log_weight))
 
     def _integrand(self, f, theta):
         return theta ** (self.n2 / 2.0) * ((f + 1.0) / (f + theta)) ** (self.n / 2.0)
@@ -618,8 +609,10 @@ class VarianceRatioBf:
     def __call__(self, f):
         f = np.asarray(f, dtype=float)
         if isinstance(self.prior, PointMass):
-            return self.kappa * self._integrand(f, self.prior.theta1)
+            return self._integrand(f, self.prior.theta1)
         c, weight = self._nodes
+        if not np.all(np.isfinite(weight)):
+            raise NumericalIntegrityError("a node weight overflows a float; use `adaptive`")
         r = 1.0 / (1.0 + f.ravel())
         vals = np.empty(r.shape)
         block = np.empty((min(_ROW_BLOCK, r.size), c.size))
@@ -630,10 +623,9 @@ class VarianceRatioBf:
             x += 1.0
             np.power(x, -self.n / 2.0, out=x)
             np.dot(x, weight, out=vals[start : start + rows.size])
-        vals *= self.kappa
         return vals.reshape(f.shape) if f.shape else float(vals[0])
 
-    def adaptive(self, f: float, tol: float = 1e-10) -> float:
+    def adaptive(self, f: float) -> float:
         """Log-space adaptive-quadrature evaluation of a single value."""
         if isinstance(self.prior, PointMass):
             return float(self(f))
@@ -645,7 +637,7 @@ class VarianceRatioBf:
             log_ratio = log_f1 - math.log(f + th)
             return (self.n2 / 2.0) * math.log(th) + (self.n / 2.0) * log_ratio + float(self.prior.logpdf(th))
 
-        return self.kappa * _exp_b(log_quad(log_f, lo, hi, peak_bracket(log_f, lo, hi), tol=tol))
+        return _exp_b(log_quad(log_f, lo, hi, peak_bracket(log_f, lo, hi)))
 
 
 # ---------------------------------------------------------------------------

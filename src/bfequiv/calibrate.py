@@ -9,7 +9,6 @@ back from lambda, and verifies the coincidence by direct Monte Carlo.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -186,19 +185,18 @@ class EquivalenceReport:
 def decide_chunk(problem: TestProblem, rule: DecisionRule, bf_of_summary, summary) -> tuple:
     """(classical rejections, Bayes rejections, disagreements, statistics of
     the first MAX_EXAMPLES disagreeing draws) on one simulated chunk, taken
-    ROW_BLOCK draws at a time; without bf_of_summary, classical only."""
+    ROW_BLOCK draws at a time."""
     n_classical = n_bayes = n_mismatch = 0
     examples = []
     for block in summary.blocks():
         stat = np.asarray(problem.decision_stat(block), dtype=float)
         classical = rule.classical(stat)
+        bayes = rule.bayes(bf_of_summary(block))
         n_classical += int(np.count_nonzero(classical))
-        if bf_of_summary is not None:
-            bayes = rule.bayes(bf_of_summary(block))
-            n_bayes += int(np.count_nonzero(bayes))
-            bad = classical != bayes
-            n_mismatch += int(np.count_nonzero(bad))
-            examples += [float(x) for x in stat[bad][: MAX_EXAMPLES - len(examples)]]
+        n_bayes += int(np.count_nonzero(bayes))
+        bad = classical != bayes
+        n_mismatch += int(np.count_nonzero(bad))
+        examples += [float(x) for x in stat[bad][: MAX_EXAMPLES - len(examples)]]
     return n_classical, n_bayes, n_mismatch, examples
 
 

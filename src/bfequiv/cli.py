@@ -10,8 +10,9 @@ seed give byte-identical CSV outputs.
 Exit codes: calibrate returns 0 on success, 2 when the requested Bayes
 threshold cannot be inverted to a critical region, 3 when the prior
 violates the calibrated two-sided class; malformed configs exit 1 with a
-line-numbered message; other subcommands exit nonzero iff their verdict
-fails; missing data files exit 1.
+message that starts with the path:line of the offending key (the path
+alone when a required key is absent); other subcommands exit nonzero iff
+their verdict fails; missing data files exit 1.
 """
 
 from __future__ import annotations
@@ -65,8 +66,10 @@ class RunConfig:
     lines: dict = dc_field(default_factory=dict)  # dotted key -> line number
 
     def where(self, key: str) -> str:
-        """``path:line: key`` of a dotted key, to start an error message."""
-        return f"{self.path}:{self.lines[key]}: {key}" if key in self.lines else key
+        """``path:line: key`` of a dotted key (``path: key`` when the key is
+        absent), to start an error message."""
+        line = f":{self.lines[key]}" if key in self.lines else ""
+        return f"{self.path}{line}: {key}" if self.path else key
 
 
 def _parse_value(raw: str):
@@ -113,9 +116,12 @@ def parse_config(path: str) -> RunConfig:
     return cfg
 
 
-def _require(section: dict, name: str, where: str):
+def _require(section: dict, key: str, where: Callable[[str], str]):
+    """The value of the dotted key ``<section>.<name>``; a ConfigError that
+    starts with ``where(key)`` when it is absent."""
+    name = key.split(".", 1)[1]
     if name not in section:
-        raise ConfigError(f"missing required key {where}.{name}")
+        raise ConfigError(f"{where(key)} is required")
     return section[name]
 
 
@@ -141,9 +147,10 @@ class BfPair:
     of_summary: Callable
 
 
-def _stat_pair(g: Callable, field: str = "t") -> BfPair:
-    """Pair for the problems whose summary holds the statistic as `field`."""
-    return BfPair(g, lambda s: g(s[field]))
+def _stat_pair(problem: prob.TestProblem, g: Callable) -> BfPair:
+    """Pair for a Bayes factor that reads the summary only through the
+    problem's decision statistic."""
+    return BfPair(g, lambda s: g(problem.decision_stat(s)))
 
 
 _MODEL = normal_mean_model()
@@ -151,30 +158,33 @@ _MODEL = normal_mean_model()
 
 def _positive(prcfg: dict, name: str, default: Optional[float] = None) -> float:
     """prior.<name>, required unless a default is given; must be > 0."""
-    value = _require(prcfg, name, "prior") if default is None else prcfg.get(name, default)
+    value = prcfg[name] if default is None else prcfg.get(name, default)
     if not value > 0:
         raise ValueError(f"prior.{name} must be > 0, got {value!r}")
     return value
 
 
 def _point_mass(problem, prcfg):
-    prior, n, theta0 = PointMass(_require(prcfg, "theta1", "prior")), problem.n, problem.theta0
-    return _stat_pair(lambda t: bf.bf_one_sided(_MODEL, prior, t, n, theta0))
+    prior, n, theta0 = PointMass(prcfg["theta1"]), problem.n, problem.theta0
+    return _stat_pair(problem, lambda t: bf.bf_one_sided(_MODEL, prior, t, n, theta0))
 
 
 def _half_normal(problem, prcfg):
     tau, n, shift = _positive(prcfg, "precision"), problem.n, problem.n * problem.theta0
-    return _stat_pair(lambda t: bf.bf_one_sided_normal_halfnormal(np.asarray(t) - shift, n, tau))
+    g = lambda t: bf.bf_one_sided_normal_halfnormal(np.asarray(t) - shift, n, tau)
+    return _stat_pair(problem, g)
 
 
 def _exponential(problem, prcfg):
     rate, n, shift = _positive(prcfg, "rate"), problem.n, problem.n * problem.theta0
-    return _stat_pair(lambda t: bf.bf_one_sided_normal_exponential(np.asarray(t) - shift, n, rate))
+    g = lambda t: bf.bf_one_sided_normal_exponential(np.asarray(t) - shift, n, rate)
+    return _stat_pair(problem, g)
 
 
 def _normal(problem, prcfg):
     tau, n, shift = _positive(prcfg, "precision"), problem.n, problem.n * problem.theta0
-    return _stat_pair(lambda t: bf.bf_two_sided_normal_conjugate(np.asarray(t) - shift, n, tau))
+    g = lambda t: bf.bf_two_sided_normal_conjugate(np.asarray(t) - shift, n, tau)
+    return _stat_pair(problem, g)
 
 
 def _t_test_gaussian(problem, prcfg):
@@ -199,7 +209,7 @@ def _regression_unknown_var_gaussian(problem, prcfg):
 
 def _regression_known_var_gaussian(problem, prcfg):
     tau, p = _positive(prcfg, "precision", 1.0), problem.p
-    return _stat_pair(lambda t_abs: bf.bf_regression_known_var_gaussian(t_abs, p, tau), "t_abs")
+    return _stat_pair(problem, lambda t_abs: bf.bf_regression_known_var_gaussian(t_abs, p, tau))
 
 
 def _two_sample_known_var(problem, prcfg):
@@ -214,14 +224,14 @@ def _two_sample_t(problem, prcfg):
 
 
 def _variance_ratio_point_mass(problem, prcfg):
-    prior = PointMass(_require(prcfg, "theta1", "prior"))
-    return _stat_pair(bf.VarianceRatioBf(prior, problem.n1, problem.n2), "f")
+    prior = PointMass(prcfg["theta1"])
+    return _stat_pair(problem, bf.VarianceRatioBf(prior, problem.n1, problem.n2))
 
 
 def _variance_ratio_shifted_exponential(problem, prcfg):
     rate = prcfg.get("rate", 1.0)
     prior = DensityPrior(lambda th: math.log(rate) - rate * (th - 1.0), (1.0, math.inf))
-    return _stat_pair(bf.VarianceRatioBf(prior, problem.n1, problem.n2), "f")
+    return _stat_pair(problem, bf.VarianceRatioBf(prior, problem.n1, problem.n2))
 
 
 def _subset_selection(problem, prcfg):
@@ -380,11 +390,11 @@ def build_problem(pcfg: dict, where: Callable[[str], str] = str) -> prob.TestPro
     """The problem a problem section declares.  ``where`` maps a dotted
     key to the start of an error message (``RunConfig.where`` gives its
     path:line)."""
-    kind = _require(pcfg, "kind", "problem")
+    kind = _require(pcfg, "problem.kind", where)
     if kind not in KINDS:
         raise ConfigError(f"{where('problem.kind')} {kind!r} is not a known problem kind")
     entry = KINDS[kind]
-    args = {key: _require(pcfg, key, "problem") for key in entry.required}
+    args = {key: _require(pcfg, f"problem.{key}", where) for key in entry.required}
     args.update((key, pcfg.get(key, default)) for key, default in entry.optional.items())
     types = {f.name: f.type for f in fields(entry.problem)}
     for key, value in args.items():
@@ -398,7 +408,7 @@ def build_problem(pcfg: dict, where: Callable[[str], str] = str) -> prob.TestPro
 def build_bf(problem: prob.TestProblem, prcfg: dict, where: Callable[[str], str] = str) -> BfPair:
     """The Bayes factor a prior section declares for ``problem``;
     ``where`` as in `build_problem`."""
-    kind = _require(prcfg, "kind", "prior")
+    kind = _require(prcfg, "prior.kind", where)
     name = _KIND_OF[type(problem)]
     factory = KINDS[name].priors.get(kind)
     if factory is None:
@@ -408,6 +418,8 @@ def build_bf(problem: prob.TestProblem, prcfg: dict, where: Callable[[str], str]
             _check_number(value, where(f"prior.{key}"))
     try:
         return factory(problem, prcfg)
+    except KeyError as exc:  # a factory reads its required keys by indexing
+        raise ConfigError(f"{where('prior.' + exc.args[0])} is required") from None
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where('prior.kind')} {kind!r}: invalid parameters: {exc}") from exc
 
@@ -431,10 +443,11 @@ def _seed(args, cfg: RunConfig, required: bool) -> Optional[int]:
     seed = args.seed if args.seed is not None else cfg.run.get("seed")
     if seed is None:
         if required:
-            raise ConfigError("run.seed (or --seed) is mandatory for this subcommand")
+            raise ConfigError(f"{cfg.where('run.seed')} (or --seed) is required")
         return None
     if not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+        source = "--seed" if args.seed is not None else cfg.where("run.seed")
+        raise ConfigError(f"{source} must be a nonnegative integer, got {seed!r}")
     return seed
 
 
@@ -457,7 +470,7 @@ def _alpha(cfg: RunConfig, default=None) -> float:
 
 def _lambda(cfg: RunConfig) -> float:
     """run.lambda, a Bayes-factor threshold."""
-    lam = cfg.run["lambda"]
+    lam = _require(cfg.run, "run.lambda", cfg.where)
     if not isinstance(lam, (int, float)):
         raise ConfigError(f"{cfg.where('run.lambda')} must be a number, got {lam!r}")
     return lam
@@ -477,7 +490,7 @@ def _theta_grid(cfg: RunConfig, default=None) -> Optional[np.ndarray]:
 def _build_rule(problem, pair: BfPair, cfg: RunConfig):
     """Decision rule from either run.alpha or run.lambda."""
     if ("alpha" in cfg.run) == ("lambda" in cfg.run):
-        raise ConfigError("exactly one of run.alpha or run.lambda must be set")
+        raise ConfigError(f"{cfg.where('run.lambda')}: set exactly one of run.alpha or run.lambda")
     if "alpha" in cfg.run:
         result = calibrate(problem, _alpha(cfg), pair.of_stat)
         return result.rule, result.alpha
@@ -501,12 +514,12 @@ class InfeasibleLambda(Exception):
     pass
 
 
-def _default_grid(problem, region, alpha, points=21):
-    """Equally spaced theta grid covering classical power 0.05 -> 0.99."""
+def _default_grid(problem, region, alpha):
+    """21 equally spaced thetas covering classical power 0.05 -> 0.99."""
     from scipy.optimize import brentq
 
     def power_at(th):
-        return float(exact_power(problem, region, [th], alpha).power[0])
+        return float(exact_power(problem, region, [th]).power[0])
 
     theta0 = getattr(problem, "theta0", 0.0)
     hi = theta0 + 1.0
@@ -518,7 +531,7 @@ def _default_grid(problem, region, alpha, points=21):
         th_lo = brentq(lambda th: power_at(th) - lo_target, theta0, th_hi)
     except ValueError:
         th_lo = theta0
-    return np.linspace(th_lo, th_hi, points)
+    return np.linspace(th_lo, th_hi, 21)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +611,7 @@ def cmd_power(args) -> int:
     )
     rows = []
     try:
-        exact = exact_power(problem, rule.region, thetas, alpha)
+        exact = exact_power(problem, rule.region, thetas)
         for th, pw in zip(exact.thetas, exact.power):
             rows.append([th, pw, 0.0, "exact", alpha, 0])
     except prob.UnsupportedExactLaw:
@@ -630,7 +643,7 @@ def cmd_dominance(args) -> int:
     seed = _seed(args, cfg, required=True)
     problem = build_problem(cfg.problem, cfg.where)
     if not isinstance(problem, prob.SubjectiveVarianceEquality):
-        raise ConfigError("dominance requires problem.kind=subjective_variance")
+        raise ConfigError(f"{cfg.where('problem.kind')} must be subjective_variance for dominance")
     alpha = _alpha(cfg, 0.05)
     n_sims = _count(cfg, "n_sims", 1_000_000)
     thetas = _theta_grid(cfg, default=[1.5, 2.0, 3.0, 5.0])
@@ -685,10 +698,10 @@ def cmd_johnson(args) -> int:
     cfg = parse_config(args.config)
     out = _out_dir(args, cfg)
     seed = _seed(args, cfg, required=True)
-    if "lambda" not in cfg.run:
-        raise ConfigError("run.lambda is required for the johnson subcommand")
     lam = float(_lambda(cfg))
-    n = _check_number(_require(cfg.problem, "n", "problem"), cfg.where("problem.n"), integer=True)
+    n = _check_number(
+        _require(cfg.problem, "problem.n", cfg.where), cfg.where("problem.n"), integer=True
+    )
     alpha = _alpha(cfg, 0.05)
     n_sims = _count(cfg, "n_sims", 100_000)
     thetas = _theta_grid(cfg)

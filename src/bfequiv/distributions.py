@@ -1,8 +1,8 @@
 """Distribution primitives: densities, CDFs, quantiles and samplers.
 
 Covers the families needed for the null and alternative laws of the
-classical test statistics in the catalogue: Normal, Gamma (shape/rate),
-chi-square, Student-t, central and noncentral F, noncentral chi-square.
+classical test statistics in the catalogue: Normal, chi-square,
+Student-t, central and noncentral F, noncentral chi-square.
 A ``scale`` multiplier supports statistics that are scaled versions of a
 standard law (e.g. a variance ratio distributed as theta * F).
 
@@ -30,7 +30,6 @@ __all__ = ["Family", "DistSpec", "pdf", "cdf", "quantile", "sample"]
 
 class Family(enum.Enum):
     NORMAL = "normal"
-    GAMMA = "gamma"
     CHI_SQUARE = "chi_square"
     STUDENT_T = "student_t"
     FISHER_F = "fisher_f"
@@ -41,7 +40,6 @@ class Family(enum.Enum):
 # family -> (param names, all-positive mask)
 _PARAMS = {
     Family.NORMAL: (("mean", "sd"), (False, True)),
-    Family.GAMMA: (("shape", "rate"), (True, True)),
     Family.CHI_SQUARE: (("df",), (True,)),
     Family.STUDENT_T: (("df",), (True,)),
     Family.FISHER_F: (("df1", "df2"), (True, True)),
@@ -84,10 +82,6 @@ class DistSpec:
     @staticmethod
     def normal(mean: float, sd: float) -> "DistSpec":
         return DistSpec(Family.NORMAL, (mean, sd))
-
-    @staticmethod
-    def gamma(shape: float, rate: float) -> "DistSpec":
-        return DistSpec(Family.GAMMA, (shape, rate))
 
     @staticmethod
     def chi_square(df: float) -> "DistSpec":
@@ -133,13 +127,6 @@ _LAWS = {
         lambda p, q: special.ndtri(q) * p[1] + p[0],
         lambda p, g, k: g.standard_normal(k) * p[1] + p[0],
         lambda st, p: st.norm(loc=p[0], scale=p[1]),
-    ),
-    Family.GAMMA: _Law(
-        0.0,
-        lambda p, x: special.gammainc(p[0], x / (1.0 / p[1])),
-        lambda p, q: special.gammaincinv(p[0], q) * (1.0 / p[1]),
-        lambda p, g, k: g.standard_gamma(p[0], k) * (1.0 / p[1]),
-        lambda st, p: st.gamma(p[0], scale=1.0 / p[1]),
     ),
     Family.CHI_SQUARE: _Law(
         0.0,

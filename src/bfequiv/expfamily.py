@@ -8,7 +8,7 @@ likelihood ratio, in which it cancels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
@@ -23,7 +23,6 @@ class ExpFamilyModel:
     b: Callable[[np.ndarray], np.ndarray]
     db: Callable[[np.ndarray], np.ndarray]  # b'(theta)
     theta_domain: Tuple[float, float]
-    name: str = "expfamily"
 
     def __post_init__(self):
         lo, hi = self.theta_domain
@@ -51,16 +50,13 @@ class ExpFamilyModel:
         return self.ratio(t, theta_hi, theta0, n) + self.ratio(t, theta_lo, theta0, n)
 
 
-def normal_mean_model(sd: float = 1.0) -> ExpFamilyModel:
+def normal_mean_model() -> ExpFamilyModel:
     """Unit-variance normal with mean theta: d(x) = x, b(theta) = theta^2/2.
 
     Sufficient statistic T = sum(x_i).
     """
-    if sd != 1.0:
-        raise ValueError("only the unit-variance normal model is provided")
     return ExpFamilyModel(
         b=lambda th: np.asarray(th, dtype=float) ** 2 / 2.0,
         db=lambda th: np.asarray(th, dtype=float),
         theta_domain=(-np.inf, np.inf),
-        name="normal_mean_sd1",
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import special
@@ -42,27 +42,17 @@ class PowerCurve:
     thetas: np.ndarray
     power: np.ndarray
     se: np.ndarray  # zeros for exact curves
-    method: str  # "exact" or "mc"
-    alpha: float = float("nan")
-    n_sims: int = 0  # 0 for exact curves
 
 
-def _curve(thetas, power, method, alpha, n_sims):
+def _curve(thetas, power, n_sims):
+    """The curve of `power` at thetas; n_sims = 0 marks an exact curve."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     power = np.asarray(power, dtype=float)
-    if method == "exact" or n_sims == 0:
-        se = np.zeros_like(power)
-    else:
-        se = np.sqrt(power * (1.0 - power) / n_sims)
-    return PowerCurve(thetas, power, se, method, alpha, n_sims)
+    se = np.sqrt(power * (1.0 - power) / n_sims) if n_sims else np.zeros_like(power)
+    return PowerCurve(thetas, power, se)
 
 
-def exact_power(
-    problem: TestProblem,
-    region: CriticalRegion,
-    thetas,
-    alpha: float = float("nan"),
-) -> PowerCurve:
+def exact_power(problem: TestProblem, region: CriticalRegion, thetas) -> PowerCurve:
     """Rejection probability from the exact alternative law."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     out = np.empty(thetas.shape)
@@ -71,7 +61,7 @@ def exact_power(
         if region.shape == "two_tail":
             upper_mass += problem.alt_cdf(th, region.lower)
         out[i] = upper_mass
-    return _curve(thetas, out, "exact", alpha, 0)
+    return _curve(thetas, out, 0)
 
 
 def mc_power(
@@ -80,13 +70,13 @@ def mc_power(
     rng: RngStream,
     thetas,
     n_sims: int,
-    bf_of_summary: Optional[Callable] = None,
+    bf_of_summary: Callable,
     chunk_size: int = 200_000,
 ):
-    """Monte Carlo power for the classical rule and (optionally) the
-    Bayes rule, evaluated on the same simulated summaries.
+    """Monte Carlo power for the classical rule and the Bayes rule,
+    evaluated on the same simulated summaries.
 
-    Returns (classical_curve, bayes_curve_or_None, identical) where
+    Returns (classical_curve, bayes_curve, identical) where
     identical reports whether the two decision vectors matched draw for
     draw at every theta.  Theta i draws from rng.substream(i), in chunks
     that run on up to two threads.
@@ -99,13 +89,11 @@ def mc_power(
 
     # per theta: classical rejections, Bayes rejections, disagreements
     hits = np.array(tally(count, [rng.substream(i) for i in range(thetas.size)], n_sims, chunk_size))
-    classical_curve = _curve(thetas, hits[:, 0] / n_sims, "mc", float("nan"), n_sims)
-    bayes_curve = (
-        _curve(thetas, hits[:, 1] / n_sims, "mc", float("nan"), n_sims)
-        if bf_of_summary is not None
-        else None
+    return (
+        _curve(thetas, hits[:, 0] / n_sims, n_sims),
+        _curve(thetas, hits[:, 1] / n_sims, n_sims),
+        not hits[:, 2].any(),
     )
-    return classical_curve, bayes_curve, not hits[:, 2].any()
 
 
 def calibrate_lambda_mc(
@@ -176,12 +164,11 @@ def _proper_rejects(summary, lam: float):
     return summary.t_sub > cutoff
 
 
-def _check_psi_conditions(grid_q=None, grid_t=None) -> bool:
+def _check_psi_conditions() -> bool:
     """Numerically verify the two dominance hypotheses on a grid:
     B*(Q,T) <= B*(0,T) for all T, and B* increasing in T for all Q."""
-    grid_q = np.linspace(0.0, 10.0, 41) if grid_q is None else grid_q
-    grid_t = np.linspace(1e-6, 0.2499, 101) if grid_t is None else grid_t
-    for q in grid_q:
+    grid_t = np.linspace(1e-6, 0.2499, 101)
+    for q in np.linspace(0.0, 10.0, 41):
         vals = np.asarray(bf_subjective_variance(q, grid_t))
         if np.any(np.diff(vals) <= 0):
             return False
@@ -263,7 +250,7 @@ def dominance_study(
         power_subjective=power_subjective,
         power_classical=power_classical,
         power_classical_exact=np.asarray(
-            exact_power(problem, region_f, thetas, alpha).power
+            exact_power(problem, region_f, thetas).power
         ),
         max_violation=max_violation,
         verdict=verdict,
@@ -288,8 +275,7 @@ def dominance_study(
 @dataclass(frozen=True)
 class JohnsonComparison:
     theta_star: float
-    gamma_lam: float  # rejection boundary implied by {B > lam} alone
-    implied_alpha: float  # size of that un-recalibrated rule
+    implied_alpha: float  # size of the un-recalibrated rule {B > lam}
     alpha_matched: float
     gamma_matched: float  # boundary after recalibration to alpha_matched
     thetas: np.ndarray
@@ -310,12 +296,12 @@ def johnson_comparison(
     lam: float,
     n: int,
     thetas,
+    rng: RngStream,
     alpha_matched: float = 0.05,
-    rng: Optional[RngStream] = None,
     n_sims: int = 100_000,
-    theta0: float = 0.0,
 ) -> JohnsonComparison:
-    """Point-mass prior at the threshold-minimizing alternative, normal model.
+    """Point-mass prior at the threshold-minimizing alternative, normal
+    model, H0: theta = 0.
 
     For a point mass at theta1 the rule {B > lam} is {T > g(theta1)};
     minimizing g over theta1 maximizes the rejection region.  After
@@ -327,19 +313,16 @@ def johnson_comparison(
     rng.substream(i); the thetas run on up to two threads.
     """
     model = normal_mean_model()
-    theta_star, g_min, _ = johnson_umpbt_threshold(model, lam, n, theta0)
+    theta_star, g_min, _ = johnson_umpbt_threshold(model, lam, n)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     sd = math.sqrt(n)
-    implied_alpha = float(1.0 - special.ndtr((g_min - n * theta0) / sd))
-    gamma_matched = n * theta0 + sd * special.ndtri(1.0 - alpha_matched)
+    implied_alpha = float(1.0 - special.ndtr(g_min / sd))
+    gamma_matched = sd * special.ndtri(1.0 - alpha_matched)
     power_exact = 1.0 - special.ndtr((gamma_matched - n * thetas) / sd)
-
-    if rng is None:
-        rng = RngStream(0)
 
     # the point-mass rule {B > lam_matched}, decided through its own
     # Bayes factor in log space; lam_matched = B(gamma_matched)
-    log_lam_matched = model.log_ratio(gamma_matched, theta_star, theta0, n)
+    log_lam_matched = model.log_ratio(gamma_matched, theta_star, 0.0, n)
 
     def count(theta, stream):
         # both rules are evaluated on the same draws, so a match is
@@ -347,7 +330,7 @@ def johnson_comparison(
         draws = SufficientSummary(t=stream.generator.normal(n * theta, sd, size=n_sims))
         n_point_mass = n_classical = n_disagree = 0
         for block in draws.blocks():
-            point_mass = model.log_ratio(block.t, theta_star, theta0, n) > log_lam_matched
+            point_mass = model.log_ratio(block.t, theta_star, 0.0, n) > log_lam_matched
             classical = block.t > gamma_matched
             n_point_mass += int(np.count_nonzero(point_mass))
             n_classical += int(np.count_nonzero(classical))
@@ -367,7 +350,6 @@ def johnson_comparison(
     beyond = np.abs(power_point_mass - power_exact) > np.maximum(3.0 * se_exact, 1e-12)
     return JohnsonComparison(
         theta_star=theta_star,
-        gamma_lam=g_min,
         implied_alpha=implied_alpha,
         alpha_matched=alpha_matched,
         gamma_matched=float(gamma_matched),

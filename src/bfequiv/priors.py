@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -42,7 +42,6 @@ class Prior:
     """Base class: a probability measure over the hypothesized parameter."""
 
     support: Tuple[float, float]
-    proper: bool = True
 
     def logpdf(self, theta):
         raise NotImplementedError
@@ -192,7 +191,6 @@ def solve_pairing(
     theta: float,
     theta0: float = 0.0,
     n: int = 1,
-    tol: float = 1e-13,
 ) -> float:
     """Paired mirror point r(theta) < theta0 for a two-sided critical pair.
 
@@ -275,7 +273,7 @@ def solve_pairing(
         lo, hi = r_peak, theta0 - eps
     else:
         lo, hi = left_end, r_peak
-    root = brentq(residual, lo, hi, xtol=tol, rtol=8.9e-16)
+    root = brentq(residual, lo, hi, xtol=1e-13, rtol=8.9e-16)
     return float(root)
 
 
@@ -283,8 +281,6 @@ def build_symmetric_class_member(
     theta0: float, base: DensityPrior, r: Callable[[float], float]
 ) -> SymmetricPaired:
     """Mirror a proper half-line density through the pairing map r."""
-    if not base.proper:
-        raise ValueError("base prior must be proper")
     return SymmetricPaired(theta0, base, r)
 
 
@@ -297,23 +293,20 @@ class ScaledSymmetricPrior:
 
     h is a symmetric density on the real line, given by its logarithm
     log_h so that its tails never underflow; symmetry is checked on a
-    grid at construction.
+    grid over [-8, 8] at construction.
     """
 
-    def __init__(self, log_h: Callable, grid_half_width: float = 8.0, check_points: int = 101):
-        g = np.linspace(0.0, grid_half_width, check_points)
+    def __init__(self, log_h: Callable):
+        g = np.linspace(0.0, 8.0, 101)
         hv = np.array([log_h(x) for x in g])
         hm = np.array([log_h(-x) for x in g])
         if not np.allclose(hv, hm, rtol=1e-10, atol=1e-12):
             raise ValueError("h must be symmetric about 0")
         self.log_h = log_h
 
-    def even_moment(self, k: int, damping: float, tol: float = 1e-12) -> float:
-        """m_{2k} of h*(s) = exp(-damping*s^2/2) * h(s), over the whole line."""
-        return math.exp(self.log_even_moment(k, damping, tol))
-
-    def log_even_moment(self, k: int, damping: float, tol: float = 1e-12) -> float:
-        """log m_{2k}, by `log_quad` over the half-line."""
+    def log_even_moment(self, k: int, damping: float) -> float:
+        """log m_{2k}, m_{2k} the even moment of h*(s) = exp(-damping*s^2/2) * h(s)
+        over the whole line, by `log_quad` over the half-line."""
 
         def log_f(s):
             if s <= 0.0:
@@ -322,7 +315,7 @@ class ScaledSymmetricPrior:
 
         guess = math.sqrt(2 * k / damping) if k > 0 else 0.0
         # h is symmetric, so the whole-line moment is twice the half-line one
-        return math.log(2.0) + log_quad(log_f, 0.0, np.inf, (0.0, guess + 30.0), tol=tol)
+        return math.log(2.0) + log_quad(log_f, 0.0, np.inf, (0.0, guess + 30.0), tol=1e-12)
 
 
 def standard_normal_log_h(x):
@@ -356,12 +349,6 @@ class SphericalPrior:
     def log_radial_density(self, rho: float) -> float:
         """Log of the normalized density at radius rho (no underflow)."""
         return float(self._radial_log(rho)) - self._log_z
-
-    def radial_density(self, rho):
-        """Normalized density value at radius rho."""
-        rho = np.atleast_1d(np.asarray(rho, dtype=float))
-        vals = np.array([math.exp(self._radial_log(r) - self._log_z) for r in rho])
-        return vals if vals.size > 1 else float(vals[0])
 
     @staticmethod
     def gaussian(p: int, precision: float = 1.0) -> "SphericalPrior":

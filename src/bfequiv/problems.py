@@ -53,14 +53,11 @@ class SufficientSummary(dict):
             raise AttributeError(name) from exc
 
     def blocks(self):
-        """Views of ROW_BLOCK draws each of a simulated summary: every array
-        field (one value per draw) is sliced, the other fields shared."""
-        size = max((len(v) for v in self.values() if isinstance(v, np.ndarray)), default=0)
+        """Views of ROW_BLOCK draws each of a simulated summary, whose every
+        field is an array with one value per draw."""
+        size = len(next(iter(self.values())))
         for start in range(0, size, ROW_BLOCK):
-            yield SufficientSummary(
-                (k, v[start : start + ROW_BLOCK] if isinstance(v, np.ndarray) else v)
-                for k, v in self.items()
-            )
+            yield SufficientSummary((k, v[start : start + ROW_BLOCK]) for k, v in self.items())
 
 
 class DegenerateDataError(ValueError):
@@ -105,12 +102,14 @@ class TestProblem:
     #: "upper" (reject if stat > gamma) or "two_tail" (stat < g1 or > g2)
     region_shape = "upper"
     theta0 = 0.0
+    #: the summary field that holds the decision statistic
+    stat = "t"
 
     def summarize(self, *data) -> SufficientSummary:
         raise NotImplementedError
 
     def decision_stat(self, summary: SufficientSummary):
-        raise NotImplementedError
+        return summary[self.stat]
 
     def null_law(self) -> DistSpec:
         raise NotImplementedError
@@ -150,10 +149,7 @@ class OneSidedNormal(TestProblem):
         x = np.asarray(x, dtype=float)
         if x.size != self.n:
             raise ValueError(f"expected {self.n} observations, got {x.size}")
-        return SufficientSummary(t=float(np.sum(x)), n=self.n)
-
-    def decision_stat(self, summary):
-        return summary["t"]
+        return SufficientSummary(t=float(np.sum(x)))
 
     def null_law(self):
         return DistSpec.normal(self.n * self.theta0, math.sqrt(self.n))
@@ -163,7 +159,7 @@ class OneSidedNormal(TestProblem):
 
     def simulate_summary(self, rng, theta, size):
         t = rng.generator.normal(self.n * theta, math.sqrt(self.n), size=size)
-        return SufficientSummary(t=t, n=self.n)
+        return SufficientSummary(t=t)
 
 
 @dataclass(frozen=True)
@@ -203,11 +199,7 @@ class GaussianMeanUnknownVar(TestProblem):
             xbar=xbar,
             sum_sq=float(np.sum(x**2)),
             t=math.sqrt(self.n) * xbar / s,
-            n=self.n,
         )
-
-    def decision_stat(self, summary):
-        return summary["t"]
 
     def null_law(self):
         return DistSpec.student_t(self.n - 1)
@@ -225,7 +217,6 @@ class GaussianMeanUnknownVar(TestProblem):
             xbar=xbar,
             sum_sq=ss_centered + self.n * xbar**2,
             t=math.sqrt(self.n) * xbar / s,
-            n=self.n,
         )
 
 
@@ -245,6 +236,7 @@ class RegressionKnownVar(TestProblem):
     p: int = 1
     n: int = 2
     region_shape = "upper"
+    stat = "t_abs"
 
     def __post_init__(self):
         if not 1 <= self.p <= self.n:
@@ -254,12 +246,7 @@ class RegressionKnownVar(TestProblem):
         y = np.asarray(y, dtype=float)
         Z, Q = orthonormalize(np.asarray(X, dtype=float))
         t_vec = Z.T @ y
-        return SufficientSummary(
-            t_vec=t_vec, t_abs=float(t_vec @ t_vec), p=self.p, n=self.n
-        )
-
-    def decision_stat(self, summary):
-        return summary["t_abs"]
+        return SufficientSummary(t_vec=t_vec, t_abs=float(t_vec @ t_vec))
 
     def null_law(self):
         return DistSpec.chi_square(self.p)
@@ -273,7 +260,7 @@ class RegressionKnownVar(TestProblem):
             t_abs = g.chisquare(self.p, size=size)
         else:
             t_abs = g.noncentral_chisquare(self.p, delta_norm_sq, size=size)
-        return SufficientSummary(t_abs=t_abs, p=self.p, n=self.n)
+        return SufficientSummary(t_abs=t_abs)
 
 
 @dataclass(frozen=True)
@@ -287,6 +274,7 @@ class RegressionUnknownVar(TestProblem):
     p: int = 1
     n: int = 2
     region_shape = "upper"
+    stat = "f"
 
     def __post_init__(self):
         if not 1 <= self.p < self.n:
@@ -302,12 +290,7 @@ class RegressionUnknownVar(TestProblem):
         if rss2 <= 0.0:
             raise DegenerateDataError("zero residual sum of squares")
         f = (yHy / self.p) / (rss2 / (self.n - self.p))
-        return SufficientSummary(
-            rss1=yy, rss2=rss2, yHy=yHy, yy=yy, f=f, p=self.p, n=self.n
-        )
-
-    def decision_stat(self, summary):
-        return summary["f"]
+        return SufficientSummary(rss1=yy, rss2=rss2, yHy=yHy, yy=yy, f=f)
 
     def null_law(self):
         return DistSpec.fisher_f(self.p, self.n - self.p)
@@ -326,7 +309,7 @@ class RegressionUnknownVar(TestProblem):
         f = yHy / self.p
         rss2 /= self.n - self.p
         f /= rss2
-        return SufficientSummary(yHy=yHy, yy=yy, f=f, p=self.p, n=self.n)
+        return SufficientSummary(yHy=yHy, yy=yy, f=f)
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +340,7 @@ class TwoSampleMeansKnownVar(TestProblem):
     def summarize(self, x1, x2):
         x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
         xbar1, xbar2 = float(np.mean(x1)), float(np.mean(x2))
-        return SufficientSummary(
-            xbar1=xbar1, xbar2=xbar2, t=(xbar1 - xbar2) ** 2, n1=self.n1, n2=self.n2
-        )
-
-    def decision_stat(self, summary):
-        return summary["t"]
+        return SufficientSummary(xbar1=xbar1, xbar2=xbar2, t=(xbar1 - xbar2) ** 2)
 
     def null_law(self):
         return DistSpec.noncentral_chi_square(1.0, 0.0, self.diff_var)
@@ -376,7 +354,7 @@ class TwoSampleMeansKnownVar(TestProblem):
         d = g.normal(mean_diff, math.sqrt(self.diff_var), size=size)
         xbar2 = g.normal(0.0, 1.0 / math.sqrt(self.n2 * self.tau2), size=size)
         xbar1 = xbar2 + d
-        return SufficientSummary(xbar1=xbar1, xbar2=xbar2, t=d**2, n1=self.n1, n2=self.n2)
+        return SufficientSummary(xbar1=xbar1, xbar2=xbar2, t=d**2)
 
 
 @dataclass(frozen=True)
@@ -418,12 +396,7 @@ class TwoSampleMeansUnknownEqualVar(TestProblem):
             s1_sq=s1_sq,
             s2_sq=s2_sq,
             t=(xbar2 - xbar1) / math.sqrt(pooled),
-            n1=self.n1,
-            n2=self.n2,
         )
-
-    def decision_stat(self, summary):
-        return summary["t"]
 
     def null_law(self):
         return DistSpec.student_t(self.n - 2, self.stat_scale)
@@ -445,9 +418,7 @@ class TwoSampleMeansUnknownEqualVar(TestProblem):
             rows = slice(start, start + ROW_BLOCK)
             pooled = (self.n1 - 1) * s1_sq[rows] + (self.n2 - 1) * s2_sq[rows]
             np.divide(xbar2[rows] - xbar1[rows], np.sqrt(pooled), out=t[rows])
-        return SufficientSummary(
-            xbar1=xbar1, xbar2=xbar2, s1_sq=s1_sq, s2_sq=s2_sq, t=t, n1=self.n1, n2=self.n2
-        )
+        return SufficientSummary(xbar1=xbar1, xbar2=xbar2, s1_sq=s1_sq, s2_sq=s2_sq, t=t)
 
 
 @dataclass(frozen=True)
@@ -463,6 +434,7 @@ class VarianceRatio(TestProblem):
     n2: int = 2
     region_shape = "upper"
     theta0 = 1.0
+    stat = "f"
 
     def __post_init__(self):
         if self.n1 < 2 or self.n2 < 2:
@@ -478,12 +450,7 @@ class VarianceRatio(TestProblem):
         s2_sq = float(np.sum((x2 - np.mean(x2)) ** 2))
         if s2_sq == 0.0:
             raise DegenerateDataError("zero sum of squares in sample 2")
-        return SufficientSummary(
-            s1_sq=s1_sq, s2_sq=s2_sq, f=s1_sq / s2_sq, n1=self.n1, n2=self.n2
-        )
-
-    def decision_stat(self, summary):
-        return summary["f"]
+        return SufficientSummary(s1_sq=s1_sq, s2_sq=s2_sq, f=s1_sq / s2_sq)
 
     def null_law(self):
         scale = (self.n1 - 1) / (self.n2 - 1)
@@ -498,7 +465,7 @@ class VarianceRatio(TestProblem):
         f = g.chisquare(self.n1 - 1, size=size)
         f *= theta
         f /= g.chisquare(self.n2 - 1, size=size)
-        return SufficientSummary(f=f, n1=self.n1, n2=self.n2)
+        return SufficientSummary(f=f)
 
 
 @dataclass(frozen=True)
@@ -513,6 +480,7 @@ class SubsetSelection(TestProblem):
     p1: int = 1
     p2: int = 1
     region_shape = "upper"
+    stat = "f"
 
     def __post_init__(self):
         if self.p1 < 0 or self.p2 < 1 or self.n <= self.p1 + self.p2:
@@ -538,13 +506,7 @@ class SubsetSelection(TestProblem):
             f=f,
             t_stat=f / (1.0 + f),
             rss_null=float(y @ (np.eye(self.n) - H1) @ y),
-            n=self.n,
-            p1=self.p1,
-            p2=self.p2,
         )
-
-    def decision_stat(self, summary):
-        return summary["f"]
 
     def null_law(self):
         scale = self.p2 / self.resid_df
@@ -564,7 +526,7 @@ class SubsetSelection(TestProblem):
         f /= g.chisquare(self.resid_df, size=size)
         t_stat = np.add(f, 1.0)
         np.divide(f, t_stat, out=t_stat)
-        return SufficientSummary(f=f, t_stat=t_stat, n=self.n, p1=self.p1, p2=self.p2)
+        return SufficientSummary(f=f, t_stat=t_stat)
 
 
 @dataclass(frozen=True)
@@ -582,6 +544,7 @@ class SubjectiveVarianceEquality(TestProblem):
     b: float = 2.0
     region_shape = "two_tail"
     theta0 = 1.0
+    stat = "f"
 
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1 or not (self.a > 0 and self.b > 0):
@@ -601,12 +564,7 @@ class SubjectiveVarianceEquality(TestProblem):
             f=f,
             q=self.b / total,
             t_sub=0.25 - f / (1.0 + f) ** 2,
-            n1=self.n1,
-            n2=self.n2,
         )
-
-    def decision_stat(self, summary):
-        return summary["f"]
 
     def null_law(self):
         scale = self.n1 / self.n2
@@ -631,4 +589,4 @@ class SubjectiveVarianceEquality(TestProblem):
         np.square(t_sub, out=t_sub)
         np.divide(f, t_sub, out=t_sub)
         np.subtract(0.25, t_sub, out=t_sub)
-        return SufficientSummary(f=f, q=q, t_sub=t_sub, n1=self.n1, n2=self.n2)
+        return SufficientSummary(f=f, q=q, t_sub=t_sub)

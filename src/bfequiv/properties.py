@@ -66,10 +66,11 @@ class PropertyResult:
         return out
 
 
-def _shrink(spec: PropertySpec, case: dict, steps: int = 50) -> dict:
-    """Halve each shrinkable value toward its baseline while still failing."""
+def _shrink(spec: PropertySpec, case: dict) -> dict:
+    """Halve each shrinkable value toward its baseline while still failing,
+    at most 50 rounds."""
     current = dict(case)
-    for _ in range(steps):
+    for _ in range(50):
         moved = False
         for key in spec.shrink_keys:
             base = spec.baseline.get(key, 0.0)

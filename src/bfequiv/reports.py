@@ -60,16 +60,14 @@ def write_svg_lines(
     x: np.ndarray,
     series: dict,
     title: str = "",
-    width: int = 640,
-    height: int = 420,
 ) -> None:
-    """Minimal SVG polyline chart: one line per named series.
+    """Minimal 640 x 420 SVG polyline chart: one line per named series.
 
     Deterministic output for identical inputs; no external plotting
     dependency.
     """
     x = np.asarray(x, dtype=float)
-    margin = 50
+    width, height, margin = 640, 420, 50
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
     all_y = np.concatenate([np.asarray(v, dtype=float) for v in series.values()])
     x_lo, x_hi = float(np.min(x)), float(np.max(x))

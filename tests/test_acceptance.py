@@ -183,7 +183,7 @@ class TestPowerCoincidence:
             0.05,
             lambda t: bf.bf_one_sided_normal_halfnormal(np.asarray(t, dtype=float), 4, 1.0),
         ).rule
-        curve = exact_power(problem, rule.region, [1.0], alpha=0.05)
+        curve = exact_power(problem, rule.region, [1.0])
         assert abs(curve.power[0] - 0.63876) <= 1e-5
 
 

@@ -113,6 +113,22 @@ class TestTwoSided:
         b2 = bf.bf_two_sided(model, paired, g2, n=1)
         assert_allclose(b1, b2, rtol=1e-8)
 
+    def test_mirror_prior_matches_conjugate_form(self):
+        # the half-normal mirrored through r(theta) = -theta is N(0, 1/tau);
+        # at t = 40, B = 3.7e173 lies past the linear-space integrand's range
+        from bfequiv.priors import build_symmetric_class_member
+
+        model, tau = normal_mean_model(), 1.0
+        mirror = build_symmetric_class_member(0.0, half_normal_prior(0.0, tau), lambda th: -th)
+        for t in (0.5, 5.0, 40.0):
+            assert_allclose(
+                bf.bf_two_sided(model, mirror, t, n=1),
+                bf.bf_two_sided_normal_conjugate(t, 1, tau),
+                rtol=1e-9,
+            )
+        with pytest.raises(bf.NumericalIntegrityError):
+            bf.bf_two_sided(model, mirror, 2000.0, n=1)
+
 
 class TestTTest:
     def test_series_vs_quadrature(self):
@@ -302,10 +318,17 @@ class TestVarianceRatioBf:
     def test_adaptive_overflow_is_typed(self):
         # log B is about 9 500 at F = 1e6 with n2 = 3000
         prior = DensityPrior(lambda th: -(th - 1.0), (1.0, np.inf))
-        with np.errstate(over="ignore"):  # the batch route's node weights overflow too
-            engine = bf.VarianceRatioBf(prior, 10, 3000)
+        engine = bf.VarianceRatioBf(prior, 10, 3000)
         with pytest.raises(bf.NumericalIntegrityError):
             engine.adaptive(1e6)
+
+    def test_batch_overflow_is_typed(self):
+        # with n2 = 3000 some node weights pass the float range: the batch
+        # route raises instead of returning nan and inf
+        prior = DensityPrior(lambda th: -(th - 1.0), (1.0, np.inf))
+        engine = bf.VarianceRatioBf(prior, 10, 3000)
+        with pytest.raises(bf.NumericalIntegrityError):
+            engine(np.array([1.0, 1e6]))
 
     def test_batch_memory_is_blocked(self):
         # one 20 000 x 200 float64 matrix alone would be 32 MB

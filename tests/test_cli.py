@@ -172,6 +172,23 @@ class TestBadConfigValues:
         assert main(["calibrate", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert f"{cfg}{expected}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, old, new, expected",
+        [
+            ("verify", "run.alpha = 0.05", "run.alpha = 0.05\nrun.seed = -3", ":7: run.seed"),
+            ("verify", "", "", ": run.seed"),
+            ("calibrate", "run.alpha = 0.05", "run.alpha = 0.05\nrun.lambda = 2.0", ":7: run.lambda"),
+            ("calibrate", "prior.theta1 = 1.0\n", "", ": prior.theta1"),
+            ("dominance", "run.alpha = 0.05", "run.alpha = 0.05\nrun.seed = 1", ":2: problem.kind"),
+            ("johnson", "run.alpha = 0.05", "run.alpha = 0.05\nrun.seed = 1", ": run.lambda"),
+        ],
+    )
+    def test_error_starts_with_location(self, tmp_path, capsys, command, old, new, expected):
+        # path:line of the offending key, or the path alone when it is absent
+        cfg = write_config(tmp_path, "c.cfg", ONE_SIDED.replace(old, new))
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg}{expected}")
+
     def test_non_numeric_n_trials(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "p.cfg", "run.n_trials = abc\n")
         assert main(["props", "--config", cfg, "--out", str(tmp_path)]) == 1

@@ -26,7 +26,7 @@ class TestExactPower:
     def test_one_sided_normal_closed_form(self):
         p = OneSidedNormal(n=4)
         region = gamma_from_alpha(p, 0.05)
-        curve = exact_power(p, region, [0.0, 1.0], alpha=0.05)
+        curve = exact_power(p, region, [0.0, 1.0])
         # power(theta) = 1 - Phi(z_{0.95} - 2 theta)
         assert_allclose(curve.power[0], 0.05, atol=1e-12)
         expected = 1.0 - stats.norm.cdf(stats.norm.ppf(0.95) - 2.0)
@@ -37,13 +37,13 @@ class TestExactPower:
     def test_size_at_null_two_sided(self):
         p = GaussianMeanUnknownVar(n=9)
         region = gamma_from_alpha(p, 0.05)
-        curve = exact_power(p, region, [0.0], alpha=0.05)
+        curve = exact_power(p, region, [0.0])
         assert_allclose(curve.power[0], 0.05, atol=1e-9)
 
     def test_power_increases_to_one(self):
         p = OneSidedNormal(n=4)
         region = gamma_from_alpha(p, 0.05)
-        curve = exact_power(p, region, np.linspace(0, 4, 15), alpha=0.05)
+        curve = exact_power(p, region, np.linspace(0, 4, 15))
         assert np.all(np.diff(curve.power) > 0)
         assert curve.power[-1] > 0.999
 
@@ -54,8 +54,8 @@ class TestMcPower:
         g = lambda t: bf.bf_one_sided_normal_halfnormal(np.asarray(t), 4, 1.0)
         rule = calibrate(p, 0.05, g).rule
         thetas = np.linspace(0.0, 2.0, 5)
-        classical, _, _ = mc_power(p, rule, RngStream(31), thetas, 100_000)
-        exact = exact_power(p, rule.region, thetas, 0.05)
+        classical, _, _ = mc_power(p, rule, RngStream(31), thetas, 100_000, lambda s: g(s.t))
+        exact = exact_power(p, rule.region, thetas)
         assert np.all(
             np.abs(classical.power - exact.power)
             <= 3 * np.sqrt(exact.power * (1 - exact.power) / 100_000) + 1e-12
@@ -75,8 +75,8 @@ class TestMcPower:
         p = OneSidedNormal(n=4)
         g = lambda t: bf.bf_one_sided_normal_halfnormal(np.asarray(t), 4, 1.0)
         rule = calibrate(p, 0.05, g).rule
-        small, _, _ = mc_power(p, rule, RngStream(33), [0.5], 10_000)
-        large, _, _ = mc_power(p, rule, RngStream(33), [0.5], 20_000)
+        small, _, _ = mc_power(p, rule, RngStream(33), [0.5], 10_000, lambda s: g(s.t))
+        large, _, _ = mc_power(p, rule, RngStream(33), [0.5], 20_000, lambda s: g(s.t))
         ratio = small.se[0] / large.se[0]
         assert abs(ratio - math.sqrt(2)) < 0.05 * math.sqrt(2)
 
