@@ -7,6 +7,11 @@ dominance, johnson, props, reproduce-sec6.  All file outputs are CSV
 (12 significant digits) or SVG, written atomically; identical config and
 seed give byte-identical CSV outputs.
 
+Every config value goes through one checked reader, `_read`: numbers are
+finite, counts and seeds integers (100000, not 1e5), file names text;
+run.seed >= 0, run.n_sims and run.n_trials >= 1, 0 < run.alpha < 1, prior
+precisions, rates and c > 0, and for johnson run.lambda and problem.n >= 1.
+
 Exit codes: calibrate returns 0 on success, 2 when the requested Bayes
 threshold cannot be inverted to a critical region, 3 when the prior
 violates the calibrated two-sided class; malformed configs exit 1 with a
@@ -21,10 +26,12 @@ import argparse
 import csv
 import logging
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, field as dc_field, fields
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -55,6 +62,10 @@ EXIT_CLASS_VIOLATION = 3
 
 class ConfigError(Exception):
     """Malformed configuration; message carries the offending line number."""
+
+
+class InfeasibleLambda(Exception):
+    pass
 
 
 @dataclass
@@ -116,22 +127,47 @@ def parse_config(path: str) -> RunConfig:
     return cfg
 
 
-def _require(section: dict, key: str, where: Callable[[str], str]):
-    """The value of the dotted key ``<section>.<name>``; a ConfigError that
-    starts with ``where(key)`` when it is absent."""
+_REQUIRED = object()  # the default of a key that must be set
+
+
+def _finite(value) -> bool:
+    return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+
+
+# kind -> (what a value of that kind is, its test)
+_KINDS = {
+    float: ("a finite number", _finite),
+    int: ("an integer", lambda value: isinstance(value, int)),
+    str: ("text", lambda value: isinstance(value, str)),
+    list: ("finite numbers", lambda values: all(map(_finite, values))),
+}
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
+
+
+def _read(section: dict, key: str, where: Callable[[str], str], kind: type = float,
+          default=_REQUIRED, bounds: str = ""):
+    """The value of the dotted key ``<section>.<name>``, or ``default`` when
+    it is absent.  The value must be of ``kind``: float (a finite number),
+    int, str, or list (one finite number or a comma-separated list of
+    them, returned as a list), and meet each comparison of ``bounds``
+    ("> 0", ">= 1", "> 0 and < 1").  Any failure raises a ConfigError that
+    starts with ``where(key)``."""
     name = key.split(".", 1)[1]
     if name not in section:
-        raise ConfigError(f"{where(key)} is required")
-    return section[name]
-
-
-def _check_number(value, where: str, integer: bool = False):
-    """value itself if it is a finite number (an integer when asked), else
-    a ConfigError that starts with ``where``."""
-    if isinstance(value, int) or (isinstance(value, float) and not integer and math.isfinite(value)):
-        return value
-    kind = "an integer" if integer else "a finite number"
-    raise ConfigError(f"{where} must be {kind}, got {value!r}")
+        if default is _REQUIRED:
+            raise ConfigError(f"{where(key)} is required")
+        return default
+    value = section[name]
+    if kind is list and not isinstance(value, list):
+        value = [value]
+    text, valid = _KINDS[kind]
+    if not valid(value):
+        raise ConfigError(f"{where(key)} must be {text}, got {section[name]!r}")
+    for bound in bounds.split(" and ") if bounds else ():
+        op, limit = bound.split()
+        if not _COMPARE[op](value, float(limit)):
+            raise ConfigError(f"{where(key)} must be {bounds}, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -156,38 +192,26 @@ def _stat_pair(problem: prob.TestProblem, g: Callable) -> BfPair:
 _MODEL = normal_mean_model()
 
 
-def _positive(prcfg: dict, name: str, default: Optional[float] = None) -> float:
-    """prior.<name>, required unless a default is given; must be > 0."""
-    value = prcfg[name] if default is None else prcfg.get(name, default)
-    if not value > 0:
-        raise ValueError(f"prior.{name} must be > 0, got {value!r}")
-    return value
-
-
-def _point_mass(problem, prcfg):
-    prior, n, theta0 = PointMass(prcfg["theta1"]), problem.n, problem.theta0
+def _point_mass(problem, get):
+    prior, n, theta0 = PointMass(get("prior.theta1")), problem.n, problem.theta0
     return _stat_pair(problem, lambda t: bf.bf_one_sided(_MODEL, prior, t, n, theta0))
 
 
-def _half_normal(problem, prcfg):
-    tau, n, shift = _positive(prcfg, "precision"), problem.n, problem.n * problem.theta0
-    g = lambda t: bf.bf_one_sided_normal_halfnormal(np.asarray(t) - shift, n, tau)
-    return _stat_pair(problem, g)
+def _shifted_normal_mean(closed_form: str, hyper: str):
+    """Factory for a normal-mean prior whose B is
+    ``bayes_factors.<closed_form>(t - n theta0, n, prior.<hyper>)``.  The
+    form is looked up by name when B is built, so a wrapper installed on
+    the module after import is the one called."""
+
+    def factory(problem, get):
+        form, value = getattr(bf, closed_form), get(f"prior.{hyper}", bounds="> 0")
+        n, shift = problem.n, problem.n * problem.theta0
+        return _stat_pair(problem, lambda t: form(np.asarray(t) - shift, n, value))
+
+    return factory
 
 
-def _exponential(problem, prcfg):
-    rate, n, shift = _positive(prcfg, "rate"), problem.n, problem.n * problem.theta0
-    g = lambda t: bf.bf_one_sided_normal_exponential(np.asarray(t) - shift, n, rate)
-    return _stat_pair(problem, g)
-
-
-def _normal(problem, prcfg):
-    tau, n, shift = _positive(prcfg, "precision"), problem.n, problem.n * problem.theta0
-    g = lambda t: bf.bf_two_sided_normal_conjugate(np.asarray(t) - shift, n, tau)
-    return _stat_pair(problem, g)
-
-
-def _t_test_gaussian(problem, prcfg):
+def _t_test_gaussian(problem, get):
     # The N(0, sigma^2) prior on the mean is Zellner's g-prior with g = n,
     # so B is the subset-selection form with p2 = 1 and c = 1/n at
     # T = n xbar^2 / sum(x^2) = t^2 / ((n-1) + t^2).
@@ -199,47 +223,49 @@ def _t_test_gaussian(problem, prcfg):
     )
 
 
-def _regression_unknown_var_gaussian(problem, prcfg):
+def _regression_unknown_var_gaussian(problem, get):
     # B = (tau/(1+tau))^{p/2} (1 - T/(1+tau))^{-n/2} at T = y'Hy / y'y:
     # the subset-selection form with c = tau.
-    engine = bf.SubsetSelectionBf(problem.n, problem.p, prcfg.get("precision", 1.0))
+    tau = get("prior.precision", default=1.0, bounds="> 0")
+    engine = bf.SubsetSelectionBf(problem.n, problem.p, tau)
     df_ratio = problem.p / (problem.n - problem.p)
     return BfPair(lambda f: engine.from_f(np.asarray(f) * df_ratio), lambda s: engine(s.yHy / s.yy))
 
 
-def _regression_known_var_gaussian(problem, prcfg):
-    tau, p = _positive(prcfg, "precision", 1.0), problem.p
+def _regression_known_var_gaussian(problem, get):
+    tau, p = get("prior.precision", default=1.0, bounds="> 0"), problem.p
     return _stat_pair(problem, lambda t_abs: bf.bf_regression_known_var_gaussian(t_abs, p, tau))
 
 
-def _two_sample_known_var(problem, prcfg):
-    c = prcfg.get("c", 1.0)
+def _two_sample_known_var(problem, get):
+    c = get("prior.c", default=1.0, bounds="> 0")
     engine = bf.TwoSampleKnownVarBf(problem.n1, problem.n2, problem.tau1, problem.tau2, c)
     return BfPair(engine.from_t, lambda s: engine(s.xbar1, s.xbar2))
 
 
-def _two_sample_t(problem, prcfg):
-    engine = bf.TwoSampleTBf(problem.n1, problem.n2, prcfg.get("c", 1.0))
+def _two_sample_t(problem, get):
+    engine = bf.TwoSampleTBf(problem.n1, problem.n2, get("prior.c", default=1.0, bounds="> 0"))
     return BfPair(engine.from_t, lambda s: engine(s.xbar1, s.xbar2, s.s1_sq, s.s2_sq))
 
 
-def _variance_ratio_point_mass(problem, prcfg):
-    prior = PointMass(prcfg["theta1"])
+def _variance_ratio_point_mass(problem, get):
+    prior = PointMass(get("prior.theta1"))
     return _stat_pair(problem, bf.VarianceRatioBf(prior, problem.n1, problem.n2))
 
 
-def _variance_ratio_shifted_exponential(problem, prcfg):
-    rate = prcfg.get("rate", 1.0)
+def _variance_ratio_shifted_exponential(problem, get):
+    rate = get("prior.rate", default=1.0, bounds="> 0")
     prior = DensityPrior(lambda th: math.log(rate) - rate * (th - 1.0), (1.0, math.inf))
     return _stat_pair(problem, bf.VarianceRatioBf(prior, problem.n1, problem.n2))
 
 
-def _subset_selection(problem, prcfg):
-    engine = bf.SubsetSelectionBf(problem.n, problem.p2, prcfg.get("c", 1.0))
+def _subset_selection(problem, get):
+    c = get("prior.c", default=1.0, bounds="> 0")
+    engine = bf.SubsetSelectionBf(problem.n, problem.p2, c)
     return BfPair(engine.from_f, lambda s: engine(s.t_stat))
 
 
-def _subjective(problem, prcfg):
+def _subjective(problem, get):
     return BfPair(
         lambda f: bf.bf_subjective_variance(0.0, bf.subjective_t_from_f(f)),
         lambda s: bf.bf_subjective_variance(s.q, s.t_sub),
@@ -281,39 +307,29 @@ def _matrix(cols: dict, stem: str, count: int, path: str) -> np.ndarray:
     return np.column_stack([_column(cols, f"{stem}{i}", path) for i in range(1, count + 1)])
 
 
-def _load_x(problem, pcfg, base_dir):
-    if "data" not in pcfg:
-        return None
-    return problem.summarize(_column(load_columns(pcfg["data"], base_dir), "x", pcfg["data"]))
+def _loader(*stems):
+    """Loader of the file problem.data, whose columns are the arguments of
+    the problem's ``summarize``: a stem ``"y"`` is column y, a pair
+    ``("x", "p")`` the matrix of columns x1 .. x<problem.p>."""
+
+    def load(problem, pcfg, base_dir, where):
+        path = _read(pcfg, "problem.data", where, str, None)
+        if path is None:
+            return None
+        cols = load_columns(path, base_dir)
+        return problem.summarize(*(
+            _column(cols, stem, path) if isinstance(stem, str)
+            else _matrix(cols, stem[0], getattr(problem, stem[1]), path)
+            for stem in stems
+        ))
+
+    return load
 
 
-def _load_regression(problem, pcfg, base_dir):
-    if "data" not in pcfg:
-        return None
-    path = pcfg["data"]
-    cols = load_columns(path, base_dir)
-    return problem.summarize(_column(cols, "y", path), _matrix(cols, "x", problem.p, path))
-
-
-def _load_subset(problem, pcfg, base_dir):
-    if "data" not in pcfg:
-        return None
-    path = pcfg["data"]
-    cols = load_columns(path, base_dir)
-    return problem.summarize(
-        _column(cols, "y", path),
-        _matrix(cols, "x", problem.p1, path),
-        _matrix(cols, "z", problem.p2, path),
-    )
-
-
-def _load_two_samples(problem, pcfg, base_dir):
+def _load_two_samples(problem, pcfg, base_dir, where):
     if "data1" not in pcfg and "data2" not in pcfg:
         return None
-    for key in ("data1", "data2"):
-        if key not in pcfg:
-            raise DataError(f"problem.{key} required when the other is given")
-    paths = (pcfg["data1"], pcfg["data2"])
+    paths = [_read(pcfg, f"problem.{key}", where, str) for key in ("data1", "data2")]
     return problem.summarize(*(_column(load_columns(p, base_dir), "x", p) for p in paths))
 
 
@@ -323,10 +339,11 @@ class ProblemKind:
 
     The problem is ``problem(**args)`` with ``args`` read from the problem
     section: every key in ``required``, and the keys of ``optional`` with
-    those defaults.  ``load(problem, problem section, base dir)`` returns
-    the observed summary from the data files the section names, or None.
-    ``priors`` maps each allowed prior.kind to its factory
-    ``(problem, prior section) -> BfPair``.
+    those defaults.  ``load(problem, problem section, base dir, where)``
+    returns the observed summary from the data files the section names,
+    or None.  ``priors`` maps each allowed prior.kind to its factory
+    ``(problem, get) -> BfPair``, where ``get`` is `_read` on the prior
+    section.
     """
 
     problem: type
@@ -340,23 +357,30 @@ class ProblemKind:
 # the first line; the allowed prior kinds and their factories below it.
 KINDS = {
     "one_sided_normal": ProblemKind(
-        prob.OneSidedNormal, (), {"n": 1, "theta0": 0.0}, _load_x,
-        {"point_mass": _point_mass, "half_normal": _half_normal, "exponential": _exponential},
+        prob.OneSidedNormal, (), {"n": 1, "theta0": 0.0}, _loader("x"),
+        {
+            "point_mass": _point_mass,
+            "half_normal": _shifted_normal_mean("bf_one_sided_normal_halfnormal", "precision"),
+            "exponential": _shifted_normal_mean("bf_one_sided_normal_exponential", "rate"),
+        },
     ),
     "two_sided_normal": ProblemKind(
-        prob.TwoSidedNormal, (), {"n": 1, "theta0": 0.0}, _load_x,
-        {"normal": _normal, "point_mass": _point_mass},
+        prob.TwoSidedNormal, (), {"n": 1, "theta0": 0.0}, _loader("x"),
+        {
+            "normal": _shifted_normal_mean("bf_two_sided_normal_conjugate", "precision"),
+            "point_mass": _point_mass,
+        },
     ),
     "t_test": ProblemKind(
-        prob.GaussianMeanUnknownVar, ("n",), {}, _load_x,
+        prob.GaussianMeanUnknownVar, ("n",), {}, _loader("x"),
         {"gaussian_scale": _t_test_gaussian},
     ),
     "regression_known_var": ProblemKind(
-        prob.RegressionKnownVar, ("p", "n"), {}, _load_regression,
+        prob.RegressionKnownVar, ("p", "n"), {}, _loader("y", ("x", "p")),
         {"gaussian_spherical": _regression_known_var_gaussian},
     ),
     "regression_unknown_var": ProblemKind(
-        prob.RegressionUnknownVar, ("p", "n"), {}, _load_regression,
+        prob.RegressionUnknownVar, ("p", "n"), {}, _loader("y", ("x", "p")),
         {"gaussian_spherical": _regression_unknown_var_gaussian},
     ),
     "two_sample_known_var": ProblemKind(
@@ -375,7 +399,7 @@ KINDS = {
         },
     ),
     "subset_selection": ProblemKind(
-        prob.SubsetSelection, ("n", "p1", "p2"), {}, _load_subset,
+        prob.SubsetSelection, ("n", "p1", "p2"), {}, _loader("y", ("x", "p1"), ("z", "p2")),
         {"conjugate": _subset_selection},
     ),
     "subjective_variance": ProblemKind(
@@ -390,15 +414,16 @@ def build_problem(pcfg: dict, where: Callable[[str], str] = str) -> prob.TestPro
     """The problem a problem section declares.  ``where`` maps a dotted
     key to the start of an error message (``RunConfig.where`` gives its
     path:line)."""
-    kind = _require(pcfg, "problem.kind", where)
+    kind = _read(pcfg, "problem.kind", where, str)
     if kind not in KINDS:
         raise ConfigError(f"{where('problem.kind')} {kind!r} is not a known problem kind")
     entry = KINDS[kind]
-    args = {key: _require(pcfg, f"problem.{key}", where) for key in entry.required}
-    args.update((key, pcfg.get(key, default)) for key, default in entry.optional.items())
-    types = {f.name: f.type for f in fields(entry.problem)}
-    for key, value in args.items():
-        _check_number(value, where(f"problem.{key}"), integer=types[key] in (int, "int"))
+    types = {f.name: int if f.type in (int, "int") else float for f in fields(entry.problem)}
+    defaults = {**dict.fromkeys(entry.required, _REQUIRED), **entry.optional}
+    args = {
+        key: _read(pcfg, f"problem.{key}", where, types[key], default)
+        for key, default in defaults.items()
+    }
     try:
         return entry.problem(**args)
     except (ValueError, TypeError) as exc:
@@ -407,94 +432,68 @@ def build_problem(pcfg: dict, where: Callable[[str], str] = str) -> prob.TestPro
 
 def build_bf(problem: prob.TestProblem, prcfg: dict, where: Callable[[str], str] = str) -> BfPair:
     """The Bayes factor a prior section declares for ``problem``;
-    ``where`` as in `build_problem`."""
-    kind = _require(prcfg, "prior.kind", where)
+    ``where`` as in `build_problem`.  Every prior value but the kind is a
+    finite number."""
+    kind = _read(prcfg, "prior.kind", where, str)
     name = _KIND_OF[type(problem)]
     factory = KINDS[name].priors.get(kind)
     if factory is None:
         raise ConfigError(f"{where('prior.kind')} {kind!r} is unsupported for {name}")
-    for key, value in prcfg.items():
+    for key in prcfg:
         if key != "kind":
-            _check_number(value, where(f"prior.{key}"))
+            _read(prcfg, f"prior.{key}", where)
     try:
-        return factory(problem, prcfg)
-    except KeyError as exc:  # a factory reads its required keys by indexing
-        raise ConfigError(f"{where('prior.' + exc.args[0])} is required") from None
+        return factory(problem, partial(_read, prcfg, where=where))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where('prior.kind')} {kind!r}: invalid parameters: {exc}") from exc
 
 
-def load_observed_summary(problem: prob.TestProblem, pcfg: dict, base_dir: str):
+def load_observed_summary(problem: prob.TestProblem, pcfg: dict, base_dir: str,
+                          where: Callable[[str], str] = str):
     """Compute the sufficient summary from declared data files, if any."""
-    return KINDS[_KIND_OF[type(problem)]].load(problem, pcfg, base_dir)
+    return KINDS[_KIND_OF[type(problem)]].load(problem, pcfg, base_dir, where)
 
 
 # ---------------------------------------------------------------------------
 # Shared plumbing
 
 
-def _out_dir(args, cfg: Optional[RunConfig]) -> str:
-    out = args.out or (cfg.run.get("out") if cfg else None) or "."
+def _out_dir(args, cfg: RunConfig) -> str:
+    """--out, else run.out (checked even when --out is given), else "."."""
+    out = _read(cfg.run, "run.out", cfg.where, str, "")
+    out = args.out or out or "."
     os.makedirs(out, exist_ok=True)
     return out
 
 
-def _seed(args, cfg: RunConfig, required: bool) -> Optional[int]:
-    seed = args.seed if args.seed is not None else cfg.run.get("seed")
-    if seed is None:
-        if required:
-            raise ConfigError(f"{cfg.where('run.seed')} (or --seed) is required")
-        return None
-    if not isinstance(seed, int) or seed < 0:
-        source = "--seed" if args.seed is not None else cfg.where("run.seed")
-        raise ConfigError(f"{source} must be a nonnegative integer, got {seed!r}")
-    return seed
+def _seed(args, cfg: RunConfig, default=_REQUIRED) -> int:
+    """--seed, else run.seed: an integer >= 0."""
+    if args.seed is not None:
+        return _read({"seed": args.seed}, "run.seed", lambda key: "--seed", int, bounds=">= 0")
+    where = lambda key: f"{cfg.where(key)} (or --seed)"
+    return _read(cfg.run, "run.seed", where, int, default, ">= 0")
 
 
-def _count(cfg: RunConfig, key: str, default: int) -> int:
-    """run.<key>, a number of simulated datasets or trials; a verdict
-    needs at least one."""
-    value = cfg.run.get(key, default)
-    if not isinstance(value, (int, float)) or not value >= 1:
-        raise ConfigError(f"{cfg.where('run.' + key)} must be at least 1, got {value!r}")
-    return int(value)
+def _theta_grid(cfg: RunConfig, default=None):
+    grid = _read(cfg.run, "run.theta_grid", cfg.where, list, default)
+    return None if grid is None else np.asarray(grid, dtype=float)
 
 
-def _alpha(cfg: RunConfig, default=None) -> float:
-    """run.alpha, a size strictly between 0 and 1."""
-    alpha = cfg.run.get("alpha", default)
-    if not isinstance(alpha, (int, float)) or not 0 < alpha < 1:
-        raise ConfigError(f"{cfg.where('run.alpha')} must lie in (0, 1), got {alpha!r}")
-    return alpha
-
-
-def _lambda(cfg: RunConfig) -> float:
-    """run.lambda, a Bayes-factor threshold."""
-    lam = _require(cfg.run, "run.lambda", cfg.where)
-    if not isinstance(lam, (int, float)):
-        raise ConfigError(f"{cfg.where('run.lambda')} must be a number, got {lam!r}")
-    return lam
-
-
-def _theta_grid(cfg: RunConfig, default=None) -> Optional[np.ndarray]:
-    grid = cfg.run.get("theta_grid", default)
-    if grid is None:
-        return None
-    if not isinstance(grid, list):
-        grid = [grid]
-    if not all(isinstance(v, (int, float)) for v in grid):
-        raise ConfigError(f"{cfg.where('run.theta_grid')} must be numbers, got {grid!r}")
-    return np.asarray([float(v) for v in grid])
-
-
-def _build_rule(problem, pair: BfPair, cfg: RunConfig):
-    """Decision rule from either run.alpha or run.lambda."""
+def _setup(args):
+    """Parse the config, then make the output directory, the problem, B and
+    the decision rule (from run.alpha or run.lambda), in that order.
+    Returns (config, output directory, problem, B, rule, size)."""
+    cfg = parse_config(args.config)
+    out = _out_dir(args, cfg)
+    problem = build_problem(cfg.problem, cfg.where)
+    pair = build_bf(problem, cfg.prior, cfg.where)
     if ("alpha" in cfg.run) == ("lambda" in cfg.run):
         raise ConfigError(f"{cfg.where('run.lambda')}: set exactly one of run.alpha or run.lambda")
     if "alpha" in cfg.run:
-        result = calibrate(problem, _alpha(cfg), pair.of_stat)
-        return result.rule, result.alpha
-    lam = _lambda(cfg)
+        alpha = _read(cfg.run, "run.alpha", cfg.where, bounds="> 0 and < 1")
+        result = calibrate(problem, alpha, pair.of_stat)
+        return cfg, out, problem, pair, result.rule, result.alpha
+    lam = _read(cfg.run, "run.lambda", cfg.where)
     if problem.region_shape != "upper":
         raise ConfigError(
             f"{cfg.where('run.lambda')} needs a one-sided test; "
@@ -507,11 +506,15 @@ def _build_rule(problem, pair: BfPair, cfg: RunConfig):
             if implied == 0.0
             else f"lambda = {lam} is exceeded by B everywhere"
         )
-    return DecisionRule(region, lam), implied
+    return cfg, out, problem, pair, DecisionRule(region, lam), implied
 
 
-class InfeasibleLambda(Exception):
-    pass
+def _write_fields(path: str, values: dict) -> None:
+    """A ``key: value`` line per entry; numbers go through format_float."""
+    write_text(path, "".join(
+        f"{key}: {format_float(v) if isinstance(v, (int, float)) and not isinstance(v, bool) else v}\n"
+        for key, v in values.items()
+    ))
 
 
 def _default_grid(problem, region, alpha):
@@ -521,7 +524,7 @@ def _default_grid(problem, region, alpha):
     def power_at(th):
         return float(exact_power(problem, region, [th]).power[0])
 
-    theta0 = getattr(problem, "theta0", 0.0)
+    theta0 = problem.theta0
     hi = theta0 + 1.0
     while power_at(hi) < 0.99 and hi < theta0 + 1e3:
         hi = theta0 + (hi - theta0) * 2.0
@@ -539,11 +542,7 @@ def _default_grid(problem, region, alpha):
 
 
 def cmd_calibrate(args) -> int:
-    cfg = parse_config(args.config)
-    out = _out_dir(args, cfg)
-    problem = build_problem(cfg.problem, cfg.where)
-    pair = build_bf(problem, cfg.prior, cfg.where)
-    rule, implied_alpha = _build_rule(problem, pair, cfg)
+    cfg, out, problem, pair, rule, implied_alpha = _setup(args)
     region, lam = rule.region, rule.lam
     base_dir = os.path.dirname(os.path.abspath(cfg.path))
 
@@ -554,7 +553,7 @@ def cmd_calibrate(args) -> int:
         region.lower if region.lower is not None else "",
         region.upper,
     ]
-    summary = load_observed_summary(problem, cfg.problem, base_dir)
+    summary = load_observed_summary(problem, cfg.problem, base_dir, cfg.where)
     if summary is not None:
         stat = float(np.asarray(problem.decision_stat(summary)))
         b_obs = float(np.asarray(pair.of_summary(summary)))
@@ -570,13 +569,9 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = parse_config(args.config)
-    out = _out_dir(args, cfg)
-    seed = _seed(args, cfg, required=True)
-    problem = build_problem(cfg.problem, cfg.where)
-    pair = build_bf(problem, cfg.prior, cfg.where)
-    rule, alpha = _build_rule(problem, pair, cfg)
-    n_sims = _count(cfg, "n_sims", 100_000)
+    cfg, out, problem, pair, rule, _ = _setup(args)
+    seed = _seed(args, cfg)
+    n_sims = _read(cfg.run, "run.n_sims", cfg.where, int, 100_000, ">= 1")
     thetas = _theta_grid(cfg)
     theta_list = (None,) if thetas is None else tuple(thetas)
     report = verify_equivalence(
@@ -596,13 +591,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_power(args) -> int:
-    cfg = parse_config(args.config)
-    out = _out_dir(args, cfg)
-    seed = _seed(args, cfg, required=True)
-    problem = build_problem(cfg.problem, cfg.where)
-    pair = build_bf(problem, cfg.prior, cfg.where)
-    rule, alpha = _build_rule(problem, pair, cfg)
-    n_sims = _count(cfg, "n_sims", 100_000)
+    cfg, out, problem, pair, rule, alpha = _setup(args)
+    seed = _seed(args, cfg)
+    n_sims = _read(cfg.run, "run.n_sims", cfg.where, int, 100_000, ">= 1")
     thetas = _theta_grid(cfg)
     if thetas is None:
         thetas = _default_grid(problem, rule.region, alpha)
@@ -640,44 +631,33 @@ def cmd_power(args) -> int:
 def cmd_dominance(args) -> int:
     cfg = parse_config(args.config)
     out = _out_dir(args, cfg)
-    seed = _seed(args, cfg, required=True)
+    seed = _seed(args, cfg)
     problem = build_problem(cfg.problem, cfg.where)
     if not isinstance(problem, prob.SubjectiveVarianceEquality):
         raise ConfigError(f"{cfg.where('problem.kind')} must be subjective_variance for dominance")
-    alpha = _alpha(cfg, 0.05)
-    n_sims = _count(cfg, "n_sims", 1_000_000)
+    alpha = _read(cfg.run, "run.alpha", cfg.where, float, 0.05, "> 0 and < 1")
+    n_sims = _read(cfg.run, "run.n_sims", cfg.where, int, 1_000_000, ">= 1")
     thetas = _theta_grid(cfg, default=[1.5, 2.0, 3.0, 5.0])
     rep = dominance_study(problem, alpha, thetas, RngStream(seed), n_sims)
-    rows = [
-        [th, ps, pc, pe, se]
-        for th, ps, pc, pe, se in zip(
-            rep.thetas,
-            rep.power_subjective,
-            rep.power_classical,
-            rep.power_classical_exact,
-            rep.se,
-        )
-    ]
     write_csv(
         os.path.join(out, "dominance.csv"),
         ["theta", "power_subjective", "power_classical", "power_classical_exact", "se"],
-        rows,
+        zip(rep.thetas, rep.power_subjective, rep.power_classical, rep.power_classical_exact, rep.se),
     )
-    lines = [
-        f"verdict: {rep.verdict}",
-        f"max_violation: {format_float(rep.max_violation)}",
-        f"size_classical: {format_float(rep.size_classical)}",
-        f"size_subjective_worst_case: {format_float(rep.size_subjective_limit)}",
-        f"size_subjective_at_unit_scale: {format_float(rep.size_subjective_slice)}",
-        f"gamma: {format_float(rep.gamma_t)}",
-        f"lambda: {format_float(rep.lam)}",
-        f"lambda_tilde: {format_float(rep.lam_tilde)}",
-        f"bridge_residual: {format_float(rep.bridge_residual)}",
-        f"threshold_conditions_hold: {rep.conditions_ok}",
-        f"N: {rep.n_sims}",
-        f"proper_only_rejections: {rep.n_proper_only}",
-    ]
-    write_text(os.path.join(out, "dominance.txt"), "\n".join(lines) + "\n")
+    _write_fields(os.path.join(out, "dominance.txt"), {
+        "verdict": rep.verdict,
+        "max_violation": rep.max_violation,
+        "size_classical": rep.size_classical,
+        "size_subjective_worst_case": rep.size_subjective_limit,
+        "size_subjective_at_unit_scale": rep.size_subjective_slice,
+        "gamma": rep.gamma_t,
+        "lambda": rep.lam,
+        "lambda_tilde": rep.lam_tilde,
+        "bridge_residual": rep.bridge_residual,
+        "threshold_conditions_hold": rep.conditions_ok,
+        "N": rep.n_sims,
+        "proper_only_rejections": rep.n_proper_only,
+    })
     write_svg_lines(
         os.path.join(out, "dominance.svg"),
         rep.thetas,
@@ -697,13 +677,12 @@ def cmd_dominance(args) -> int:
 def cmd_johnson(args) -> int:
     cfg = parse_config(args.config)
     out = _out_dir(args, cfg)
-    seed = _seed(args, cfg, required=True)
-    lam = float(_lambda(cfg))
-    n = _check_number(
-        _require(cfg.problem, "problem.n", cfg.where), cfg.where("problem.n"), integer=True
-    )
-    alpha = _alpha(cfg, 0.05)
-    n_sims = _count(cfg, "n_sims", 100_000)
+    seed = _seed(args, cfg)
+    # johnson_umpbt_threshold needs lambda >= 1
+    lam = float(_read(cfg.run, "run.lambda", cfg.where, bounds=">= 1"))
+    n = _read(cfg.problem, "problem.n", cfg.where, int, bounds=">= 1")
+    alpha = _read(cfg.run, "run.alpha", cfg.where, float, 0.05, "> 0 and < 1")
+    n_sims = _read(cfg.run, "run.n_sims", cfg.where, int, 100_000, ">= 1")
     thetas = _theta_grid(cfg)
     if thetas is None:
         sd = math.sqrt(n)
@@ -713,33 +692,21 @@ def cmd_johnson(args) -> int:
     comp = johnson_comparison(
         lam, n, thetas, alpha_matched=alpha, rng=RngStream(seed), n_sims=n_sims
     )
-    rows = [
-        [th, pb, pc, pe, se]
-        for th, pb, pc, pe, se in zip(
-            comp.thetas, comp.power_point_mass, comp.power_classical, comp.power_exact, comp.se
-        )
-    ]
     write_csv(
         os.path.join(out, "johnson.csv"),
         ["theta", "power_point_mass", "power_classical", "power_exact", "se"],
-        rows,
+        zip(comp.thetas, comp.power_point_mass, comp.power_classical, comp.power_exact, comp.se),
     )
-    write_text(
-        os.path.join(out, "johnson.txt"),
-        "\n".join(
-            [
-                f"theta_star: {format_float(comp.theta_star)}",
-                f"implied_alpha_without_recalibration: {format_float(comp.implied_alpha)}",
-                f"alpha_matched: {format_float(comp.alpha_matched)}",
-                f"gamma_matched: {format_float(comp.gamma_matched)}",
-                f"max_gap: {format_float(comp.max_gap)}",
-                f"verdict: {comp.verdict}",
-                f"disagreements: {comp.n_disagree}",
-                f"sampler_points_beyond_3se: {comp.sampler_points_beyond_3se}",
-            ]
-        )
-        + "\n",
-    )
+    _write_fields(os.path.join(out, "johnson.txt"), {
+        "theta_star": comp.theta_star,
+        "implied_alpha_without_recalibration": comp.implied_alpha,
+        "alpha_matched": comp.alpha_matched,
+        "gamma_matched": comp.gamma_matched,
+        "max_gap": comp.max_gap,
+        "verdict": comp.verdict,
+        "disagreements": comp.n_disagree,
+        "sampler_points_beyond_3se": comp.sampler_points_beyond_3se,
+    })
     print(
         f"theta* = {comp.theta_star:.6f}, implied alpha = {comp.implied_alpha:.6f}, "
         f"verdict {comp.verdict}"
@@ -749,10 +716,9 @@ def cmd_johnson(args) -> int:
 
 def cmd_props(args) -> int:
     cfg = parse_config(args.config) if args.config else RunConfig()
-    out = _out_dir(args, cfg if args.config else None)
-    seed = _seed(args, cfg, required=False)
-    seed = 0 if seed is None else seed
-    n_trials = _count(cfg, "n_trials", 200)
+    out = _out_dir(args, cfg)
+    seed = _seed(args, cfg, default=0)
+    n_trials = _read(cfg.run, "run.n_trials", cfg.where, int, 200, ">= 1")
     results, transcript = run_catalogue(RngStream(seed), n_trials=n_trials)
     write_text(os.path.join(out, "props.txt"), transcript)
     write_csv(
@@ -770,7 +736,7 @@ def cmd_props(args) -> int:
 
 
 def cmd_reproduce_sec6(args) -> int:
-    out = _out_dir(args, None)
+    out = _out_dir(args, RunConfig())
     # one-sample normal mean, n*xbar^2 = 10, standard-normal-slab prior with
     # precision tau; exact marginal-ratio value vs the large-n/(n+tau)
     # simplification that keeps only the sqrt prefactor

@@ -67,6 +67,7 @@ class DensityPrior(Prior):
 
     The normalizing constant is computed at construction by adaptive
     quadrature; construction fails if the density is not integrable.
+    ``log_density`` is also called on arrays, so it must be elementwise.
     """
 
     def __init__(self, log_density: Callable, support: Tuple[float, float]):
@@ -81,15 +82,17 @@ class DensityPrior(Prior):
         self._log_z = math.log(z)
 
     def logpdf(self, theta):
-        scalar = np.isscalar(theta) or np.ndim(theta) == 0
-        arr = np.atleast_1d(np.asarray(theta, dtype=float))
-        out = np.full(arr.shape, -np.inf)
+        """log density at a scalar (a float) or at each entry of an array;
+        the log-density is called once, on the in-support entries."""
         a, b = self.support
+        if np.ndim(theta) == 0:
+            theta = float(theta)
+            return float(self._log_density(theta)) - self._log_z if a <= theta <= b else -math.inf
+        arr = np.asarray(theta, dtype=float)
+        out = np.full(arr.shape, -np.inf)
         inside = (arr >= a) & (arr <= b)
-        if np.any(inside):
-            vec = np.vectorize(self._log_density, otypes=[float])
-            out[inside] = vec(arr[inside]) - self._log_z
-        return float(out[0]) if scalar else out
+        out[inside] = self._log_density(arr[inside]) - self._log_z
+        return out
 
 
 def half_normal_prior(theta0: float, precision: float) -> DensityPrior:

@@ -11,14 +11,13 @@ distribution rather than the raw observations).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 from . import distributions as dist
 from .distributions import DistSpec
-from .expfamily import ExpFamilyModel, normal_mean_model
 
 __all__ = [
     "SufficientSummary",
@@ -112,7 +111,9 @@ class TestProblem:
         return summary[self.stat]
 
     def null_law(self) -> DistSpec:
-        raise NotImplementedError
+        """Law of the decision statistic under H0: the alternative law at
+        theta0."""
+        return self.alt_law(self.theta0)
 
     def alt_cdf(self, theta, x):
         """CDF of the decision statistic under the alternative theta."""
@@ -137,7 +138,6 @@ class OneSidedNormal(TestProblem):
 
     n: int = 1
     theta0: float = 0.0
-    model: ExpFamilyModel = field(default_factory=normal_mean_model, repr=False)
 
     region_shape = "upper"
 
@@ -150,9 +150,6 @@ class OneSidedNormal(TestProblem):
         if x.size != self.n:
             raise ValueError(f"expected {self.n} observations, got {x.size}")
         return SufficientSummary(t=float(np.sum(x)))
-
-    def null_law(self):
-        return DistSpec.normal(self.n * self.theta0, math.sqrt(self.n))
 
     def alt_law(self, theta):
         return DistSpec.normal(self.n * theta, math.sqrt(self.n))
@@ -248,9 +245,6 @@ class RegressionKnownVar(TestProblem):
         t_vec = Z.T @ y
         return SufficientSummary(t_vec=t_vec, t_abs=float(t_vec @ t_vec))
 
-    def null_law(self):
-        return DistSpec.chi_square(self.p)
-
     def alt_law(self, delta_norm_sq):
         return DistSpec.noncentral_chi_square(self.p, delta_norm_sq)
 
@@ -291,9 +285,6 @@ class RegressionUnknownVar(TestProblem):
             raise DegenerateDataError("zero residual sum of squares")
         f = (yHy / self.p) / (rss2 / (self.n - self.p))
         return SufficientSummary(rss1=yy, rss2=rss2, yHy=yHy, yy=yy, f=f)
-
-    def null_law(self):
-        return DistSpec.fisher_f(self.p, self.n - self.p)
 
     def alt_law(self, delta_norm_sq):
         return DistSpec.noncentral_f(self.p, self.n - self.p, delta_norm_sq)
@@ -341,9 +332,6 @@ class TwoSampleMeansKnownVar(TestProblem):
         x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
         xbar1, xbar2 = float(np.mean(x1)), float(np.mean(x2))
         return SufficientSummary(xbar1=xbar1, xbar2=xbar2, t=(xbar1 - xbar2) ** 2)
-
-    def null_law(self):
-        return DistSpec.noncentral_chi_square(1.0, 0.0, self.diff_var)
 
     def alt_law(self, mean_diff):
         ncp = mean_diff**2 / self.diff_var
@@ -452,10 +440,6 @@ class VarianceRatio(TestProblem):
             raise DegenerateDataError("zero sum of squares in sample 2")
         return SufficientSummary(s1_sq=s1_sq, s2_sq=s2_sq, f=s1_sq / s2_sq)
 
-    def null_law(self):
-        scale = (self.n1 - 1) / (self.n2 - 1)
-        return DistSpec.fisher_f(self.n1 - 1, self.n2 - 1, scale)
-
     def alt_law(self, theta):
         scale = theta * (self.n1 - 1) / (self.n2 - 1)
         return DistSpec.fisher_f(self.n1 - 1, self.n2 - 1, scale)
@@ -507,10 +491,6 @@ class SubsetSelection(TestProblem):
             t_stat=f / (1.0 + f),
             rss_null=float(y @ (np.eye(self.n) - H1) @ y),
         )
-
-    def null_law(self):
-        scale = self.p2 / self.resid_df
-        return DistSpec.fisher_f(self.p2, self.resid_df, scale)
 
     def alt_law(self, ncp):
         # ncp = b2' X'X b2 / sigma^2 with X = (I - H1) X2
@@ -565,10 +545,6 @@ class SubjectiveVarianceEquality(TestProblem):
             q=self.b / total,
             t_sub=0.25 - f / (1.0 + f) ** 2,
         )
-
-    def null_law(self):
-        scale = self.n1 / self.n2
-        return DistSpec.fisher_f(self.n1, self.n2, scale)
 
     def alt_law(self, theta):
         scale = theta * self.n1 / self.n2

@@ -34,6 +34,12 @@ prior.theta1 = 1.0
 run.alpha = 0.05
 """
 
+ONE_SIDED_MODEL = "problem.kind = one_sided_normal\nproblem.n = 4\nprior.kind = point_mass\nprior.theta1 = 1.0"
+VARIANCE_RATIO_MODEL = (
+    "problem.kind = variance_ratio\nproblem.n1 = 5\nproblem.n2 = 6\n"
+    "prior.kind = shifted_exponential\nprior.rate = 1.5"
+)
+
 
 def read_csv(path):
     with open(path, newline="") as fh:
@@ -181,6 +187,27 @@ class TestBadConfigValues:
             ("calibrate", "prior.theta1 = 1.0\n", "", ": prior.theta1"),
             ("dominance", "run.alpha = 0.05", "run.alpha = 0.05\nrun.seed = 1", ":2: problem.kind"),
             ("johnson", "run.alpha = 0.05", "run.alpha = 0.05\nrun.seed = 1", ": run.lambda"),
+            *(
+                (command, "run.alpha = 0.05", f"run.alpha = 0.05\nrun.seed = 1\n{line}", expected)
+                for command, line, expected in [
+                    ("verify", "run.theta_grid = nan", ":8: run.theta_grid"),
+                    ("verify", "run.theta_grid = 0.5, inf", ":8: run.theta_grid"),
+                    ("power", "run.theta_grid = nan", ":8: run.theta_grid"),
+                    ("power", "run.theta_grid = inf", ":8: run.theta_grid"),
+                    ("verify", "run.n_sims = inf", ":8: run.n_sims"),
+                    ("verify", "run.n_sims = 2.5", ":8: run.n_sims"),
+                    ("props", "run.n_trials = 2.5", ":8: run.n_trials"),
+                    ("calibrate", "problem.data = 5", ":8: problem.data"),
+                    ("calibrate", "run.out = 7", ":8: run.out"),
+                    ("johnson", "run.lambda = nan", ":8: run.lambda"),
+                    ("johnson", "run.lambda = 0.5", ":8: run.lambda"),
+                    ("johnson", "run.lambda = 10\nproblem.n = 0", ":9: problem.n"),
+                ]
+            ),
+            ("calibrate", "run.alpha = 0.05", "run.lambda = nan", ":6: run.lambda"),
+            ("verify", "run.alpha = 0.05", "run.lambda = nan\nrun.seed = 1", ":6: run.lambda"),
+            ("calibrate", ONE_SIDED_MODEL, VARIANCE_RATIO_MODEL + "\nproblem.data1 = 3", ":7: problem.data1"),
+            ("calibrate", ONE_SIDED_MODEL, VARIANCE_RATIO_MODEL.replace("1.5", "-1"), ":6: prior.rate"),
         ],
     )
     def test_error_starts_with_location(self, tmp_path, capsys, command, old, new, expected):
