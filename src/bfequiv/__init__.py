@@ -37,7 +37,6 @@ from .calibrate import (
     lambda_from_gamma,
     verify_equivalence,
 )
-from .expfamily import ExpFamilyModel, normal_mean_model
 from .power import (
     DominanceReport,
     JohnsonComparison,
@@ -75,6 +74,7 @@ from .problems import (
     TwoSidedNormal,
     UnsupportedExactLaw,
     VarianceRatio,
+    normal_log_ratio,
     orthonormalize,
 )
 from .properties import PropertyResult, PropertySpec, catalogue, run_catalogue, run_property

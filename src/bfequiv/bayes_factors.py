@@ -23,9 +23,7 @@ from typing import Callable
 
 import numpy as np
 from scipy import special
-from scipy.optimize import brentq
 
-from .expfamily import ExpFamilyModel
 from .integrate import gauss_legendre_nodes, log_quad, peak_bracket
 from .priors import (
     PointMass,
@@ -34,6 +32,7 @@ from .priors import (
     SphericalPrior,
     SymmetricPaired,
 )
+from .problems import normal_log_ratio
 
 __all__ = [
     "NumericalIntegrityError",
@@ -73,10 +72,10 @@ def _exp_each(log_b: Callable, t):
 
 
 # ---------------------------------------------------------------------------
-# One-sided exponential-family Bayes factors
+# One-sided normal-mean Bayes factors (n unit-variance draws, t = sum(x_i))
 
 
-def bf_one_sided(model: ExpFamilyModel, prior: Prior, t, n: int, theta0: float = 0.0):
+def bf_one_sided(prior: Prior, t, n: int, theta0: float = 0.0):
     """B(t) = integral of the likelihood ratio against theta0 over the prior.
 
     Monotone increasing in t for priors supported above theta0.
@@ -85,14 +84,14 @@ def bf_one_sided(model: ExpFamilyModel, prior: Prior, t, n: int, theta0: float =
     which raises NumericalIntegrityError where B overflows a float.
     """
     if isinstance(prior, PointMass):
-        return np.exp(model.log_ratio(t, prior.theta1, theta0, n))
+        return np.exp(normal_log_ratio(t, prior.theta1, theta0, n))
     lo, hi = prior.support
     if not math.isfinite(lo):
         raise ValueError("the prior's support must have a finite lower end")
 
     def log_b(ti):
         def log_f(th):
-            return float(model.log_ratio(ti, th, theta0, n)) + float(prior.logpdf(th))
+            return float(normal_log_ratio(ti, th, theta0, n)) + float(prior.logpdf(th))
 
         return log_quad(log_f, lo, hi, peak_bracket(log_f, lo, hi))
 
@@ -128,10 +127,10 @@ def bf_one_sided_normal_exponential(t, n: int, rate: float):
 
 
 # ---------------------------------------------------------------------------
-# Two-sided exponential-family Bayes factors
+# Two-sided normal-mean Bayes factors
 
 
-def bf_two_sided(model: ExpFamilyModel, prior: SymmetricPaired, t, n: int):
+def bf_two_sided(prior: SymmetricPaired, t, n: int):
     """Two-sided Bayes factor for a symmetric-paired prior.
 
     B(t) = int_{theta>theta0} [g(t,theta) + g(t,r(theta))] w(theta) dtheta
@@ -145,7 +144,7 @@ def bf_two_sided(model: ExpFamilyModel, prior: SymmetricPaired, t, n: int):
     def log_b(ti):
         def log_f(th):
             pair = np.logaddexp(
-                model.log_ratio(ti, th, lo, n), model.log_ratio(ti, prior.r(th), lo, n)
+                normal_log_ratio(ti, th, lo, n), normal_log_ratio(ti, prior.r(th), lo, n)
             )
             return float(pair) + float(prior.half_weight_log(th))
 
@@ -704,38 +703,14 @@ def subjective_t_from_f(f):
 # Point-mass threshold prior (UMPBT-style construction)
 
 
-def johnson_umpbt_threshold(
-    model: ExpFamilyModel, lam: float, n: int, theta0: float = 0.0
-):
-    """Minimizer theta* of g(theta) = (log lam + n(b(theta)-b(theta0)))/(theta-theta0).
+def johnson_umpbt_threshold(lam: float, n: int):
+    """(theta*, g_min, point mass at theta*) for the normal mean, H0: theta = 0.
 
-    theta* solves the first-order condition
-    n[(theta-theta0) b'(theta) - (b(theta)-b(theta0))] = log lam, whose
-    left side rises from 0 at theta0 for every convex b.  Returns
-    (theta_star, g_min, prior) where prior is the point mass at
-    theta_star.  For lam -> 1+ the minimizer collapses to the boundary
-    theta0; that case is reported with theta_star = theta0.
+    For a point mass at theta, {B > lam} is {t > log lam / theta + n theta / 2};
+    theta* = sqrt(2 log lam / n) minimizes that threshold to g_min = n theta*
+    (Johnson 2013, Ann. Statist. 41).  At lam = 1 theta* = 0, on the null.
     """
     if lam < 1.0:
         raise ValueError("lam must be >= 1")
-    log_lam = math.log(lam)
-    if log_lam == 0.0:
-        return theta0, float("nan"), PointMass(theta0)
-    b0 = float(model.b(theta0))
-
-    def first_order(th):
-        return n * ((th - theta0) * float(model.db(th)) - (float(model.b(th)) - b0)) - log_lam
-
-    # widen the bracket: double its width on an unbounded domain, halve
-    # the gap to a finite upper end otherwise
-    dom_hi = model.theta_domain[1]
-    hi = theta0 + 1.0 if not np.isfinite(dom_hi) else 0.5 * (theta0 + dom_hi)
-    for _ in range(60):
-        if first_order(hi) >= 0:
-            break
-        hi = 0.5 * (hi + dom_hi) if np.isfinite(dom_hi) else 2.0 * hi - theta0
-    else:
-        raise RuntimeError(f"no interior minimum: the first-order condition is negative at {hi:.6g}")
-    theta_star = brentq(first_order, theta0, hi, xtol=1e-15)
-    g_min = (log_lam + n * (float(model.b(theta_star)) - b0)) / (theta_star - theta0)
-    return theta_star, g_min, PointMass(theta_star)
+    theta_star = math.sqrt(2.0 * math.log(lam) / n)
+    return theta_star, n * theta_star, PointMass(theta_star)

@@ -7,10 +7,14 @@ dominance, johnson, props, reproduce-sec6.  All file outputs are CSV
 (12 significant digits) or SVG, written atomically; identical config and
 seed give byte-identical CSV outputs.
 
-Every config value goes through one checked reader, `_read`: numbers are
-finite, counts and seeds integers (100000, not 1e5), file names text;
-run.seed >= 0, run.n_sims and run.n_trials >= 1, 0 < run.alpha < 1, prior
-precisions, rates and c > 0, and for johnson run.lambda and problem.n >= 1.
+Every value is checked before any work starts, by one reader, `_read`:
+numbers are finite, counts and seeds integers (100000, not 1e5), file
+names text; run.seed >= 0, run.n_sims and run.n_trials >= 1, 0 < run.alpha
+< 1, prior precisions, rates and c > 0, and for johnson run.lambda > 1 and
+problem.n >= 1.  A key that nothing reads is an error: a run.* key outside
+RUN_KEYS, a problem.* or prior.* key that its kind does not read
+(dominance takes prior.kind = gamma or no prior), and for johnson any
+problem.* or prior.* key but problem.kind (one_sided_normal) and problem.n.
 
 Exit codes: calibrate returns 0 on success, 2 when the requested Bayes
 threshold cannot be inverted to a critical region, 3 when the prior
@@ -30,7 +34,7 @@ import operator
 import os
 import sys
 from dataclasses import dataclass, field as dc_field, fields
-from functools import partial
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -45,7 +49,6 @@ from .calibrate import (
     gamma_from_lambda,
     verify_equivalence,
 )
-from .expfamily import normal_mean_model
 from .power import dominance_study, exact_power, johnson_comparison, mc_power
 from .priors import DensityPrior, PointMass
 from .properties import run_catalogue
@@ -98,6 +101,10 @@ def _parse_value(raw: str):
     return raw
 
 
+# every run.* key that some subcommand reads
+RUN_KEYS = ("alpha", "lambda", "n_sims", "n_trials", "out", "seed", "theta_grid")
+
+
 def parse_config(path: str) -> RunConfig:
     """Parse the flat dotted key=value format, '#' comments allowed."""
     if not os.path.exists(path):
@@ -124,6 +131,7 @@ def parse_config(path: str) -> RunConfig:
                 raise ConfigError(f"{path}:{lineno}: empty key name in {key!r}")
             getattr(cfg, section)[name] = _parse_value(raw)
             cfg.lines[key] = lineno
+    _known(cfg.run, "run", RUN_KEYS, cfg.where, f"any subcommand (run keys: {', '.join(RUN_KEYS)})")
     return cfg
 
 
@@ -170,6 +178,13 @@ def _read(section: dict, key: str, where: Callable[[str], str], kind: type = flo
     return value
 
 
+def _known(section: dict, prefix: str, names, where: Callable[[str], str], reader: str) -> None:
+    """ConfigError at the first key of the section outside ``names``."""
+    for name in section:
+        if name not in names:
+            raise ConfigError(f"{where(f'{prefix}.{name}')} is not read by {reader}")
+
+
 # ---------------------------------------------------------------------------
 # Problem kinds: one table entry per problem.kind
 
@@ -189,12 +204,9 @@ def _stat_pair(problem: prob.TestProblem, g: Callable) -> BfPair:
     return BfPair(g, lambda s: g(problem.decision_stat(s)))
 
 
-_MODEL = normal_mean_model()
-
-
 def _point_mass(problem, get):
     prior, n, theta0 = PointMass(get("prior.theta1")), problem.n, problem.theta0
-    return _stat_pair(problem, lambda t: bf.bf_one_sided(_MODEL, prior, t, n, theta0))
+    return _stat_pair(problem, lambda t: bf.bf_one_sided(prior, t, n, theta0))
 
 
 def _shifted_normal_mean(closed_form: str, hyper: str):
@@ -307,57 +319,35 @@ def _matrix(cols: dict, stem: str, count: int, path: str) -> np.ndarray:
     return np.column_stack([_column(cols, f"{stem}{i}", path) for i in range(1, count + 1)])
 
 
-def _loader(*stems):
-    """Loader of the file problem.data, whose columns are the arguments of
-    the problem's ``summarize``: a stem ``"y"`` is column y, a pair
-    ``("x", "p")`` the matrix of columns x1 .. x<problem.p>."""
-
-    def load(problem, pcfg, base_dir, where):
-        path = _read(pcfg, "problem.data", where, str, None)
-        if path is None:
-            return None
-        cols = load_columns(path, base_dir)
-        return problem.summarize(*(
-            _column(cols, stem, path) if isinstance(stem, str)
-            else _matrix(cols, stem[0], getattr(problem, stem[1]), path)
-            for stem in stems
-        ))
-
-    return load
-
-
-def _load_two_samples(problem, pcfg, base_dir, where):
-    if "data1" not in pcfg and "data2" not in pcfg:
-        return None
-    paths = [_read(pcfg, f"problem.{key}", where, str) for key in ("data1", "data2")]
-    return problem.summarize(*(_column(load_columns(p, base_dir), "x", p) for p in paths))
-
-
 @dataclass(frozen=True)
 class ProblemKind:
     """What the CLI knows about one problem.kind.
 
     The problem is ``problem(**args)`` with ``args`` read from the problem
     section: every key in ``required``, and the keys of ``optional`` with
-    those defaults.  ``load(problem, problem section, base dir, where)``
-    returns the observed summary from the data files the section names,
-    or None.  ``priors`` maps each allowed prior.kind to its factory
-    ``(problem, get) -> BfPair``, where ``get`` is `_read` on the prior
-    section.
+    those defaults.  ``data`` maps each data-file key of the section to the
+    columns its file gives the problem's ``summarize``, file after file: a
+    stem ``"y"`` is column y, a pair ``("x", "p")`` the matrix of columns
+    x1 .. x<problem.p>.  ``priors`` maps each allowed prior.kind to its
+    factory ``(problem, get) -> BfPair``, where ``get`` is `_read` on the
+    prior section.
     """
 
     problem: type
     required: tuple
     optional: dict
-    load: Callable
+    data: dict
     priors: dict
 
 
-# Each entry: problem class, required and optional keys, data loader on
+_TWO_SAMPLES = {"data1": ("x",), "data2": ("x",)}
+
+
+# Each entry: problem class, required and optional keys, data files on
 # the first line; the allowed prior kinds and their factories below it.
 KINDS = {
     "one_sided_normal": ProblemKind(
-        prob.OneSidedNormal, (), {"n": 1, "theta0": 0.0}, _loader("x"),
+        prob.OneSidedNormal, (), {"n": 1, "theta0": 0.0}, {"data": ("x",)},
         {
             "point_mass": _point_mass,
             "half_normal": _shifted_normal_mean("bf_one_sided_normal_halfnormal", "precision"),
@@ -365,45 +355,45 @@ KINDS = {
         },
     ),
     "two_sided_normal": ProblemKind(
-        prob.TwoSidedNormal, (), {"n": 1, "theta0": 0.0}, _loader("x"),
+        prob.TwoSidedNormal, (), {"n": 1, "theta0": 0.0}, {"data": ("x",)},
         {
             "normal": _shifted_normal_mean("bf_two_sided_normal_conjugate", "precision"),
             "point_mass": _point_mass,
         },
     ),
     "t_test": ProblemKind(
-        prob.GaussianMeanUnknownVar, ("n",), {}, _loader("x"),
+        prob.GaussianMeanUnknownVar, ("n",), {}, {"data": ("x",)},
         {"gaussian_scale": _t_test_gaussian},
     ),
     "regression_known_var": ProblemKind(
-        prob.RegressionKnownVar, ("p", "n"), {}, _loader("y", ("x", "p")),
+        prob.RegressionKnownVar, ("p", "n"), {}, {"data": ("y", ("x", "p"))},
         {"gaussian_spherical": _regression_known_var_gaussian},
     ),
     "regression_unknown_var": ProblemKind(
-        prob.RegressionUnknownVar, ("p", "n"), {}, _loader("y", ("x", "p")),
+        prob.RegressionUnknownVar, ("p", "n"), {}, {"data": ("y", ("x", "p"))},
         {"gaussian_spherical": _regression_unknown_var_gaussian},
     ),
     "two_sample_known_var": ProblemKind(
-        prob.TwoSampleMeansKnownVar, ("n1", "n2"), {"tau1": 1.0, "tau2": 1.0}, _load_two_samples,
+        prob.TwoSampleMeansKnownVar, ("n1", "n2"), {"tau1": 1.0, "tau2": 1.0}, _TWO_SAMPLES,
         {"conjugate": _two_sample_known_var},
     ),
     "two_sample_t": ProblemKind(
-        prob.TwoSampleMeansUnknownEqualVar, ("n1", "n2"), {}, _load_two_samples,
+        prob.TwoSampleMeansUnknownEqualVar, ("n1", "n2"), {}, _TWO_SAMPLES,
         {"conjugate": _two_sample_t},
     ),
     "variance_ratio": ProblemKind(
-        prob.VarianceRatio, ("n1", "n2"), {}, _load_two_samples,
+        prob.VarianceRatio, ("n1", "n2"), {}, _TWO_SAMPLES,
         {
             "point_mass": _variance_ratio_point_mass,
             "shifted_exponential": _variance_ratio_shifted_exponential,
         },
     ),
     "subset_selection": ProblemKind(
-        prob.SubsetSelection, ("n", "p1", "p2"), {}, _loader("y", ("x", "p1"), ("z", "p2")),
+        prob.SubsetSelection, ("n", "p1", "p2"), {}, {"data": ("y", ("x", "p1"), ("z", "p2"))},
         {"conjugate": _subset_selection},
     ),
     "subjective_variance": ProblemKind(
-        prob.SubjectiveVarianceEquality, ("n1", "n2"), {"a": 2.0, "b": 2.0}, _load_two_samples,
+        prob.SubjectiveVarianceEquality, ("n1", "n2"), {"a": 2.0, "b": 2.0}, _TWO_SAMPLES,
         {"gamma": _subjective, "": _subjective},
     ),
 }
@@ -418,6 +408,8 @@ def build_problem(pcfg: dict, where: Callable[[str], str] = str) -> prob.TestPro
     if kind not in KINDS:
         raise ConfigError(f"{where('problem.kind')} {kind!r} is not a known problem kind")
     entry = KINDS[kind]
+    _known(pcfg, "problem", {"kind", *entry.required, *entry.optional, *entry.data}, where,
+           f"problem.kind {kind!r}")
     types = {f.name: int if f.type in (int, "int") else float for f in fields(entry.problem)}
     defaults = {**dict.fromkeys(entry.required, _REQUIRED), **entry.optional}
     args = {
@@ -432,26 +424,44 @@ def build_problem(pcfg: dict, where: Callable[[str], str] = str) -> prob.TestPro
 
 def build_bf(problem: prob.TestProblem, prcfg: dict, where: Callable[[str], str] = str) -> BfPair:
     """The Bayes factor a prior section declares for ``problem``;
-    ``where`` as in `build_problem`.  Every prior value but the kind is a
-    finite number."""
+    ``where`` as in `build_problem`.  A prior key that the kind's factory
+    does not read is an error."""
     kind = _read(prcfg, "prior.kind", where, str)
     name = _KIND_OF[type(problem)]
     factory = KINDS[name].priors.get(kind)
     if factory is None:
         raise ConfigError(f"{where('prior.kind')} {kind!r} is unsupported for {name}")
-    for key in prcfg:
-        if key != "kind":
-            _read(prcfg, f"prior.{key}", where)
+    read = {"kind"}
+
+    def get(key, **kwargs):
+        read.add(key.split(".", 1)[1])
+        return _read(prcfg, key, where, **kwargs)
+
     try:
-        return factory(problem, partial(_read, prcfg, where=where))
+        pair = factory(problem, get)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where('prior.kind')} {kind!r}: invalid parameters: {exc}") from exc
+    _known(prcfg, "prior", read, where, f"prior.kind {kind!r}")
+    return pair
 
 
 def load_observed_summary(problem: prob.TestProblem, pcfg: dict, base_dir: str,
                           where: Callable[[str], str] = str):
-    """Compute the sufficient summary from declared data files, if any."""
-    return KINDS[_KIND_OF[type(problem)]].load(problem, pcfg, base_dir, where)
+    """The sufficient summary of the data files the problem section names,
+    or None when it names none (naming one requires them all)."""
+    files = KINDS[_KIND_OF[type(problem)]].data
+    if not any(key in pcfg for key in files):
+        return None
+    paths = {key: _read(pcfg, f"problem.{key}", where, str) for key in files}
+    columns = []
+    for key, path in paths.items():
+        cols = load_columns(path, base_dir)
+        columns += [
+            _column(cols, stem, path) if isinstance(stem, str)
+            else _matrix(cols, stem[0], getattr(problem, stem[1]), path)
+            for stem in files[key]
+        ]
+    return problem.summarize(*columns)
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +489,18 @@ def _theta_grid(cfg: RunConfig, default=None):
     return None if grid is None else np.asarray(grid, dtype=float)
 
 
-def _setup(args):
-    """Parse the config, then make the output directory, the problem, B and
-    the decision rule (from run.alpha or run.lambda), in that order.
-    Returns (config, output directory, problem, B, rule, size)."""
+def _setup(args, draws: bool):
+    """Parse the config, then make the output directory, read run =
+    (seed, n_sims, thetas or None) if ``draws`` (else run is None), then
+    build the problem, B and the decision rule (from run.alpha or
+    run.lambda), in that order.  Returns (config, output directory,
+    problem, B, rule, size, run)."""
     cfg = parse_config(args.config)
     out = _out_dir(args, cfg)
+    run = None
+    if draws:  # before calibrating, which can fail on its own (exit 2 or 3)
+        seed = _seed(args, cfg)
+        run = seed, _read(cfg.run, "run.n_sims", cfg.where, int, 100_000, ">= 1"), _theta_grid(cfg)
     problem = build_problem(cfg.problem, cfg.where)
     pair = build_bf(problem, cfg.prior, cfg.where)
     if ("alpha" in cfg.run) == ("lambda" in cfg.run):
@@ -492,7 +508,7 @@ def _setup(args):
     if "alpha" in cfg.run:
         alpha = _read(cfg.run, "run.alpha", cfg.where, bounds="> 0 and < 1")
         result = calibrate(problem, alpha, pair.of_stat)
-        return cfg, out, problem, pair, result.rule, result.alpha
+        return cfg, out, problem, pair, result.rule, result.alpha, run
     lam = _read(cfg.run, "run.lambda", cfg.where)
     if problem.region_shape != "upper":
         raise ConfigError(
@@ -506,7 +522,7 @@ def _setup(args):
             if implied == 0.0
             else f"lambda = {lam} is exceeded by B everywhere"
         )
-    return cfg, out, problem, pair, DecisionRule(region, lam), implied
+    return cfg, out, problem, pair, DecisionRule(region, lam), implied, run
 
 
 def _write_fields(path: str, values: dict) -> None:
@@ -542,7 +558,7 @@ def _default_grid(problem, region, alpha):
 
 
 def cmd_calibrate(args) -> int:
-    cfg, out, problem, pair, rule, implied_alpha = _setup(args)
+    cfg, out, problem, pair, rule, implied_alpha, _ = _setup(args, False)
     region, lam = rule.region, rule.lam
     base_dir = os.path.dirname(os.path.abspath(cfg.path))
 
@@ -569,10 +585,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg, out, problem, pair, rule, _ = _setup(args)
-    seed = _seed(args, cfg)
-    n_sims = _read(cfg.run, "run.n_sims", cfg.where, int, 100_000, ">= 1")
-    thetas = _theta_grid(cfg)
+    cfg, out, problem, pair, rule, _, (seed, n_sims, thetas) = _setup(args, True)
     theta_list = (None,) if thetas is None else tuple(thetas)
     report = verify_equivalence(
         problem, pair.of_summary, rule, RngStream(seed), n_sims, thetas=theta_list
@@ -591,10 +604,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_power(args) -> int:
-    cfg, out, problem, pair, rule, alpha = _setup(args)
-    seed = _seed(args, cfg)
-    n_sims = _read(cfg.run, "run.n_sims", cfg.where, int, 100_000, ">= 1")
-    thetas = _theta_grid(cfg)
+    cfg, out, problem, pair, rule, alpha, (seed, n_sims, thetas) = _setup(args, True)
     if thetas is None:
         thetas = _default_grid(problem, rule.region, alpha)
     classical, bayes, identical = mc_power(
@@ -635,6 +645,8 @@ def cmd_dominance(args) -> int:
     problem = build_problem(cfg.problem, cfg.where)
     if not isinstance(problem, prob.SubjectiveVarianceEquality):
         raise ConfigError(f"{cfg.where('problem.kind')} must be subjective_variance for dominance")
+    if cfg.prior:  # the study's own priors; only prior.kind = gamma names them
+        build_bf(problem, cfg.prior, cfg.where)
     alpha = _read(cfg.run, "run.alpha", cfg.where, float, 0.05, "> 0 and < 1")
     n_sims = _read(cfg.run, "run.n_sims", cfg.where, int, 1_000_000, ">= 1")
     thetas = _theta_grid(cfg, default=[1.5, 2.0, 3.0, 5.0])
@@ -678,17 +690,16 @@ def cmd_johnson(args) -> int:
     cfg = parse_config(args.config)
     out = _out_dir(args, cfg)
     seed = _seed(args, cfg)
-    # johnson_umpbt_threshold needs lambda >= 1
-    lam = float(_read(cfg.run, "run.lambda", cfg.where, bounds=">= 1"))
+    # at lambda = 1 the threshold-minimizing point mass sits on the null
+    lam = float(_read(cfg.run, "run.lambda", cfg.where, bounds="> 1"))
     n = _read(cfg.problem, "problem.n", cfg.where, int, bounds=">= 1")
     alpha = _read(cfg.run, "run.alpha", cfg.where, float, 0.05, "> 0 and < 1")
     n_sims = _read(cfg.run, "run.n_sims", cfg.where, int, 100_000, ">= 1")
     thetas = _theta_grid(cfg)
-    if thetas is None:
-        sd = math.sqrt(n)
-        gamma = sd * special.ndtri(1 - alpha)
-        hi = (gamma - sd * special.ndtri(0.01)) / n
-        thetas = np.linspace(0.0, hi, 21)
+    if _read(cfg.problem, "problem.kind", cfg.where, str) != "one_sided_normal":
+        raise ConfigError(f"{cfg.where('problem.kind')} must be one_sided_normal for johnson")
+    _known(cfg.problem, "problem", ("kind", "n"), cfg.where, "johnson")
+    _known(cfg.prior, "prior", (), cfg.where, "johnson, which builds its own point mass")
     comp = johnson_comparison(
         lam, n, thetas, alpha_matched=alpha, rng=RngStream(seed), n_sims=n_sims
     )
@@ -788,6 +799,7 @@ def cmd_reproduce_sec6(args) -> int:
 # Entry point
 
 
+@cache  # built once per process, on the first call of main
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bfequiv",
@@ -820,8 +832,7 @@ def _setup_logging() -> None:
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ConfigError, DataError) as exc:

@@ -21,8 +21,7 @@ from scipy import special
 
 from .bayes_factors import bf_subjective_variance, johnson_umpbt_threshold
 from .calibrate import CriticalRegion, DecisionRule, decide_chunk, gamma_from_alpha
-from .expfamily import normal_mean_model
-from .problems import SubjectiveVarianceEquality, SufficientSummary, TestProblem
+from .problems import OneSidedNormal, SubjectiveVarianceEquality, TestProblem, normal_log_ratio
 from .rng import RngStream, map_jobs, tally
 
 __all__ = [
@@ -309,37 +308,32 @@ def johnson_comparison(
     rule share the same rejection boundary, so they reject on the same
     datasets.  The Monte Carlo comparison evaluates both rules on common
     random numbers, the point-mass rule through its own Bayes factor, and
-    passes only when no draw is decided differently.  Theta i draws from
-    rng.substream(i); the thetas run on up to two threads.
+    passes only when no draw is decided differently.  thetas None means 21
+    points from 0 to where the classical power reaches 0.99.  Theta i draws
+    from rng.substream(i); the thetas run on up to two threads.
     """
-    model = normal_mean_model()
-    theta_star, g_min, _ = johnson_umpbt_threshold(model, lam, n)
+    problem = OneSidedNormal(n)
+    theta_star, g_min, _ = johnson_umpbt_threshold(lam, n)
+    implied_alpha = CriticalRegion("upper", None, g_min).size(problem.null_law())
+    region = gamma_from_alpha(problem, alpha_matched)
+    if thetas is None:
+        thetas = np.linspace(0.0, (region.upper - math.sqrt(n) * special.ndtri(0.01)) / n, 21)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    sd = math.sqrt(n)
-    implied_alpha = float(1.0 - special.ndtr(g_min / sd))
-    gamma_matched = sd * special.ndtri(1.0 - alpha_matched)
-    power_exact = 1.0 - special.ndtr((gamma_matched - n * thetas) / sd)
+    power_exact = exact_power(problem, region, thetas).power
 
     # the point-mass rule {B > lam_matched}, decided through its own
     # Bayes factor in log space; lam_matched = B(gamma_matched)
-    log_lam_matched = model.log_ratio(gamma_matched, theta_star, 0.0, n)
+    rule = DecisionRule(region, normal_log_ratio(region.upper, theta_star, 0.0, n))
 
     def count(theta, stream):
-        # both rules are evaluated on the same draws, so a match is
-        # pathwise, not merely statistical
-        draws = SufficientSummary(t=stream.generator.normal(n * theta, sd, size=n_sims))
-        n_point_mass = n_classical = n_disagree = 0
-        for block in draws.blocks():
-            point_mass = model.log_ratio(block.t, theta_star, 0.0, n) > log_lam_matched
-            classical = block.t > gamma_matched
-            n_point_mass += int(np.count_nonzero(point_mass))
-            n_classical += int(np.count_nonzero(classical))
-            n_disagree += int(np.count_nonzero(point_mass != classical))
-        return n_point_mass, n_classical, n_disagree
+        # both rules see the same draws, so a match is pathwise, not
+        # merely statistical
+        summary = problem.simulate_summary(stream, theta, n_sims)
+        return decide_chunk(problem, rule, lambda s: normal_log_ratio(s.t, theta_star, 0.0, n), summary)[:3]
 
+    # per theta: classical rejections, point-mass rejections, disagreements
     hits = np.array(map_jobs(count, [(th, rng.substream(i)) for i, th in enumerate(thetas)]))
-    power_point_mass = hits[:, 0] / n_sims
-    power_classical = hits[:, 1] / n_sims
+    power_classical, power_point_mass = hits[:, 0] / n_sims, hits[:, 1] / n_sims
     n_disagree = int(hits[:, 2].sum())
     se = np.sqrt(
         power_point_mass * (1 - power_point_mass) / n_sims
@@ -352,7 +346,7 @@ def johnson_comparison(
         theta_star=theta_star,
         implied_alpha=implied_alpha,
         alpha_matched=alpha_matched,
-        gamma_matched=float(gamma_matched),
+        gamma_matched=float(region.upper),
         thetas=thetas,
         power_point_mass=power_point_mass,
         power_classical=power_classical,

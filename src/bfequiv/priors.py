@@ -1,9 +1,9 @@
 """Priors on the hypothesized parameter.
 
 Hypothesis priors come in four kinds: point mass, generic density on an
-interval, half-line densities (for one-sided tests), and symmetric-paired densities for two-sided exponential-family
-tests, built from a half-line base and the pairing map r(theta) that
-makes the Bayes factor equal at both critical values.
+interval, half-line densities (for one-sided tests), and symmetric-paired
+densities for two-sided normal-mean tests, built from a half-line base and
+the pairing map r(theta) that makes the Bayes factor equal at both ends.
 
 The t-test and regression problems put scaled symmetric and spherical
 priors on the coefficients; every density is given by its logarithm.
@@ -18,8 +18,8 @@ from typing import Callable, Tuple
 import numpy as np
 from scipy.optimize import brentq
 
-from .expfamily import ExpFamilyModel
 from .integrate import log_quad, quad
+from .problems import normal_log_ratio
 
 __all__ = [
     "Prior",
@@ -188,7 +188,6 @@ class PairingError(RuntimeError):
 
 
 def solve_pairing(
-    model: ExpFamilyModel,
     gamma1: float,
     gamma2: float,
     theta: float,
@@ -198,7 +197,7 @@ def solve_pairing(
     """Paired mirror point r(theta) < theta0 for a two-sided critical pair.
 
     Solves h(gamma1, theta, r) = h(gamma2, theta, r) in r, where h is the
-    sum of the two likelihood ratios against theta0.  The bracket expands
+    sum of the two normal-mean likelihood ratios against theta0.  The bracket expands
     geometrically below theta0 (at most 60 doublings).
     """
     if not theta > theta0:
@@ -216,8 +215,8 @@ def solve_pairing(
     # All comparisons use log|phi| so the far tails never underflow.
     def lphi(u):
         """(sign, log|phi(u)|) of phi(u) = g(gamma1, u) - g(gamma2, u)."""
-        l1 = float(model.log_ratio(gamma1, u, theta0, n))
-        l2 = float(model.log_ratio(gamma2, u, theta0, n))
+        l1 = float(normal_log_ratio(gamma1, u, theta0, n))
+        l2 = float(normal_log_ratio(gamma2, u, theta0, n))
         if l1 == l2:
             return 0.0, -np.inf
         big, small = max(l1, l2), min(l1, l2)
@@ -226,8 +225,6 @@ def solve_pairing(
     def logabs_phi(u):
         return lphi(u)[1]
 
-    lo_dom = model.theta_domain[0]
-    hi_dom = model.theta_domain[1]
     eps = 1e-12 * max(1.0, abs(theta0))
 
     sign_th, target_log = lphi(theta)
@@ -245,19 +242,16 @@ def solve_pairing(
 
     # expand a finite window on each side until log|phi| drops below the
     # target, which guarantees a sign change for the bracketed root
-    def expand(start, direction, dom):
+    def expand(start, direction):
         end = start + direction
         for _ in range(60):
-            nxt = start + 2 * (end - start)
-            if np.isfinite(dom):
-                nxt = max(nxt, dom + eps) if direction < 0 else min(nxt, dom - eps)
-            if logabs_phi(end) < target_log - 1.0 or (np.isfinite(dom) and end == nxt):
+            if logabs_phi(end) < target_log - 1.0:
                 break
-            end = nxt
+            end = start + 2 * (end - start)
         return end
 
-    left_end = expand(theta0 - eps, -max(1.0, theta - theta0), lo_dom)
-    right_end = expand(theta0 + eps, max(1.0, theta - theta0), hi_dom)
+    left_end = expand(theta0 - eps, -max(1.0, theta - theta0))
+    right_end = expand(theta0 + eps, max(1.0, theta - theta0))
     r_peak, peak_log = peak(left_end, theta0 - eps)
     th_peak, _ = peak(theta0 + eps, right_end)
 

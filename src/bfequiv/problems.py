@@ -25,6 +25,7 @@ __all__ = [
     "UnsupportedExactLaw",
     "orthonormalize",
     "TestProblem",
+    "normal_log_ratio",
     "OneSidedNormal",
     "TwoSidedNormal",
     "GaussianMeanUnknownVar",
@@ -130,6 +131,13 @@ class TestProblem:
 
 # ---------------------------------------------------------------------------
 # One-parameter normal problems (known variance 1), statistic T = sum(x_i)
+
+
+def normal_log_ratio(t, theta, theta0, n: int):
+    """log f(x | theta) / f(x | theta0) for n unit-variance normal draws
+    with sum t; increasing in t whenever theta > theta0."""
+    t = np.asarray(t, dtype=float)
+    return t * (theta - theta0) - n * (np.square(theta) / 2.0 - np.square(theta0) / 2.0)
 
 
 @dataclass(frozen=True)

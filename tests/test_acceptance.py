@@ -22,7 +22,6 @@ from scipy import stats
 from bfequiv import bayes_factors as bf
 from bfequiv.calibrate import calibrate, gamma_from_lambda, verify_equivalence
 from bfequiv.cli import build_bf, main
-from bfequiv.expfamily import normal_mean_model
 from bfequiv.power import dominance_study, exact_power, johnson_comparison, mc_power
 from bfequiv.priors import (
     PointMass,
@@ -141,9 +140,8 @@ class TestPriorIndependence:
     def test_gamma_identical_across_priors(self):
         start = time.monotonic()
         problem = OneSidedNormal(n=4)
-        model = normal_mean_model()
         engines = [
-            lambda t: bf.bf_one_sided(model, PointMass(1.0), np.asarray(t, dtype=float), 4),
+            lambda t: bf.bf_one_sided(PointMass(1.0), np.asarray(t, dtype=float), 4),
             lambda t: bf.bf_one_sided_normal_halfnormal(np.asarray(t, dtype=float), 4, 2.0),
             lambda t: bf.bf_one_sided_normal_exponential(np.asarray(t, dtype=float), 4, 1.0),
         ]

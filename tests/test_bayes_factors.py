@@ -7,7 +7,6 @@ from scipy import stats
 from scipy.integrate import quad as scipy_quad
 
 from bfequiv import bayes_factors as bf
-from bfequiv.expfamily import normal_mean_model
 from bfequiv.priors import (
     DensityPrior,
     PointMass,
@@ -32,8 +31,7 @@ def quadrature_one_sided(t, n, log_prior, support):
 
 class TestOneSidedClosedForms:
     def test_point_mass(self):
-        model = normal_mean_model()
-        out = bf.bf_one_sided(model, PointMass(0.8), 2.5, n=4)
+        out = bf.bf_one_sided(PointMass(0.8), 2.5, n=4)
         assert_allclose(out, math.exp(0.8 * 2.5 - 4 * 0.64 / 2), rtol=1e-12)
 
     def test_conjugate_vs_quadrature(self):
@@ -64,24 +62,21 @@ class TestOneSidedClosedForms:
         assert_allclose(closed, oracle, rtol=1e-9)
 
     def test_generic_quadrature_path_agrees(self):
-        model = normal_mean_model()
         prior = half_normal_prior(0.0, 1.5)
         t = np.array([0.5, 2.2, 4.0])
-        generic = bf.bf_one_sided(model, prior, t, n=4)
+        generic = bf.bf_one_sided(prior, t, n=4)
         closed = bf.bf_one_sided_normal_halfnormal(t, 4, 1.5)
         assert_allclose(generic, closed, rtol=1e-8)
 
     def test_generic_path_at_strong_evidence(self):
         # B = 1.4e142: the log-space route keeps the closed form's digits
-        model = normal_mean_model()
-        generic = bf.bf_one_sided(model, half_normal_prior(0.0, 1.5), 60.0, n=4)
+        generic = bf.bf_one_sided(half_normal_prior(0.0, 1.5), 60.0, n=4)
         assert_allclose(generic, bf.bf_one_sided_normal_halfnormal(60.0, 4, 1.5), rtol=1e-10)
 
     def test_generic_path_overflow_is_typed(self):
         # log B = 363 636: no float holds B, and the error says so
-        model = normal_mean_model()
         with pytest.raises(bf.NumericalIntegrityError):
-            bf.bf_one_sided(model, half_normal_prior(0.0, 1.5), 2000.0, n=4)
+            bf.bf_one_sided(half_normal_prior(0.0, 1.5), 2000.0, n=4)
 
     def test_monotone_in_t(self):
         t = np.linspace(-3, 6, 200)
@@ -101,16 +96,15 @@ class TestTwoSided:
     def test_paired_prior_equal_at_critical_pair(self):
         from bfequiv.priors import build_symmetric_class_member, solve_pairing
 
-        model = normal_mean_model()
         # a pairable asymmetric pair needs the mirror side to carry the
         # larger peak, i.e. |g1| >= g2
         g1, g2 = -2.6, 2.1
         base = half_normal_prior(0.0, 1.0)
         paired = build_symmetric_class_member(
-            0.0, base, lambda th: solve_pairing(model, g1, g2, th, n=1)
+            0.0, base, lambda th: solve_pairing(g1, g2, th, n=1)
         )
-        b1 = bf.bf_two_sided(model, paired, g1, n=1)
-        b2 = bf.bf_two_sided(model, paired, g2, n=1)
+        b1 = bf.bf_two_sided(paired, g1, n=1)
+        b2 = bf.bf_two_sided(paired, g2, n=1)
         assert_allclose(b1, b2, rtol=1e-8)
 
     def test_mirror_prior_matches_conjugate_form(self):
@@ -118,16 +112,16 @@ class TestTwoSided:
         # at t = 40, B = 3.7e173 lies past the linear-space integrand's range
         from bfequiv.priors import build_symmetric_class_member
 
-        model, tau = normal_mean_model(), 1.0
+        tau = 1.0
         mirror = build_symmetric_class_member(0.0, half_normal_prior(0.0, tau), lambda th: -th)
         for t in (0.5, 5.0, 40.0):
             assert_allclose(
-                bf.bf_two_sided(model, mirror, t, n=1),
+                bf.bf_two_sided(mirror, t, n=1),
                 bf.bf_two_sided_normal_conjugate(t, 1, tau),
                 rtol=1e-9,
             )
         with pytest.raises(bf.NumericalIntegrityError):
-            bf.bf_two_sided(model, mirror, 2000.0, n=1)
+            bf.bf_two_sided(mirror, 2000.0, n=1)
 
 
 class TestTTest:
@@ -383,22 +377,19 @@ class TestSubjective:
 
 class TestJohnsonThreshold:
     def test_closed_form_normal(self):
-        model = normal_mean_model()
-        theta_star, g_min, prior = bf.johnson_umpbt_threshold(model, 10.0, 10)
+        theta_star, g_min, prior = bf.johnson_umpbt_threshold(10.0, 10)
         # the first-order condition is solved to rounding; a Brent search
         # on g itself once stopped 1.9e-11 short
         assert abs(theta_star - math.sqrt(2 * math.log(10.0) / 10)) <= 2e-15
         assert prior.theta1 == theta_star
 
     def test_grid_search_oracle(self):
-        model = normal_mean_model()
         lam, n = 7.0, 6
-        theta_star, _, _ = bf.johnson_umpbt_threshold(model, lam, n)
+        theta_star, _, _ = bf.johnson_umpbt_threshold(lam, n)
         grid = np.linspace(1e-6, 5.0, 400_001)
         g = (math.log(lam) + n * grid**2 / 2) / grid
         assert abs(theta_star - grid[np.argmin(g)]) < 1e-4
 
     def test_lambda_one_is_boundary(self):
-        model = normal_mean_model()
-        theta_star, _, _ = bf.johnson_umpbt_threshold(model, 1.0, 5)
+        theta_star, _, _ = bf.johnson_umpbt_threshold(1.0, 5)
         assert theta_star == 0.0

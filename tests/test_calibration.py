@@ -16,13 +16,13 @@ from bfequiv.calibrate import (
     lambda_from_gamma,
     verify_equivalence,
 )
-from bfequiv.expfamily import normal_mean_model
 from bfequiv.priors import PointMass
 from bfequiv.problems import (
     GaussianMeanUnknownVar,
     OneSidedNormal,
     TwoSidedNormal,
     VarianceRatio,
+    normal_log_ratio,
 )
 from bfequiv.rng import RngStream
 
@@ -59,9 +59,8 @@ class TestGammaFromAlpha:
 class TestLambdaGammaRoundTrip:
     def test_lambda_from_gamma_one_sided(self):
         p = OneSidedNormal(n=4)
-        model = normal_mean_model()
         prior = PointMass(1.0)
-        g = lambda t: bf.bf_one_sided(model, prior, t, n=4)
+        g = lambda t: bf.bf_one_sided(prior, t, n=4)
         result = calibrate(p, 0.05, g)
         # B(gamma) with theta1 = 1: exp(gamma - 2)
         assert_allclose(result.rule.lam, math.exp(3.2897072539029444 - 2.0), rtol=1e-12)
@@ -77,8 +76,7 @@ class TestLambdaGammaRoundTrip:
     def test_documented_inversion_example(self):
         # lambda = 3.632 under the point mass at 1 inverts to alpha = 0.05
         p = OneSidedNormal(n=4)
-        model = normal_mean_model()
-        g = lambda t: bf.bf_one_sided(model, PointMass(1.0), t, n=4)
+        g = lambda t: bf.bf_one_sided(PointMass(1.0), t, n=4)
         _, implied = gamma_from_lambda(p, g, 3.632)
         assert_allclose(implied, 0.05, atol=5e-5)
 
@@ -95,8 +93,7 @@ class TestClassViolation:
     def test_asymmetric_prior_rejected_with_both_values(self):
         p = TwoSidedNormal(n=4)
         region = gamma_from_alpha(p, 0.05)
-        model = normal_mean_model()
-        g = lambda t: np.exp(model.log_ratio(np.asarray(t, dtype=float), 0.7, 0.0, 4))
+        g = lambda t: np.exp(normal_log_ratio(np.asarray(t, dtype=float), 0.7, 0.0, 4))
         with pytest.raises(ClassViolationError) as exc:
             lambda_from_gamma(region, g)
         msg = str(exc.value)

@@ -1,4 +1,5 @@
 import csv
+import glob
 import math
 import os
 import subprocess
@@ -10,7 +11,7 @@ from numpy.testing import assert_allclose
 
 import bfequiv
 from bfequiv import bayes_factors as bf
-from bfequiv.cli import build_bf, main
+from bfequiv.cli import build_bf, build_problem, main, parse_config
 from bfequiv.priors import ScaledSymmetricPrior, SphericalPrior, standard_normal_log_h
 from bfequiv.problems import (
     GaussianMeanUnknownVar,
@@ -202,12 +203,38 @@ class TestBadConfigValues:
                     ("johnson", "run.lambda = nan", ":8: run.lambda"),
                     ("johnson", "run.lambda = 0.5", ":8: run.lambda"),
                     ("johnson", "run.lambda = 10\nproblem.n = 0", ":9: problem.n"),
+                    ("verify", "run.n_sim = 10", ":8: run.n_sim"),
+                    ("johnson", "run.lambda = 1", ":8: run.lambda"),
+                    ("johnson", "run.lambda = 10\nproblem.kind = t_test", ":9: problem.kind"),
+                    ("johnson", "run.lambda = 10", ":4: prior.kind"),
                 ]
             ),
             ("calibrate", "run.alpha = 0.05", "run.lambda = nan", ":6: run.lambda"),
             ("verify", "run.alpha = 0.05", "run.lambda = nan\nrun.seed = 1", ":6: run.lambda"),
             ("calibrate", ONE_SIDED_MODEL, VARIANCE_RATIO_MODEL + "\nproblem.data1 = 3", ":7: problem.data1"),
             ("calibrate", ONE_SIDED_MODEL, VARIANCE_RATIO_MODEL.replace("1.5", "-1"), ":6: prior.rate"),
+            ("calibrate", "problem.n = 4", "problem.n = 4\nproblem.theta_0 = 1.0", ":4: problem.theta_0"),
+            (
+                "calibrate",
+                ONE_SIDED_MODEL,
+                "problem.kind = regression_known_var\nproblem.p = 3\nproblem.n = 20\n"
+                "prior.kind = gaussian_spherical\nprior.precison = 4.0",
+                ":6: prior.precison",
+            ),
+            (
+                "dominance",
+                ONE_SIDED_MODEL,
+                "problem.kind = subjective_variance\nproblem.n1 = 10\nproblem.n2 = 10\n"
+                "prior.kind = point_mass\nrun.seed = 1",
+                ":5: prior.kind",
+            ),
+            # run.n_sims is read before the two-sided point mass fails calibration (exit 3)
+            (
+                "verify",
+                ONE_SIDED_MODEL,
+                ONE_SIDED_MODEL.replace("one_sided", "two_sided") + "\nrun.seed = 1\nrun.n_sims = 0",
+                ":7: run.n_sims",
+            ),
         ],
     )
     def test_error_starts_with_location(self, tmp_path, capsys, command, old, new, expected):
@@ -231,6 +258,27 @@ class TestBadConfigValues:
         )
         assert main(["calibrate", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "prior.precision must be > 0" in capsys.readouterr().err
+
+
+REPO = os.path.join(os.path.dirname(__file__), os.pardir)
+BENCH_CONFIGS = sorted(glob.glob(os.path.join(REPO, "bench", "configs", "*", "*.ini")))
+
+
+@pytest.mark.parametrize(
+    "path", [*BENCH_CONFIGS, os.path.join(REPO, "README.md")], ids=lambda p: os.path.relpath(p, REPO)
+)
+def test_shipped_configs_are_accepted(tmp_path, path):
+    # every key of the benchmark's configs and of the README example is one
+    # that the problem, prior and run readers accept
+    if path.endswith("README.md"):
+        with open(path) as fh:
+            example = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+        path = write_config(tmp_path, "readme.cfg", example)
+    cfg = parse_config(path)
+    if cfg.problem:
+        problem = build_problem(cfg.problem, cfg.where)
+        if cfg.prior:
+            build_bf(problem, cfg.prior, cfg.where)
 
 
 class TestVerifyCommand:

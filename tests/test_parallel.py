@@ -17,12 +17,12 @@ from numpy.testing import assert_array_equal
 from bfequiv import bayes_factors as bf
 from bfequiv import rng as rng_module
 from bfequiv.calibrate import DecisionRule, calibrate, verify_equivalence
-from bfequiv.expfamily import normal_mean_model
 from bfequiv.power import LIMIT_SCALE, dominance_study, johnson_comparison, mc_power
 from bfequiv.problems import (
     OneSidedNormal,
     SubjectiveVarianceEquality,
     TwoSampleMeansUnknownEqualVar,
+    normal_log_ratio,
 )
 from bfequiv.rng import RngStream, map_jobs
 
@@ -137,13 +137,12 @@ class TestThreadedEqualsSequential:
     def test_johnson_comparison(self, threads):
         thetas, n, n_sims = np.linspace(0.0, 1.2, 5), 10, 30_000
         comp = johnson_comparison(10.0, n, thetas, rng=RngStream(64), n_sims=n_sims)
-        model = normal_mean_model()
-        log_lam = model.log_ratio(comp.gamma_matched, comp.theta_star, 0.0, n)
+        log_lam = normal_log_ratio(comp.gamma_matched, comp.theta_star, 0.0, n)
         hits = np.zeros((len(thetas), 2), dtype=np.int64)
         for i, th in enumerate(thetas):
             t = RngStream(64).substream(i).generator.normal(n * th, np.sqrt(n), size=n_sims)
             hits[i] = [
-                np.count_nonzero(model.log_ratio(t, comp.theta_star, 0.0, n) > log_lam),
+                np.count_nonzero(normal_log_ratio(t, comp.theta_star, 0.0, n) > log_lam),
                 np.count_nonzero(t > comp.gamma_matched),
             ]
         assert_array_equal(comp.power_point_mass, hits[:, 0] / n_sims)

@@ -5,8 +5,8 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from bfequiv import bayes_factors as bf
+from bfequiv import power
 from bfequiv.calibrate import calibrate, gamma_from_alpha
-from bfequiv.expfamily import ExpFamilyModel
 from bfequiv.power import (
     calibrate_lambda_mc,
     dominance_study,
@@ -141,10 +141,8 @@ class TestJohnsonComparison:
     def test_verdict_fails_on_wrong_sign_bayes_factor(self, monkeypatch):
         # the point-mass rule is decided through log B; with B's sign
         # flipped it rejects on the wrong side and the verdict must say so
-        log_ratio = ExpFamilyModel.log_ratio
-        monkeypatch.setattr(
-            ExpFamilyModel, "log_ratio", lambda self, *args: -log_ratio(self, *args)
-        )
+        log_ratio = power.normal_log_ratio
+        monkeypatch.setattr(power, "normal_log_ratio", lambda *args: -log_ratio(*args))
         comp = johnson_comparison(
             10.0, 10, np.linspace(0, 1.2, 5), rng=RngStream(52), n_sims=20_000
         )
@@ -154,13 +152,13 @@ class TestJohnsonComparison:
         # lambda_matched x 1.001 (the scalar log_ratio call is the
         # threshold; the draws go in as arrays), at the CLI's default grid
         # and N: some 200 of 2.1M draws fall between the two boundaries
-        log_ratio = ExpFamilyModel.log_ratio
+        log_ratio = power.normal_log_ratio
 
-        def shifted(self, t, *args):
-            out = log_ratio(self, t, *args)
+        def shifted(t, *args):
+            out = log_ratio(t, *args)
             return out + math.log(1.001) if np.ndim(t) == 0 else out
 
-        monkeypatch.setattr(ExpFamilyModel, "log_ratio", shifted)
+        monkeypatch.setattr(power, "normal_log_ratio", shifted)
         sd = math.sqrt(10)
         hi = (sd * stats.norm.ppf(0.95) - sd * stats.norm.ppf(0.01)) / 10
         comp = johnson_comparison(

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.integrate import quad as scipy_quad
 
-from bfequiv.expfamily import normal_mean_model
 from bfequiv.priors import (
     DensityPrior,
     PairingError,
@@ -18,6 +17,7 @@ from bfequiv.priors import (
     solve_pairing,
     standard_normal_log_h,
 )
+from bfequiv.problems import normal_log_ratio
 
 
 class TestDensityPrior:
@@ -93,33 +93,29 @@ class TestSphericalPrior:
 
 class TestPairing:
     def test_symmetric_region_gives_mirror_point(self):
-        model = normal_mean_model()
         for theta in [0.2, 1.3, 2.0, 5.0]:
-            r = solve_pairing(model, -1.96, 1.96, theta, n=1)
+            r = solve_pairing(-1.96, 1.96, theta, n=1)
             assert_allclose(r, -theta, atol=1e-9)
 
     def test_pairing_equalizes_ratio_sum(self):
-        model = normal_mean_model()
         g1, g2 = -4.2, 3.919928
         theta = 0.5
-        r = solve_pairing(model, g1, g2, theta, n=1)
-        lhs = model.pair_sum(g1, theta, r, 0.0, 1)
-        rhs = model.pair_sum(g2, theta, r, 0.0, 1)
+        r = solve_pairing(g1, g2, theta, n=1)
+        lhs = np.exp(normal_log_ratio(g1, theta, 0.0, 1)) + np.exp(normal_log_ratio(g1, r, 0.0, 1))
+        rhs = np.exp(normal_log_ratio(g2, theta, 0.0, 1)) + np.exp(normal_log_ratio(g2, r, 0.0, 1))
         assert_allclose(lhs, rhs, rtol=1e-9)
 
     def test_unpairable_point_raises(self):
-        model = normal_mean_model()
         # strongly asymmetric pair: the required value exceeds the peak of
         # the mirror function, so no pairing point exists
         with pytest.raises(PairingError):
-            solve_pairing(model, -1.9, 2.5, 1.0, n=1)
+            solve_pairing(-1.9, 2.5, 1.0, n=1)
 
     def test_paired_prior_is_proper(self):
-        model = normal_mean_model()
         base = half_normal_prior(0.0, 1.0)
         g1, g2 = -1.96, 1.96
         paired = build_symmetric_class_member(
-            0.0, base, lambda th: solve_pairing(model, g1, g2, th, n=1)
+            0.0, base, lambda th: solve_pairing(g1, g2, th, n=1)
         )
         total, _ = scipy_quad(lambda x: math.exp(paired.logpdf(x)), -np.inf, np.inf)
         assert_allclose(total, 1.0, rtol=1e-6)
