@@ -72,7 +72,6 @@ from .problems import (
     TwoSampleMeansKnownVar,
     TwoSampleMeansUnknownEqualVar,
     TwoSidedNormal,
-    UnsupportedExactLaw,
     VarianceRatio,
     normal_log_ratio,
     orthonormalize,

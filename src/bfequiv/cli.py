@@ -7,21 +7,22 @@ dominance, johnson, props, reproduce-sec6.  All file outputs are CSV
 (12 significant digits) or SVG, written atomically; identical config and
 seed give byte-identical CSV outputs.
 
-Every value is checked before any work starts, by one reader, `_read`:
-numbers are finite, counts and seeds integers (100000, not 1e5), file
-names text; run.seed >= 0, run.n_sims and run.n_trials >= 1, 0 < run.alpha
-< 1, prior precisions, rates and c > 0, and for johnson run.lambda > 1 and
-problem.n >= 1.  A key that nothing reads is an error: a run.* key outside
-RUN_KEYS, a problem.* or prior.* key that its kind does not read
-(dominance takes prior.kind = gamma or no prior), and for johnson any
-problem.* or prior.* key but problem.kind (one_sided_normal) and problem.n.
+Every value is checked before any work starts, by one reader,
+`RunConfig.get`: numbers are finite, counts and seeds integers (100000,
+not 1e5), file names text; run.seed >= 0, run.n_sims and run.n_trials
+>= 1, 0 < run.alpha < 1, prior precisions, rates and c > 0, and for
+johnson run.lambda > 1 and problem.n >= 1.  A key that nothing reads is
+an error: after its reads, and before any calibration or draw, each
+subcommand calls `RunConfig.check_read`, which names the first key that
+no `get` looked up.  calibrate, verify and power read the same keys
+(`_setup`), so one config serves all three.
 
 Exit codes: calibrate returns 0 on success, 2 when the requested Bayes
 threshold cannot be inverted to a critical region, 3 when the prior
 violates the calibrated two-sided class; malformed configs exit 1 with a
 message that starts with the path:line of the offending key (the path
 alone when a required key is absent); other subcommands exit nonzero iff
-their verdict fails; missing data files exit 1.
+their verdict fails; bad or missing data files exit 1.
 """
 
 from __future__ import annotations
@@ -71,19 +72,40 @@ class InfeasibleLambda(Exception):
     pass
 
 
+_REQUIRED = object()  # the default of a key that must be set
+
+
 @dataclass
 class RunConfig:
-    problem: dict = dc_field(default_factory=dict)
-    prior: dict = dc_field(default_factory=dict)
-    run: dict = dc_field(default_factory=dict)
+    """A parsed config: ``values`` and ``lines`` map each dotted key to its
+    value and line number; ``read`` holds every key that `get` looked up."""
+
+    values: dict = dc_field(default_factory=dict)
     path: str = ""
-    lines: dict = dc_field(default_factory=dict)  # dotted key -> line number
+    lines: dict = dc_field(default_factory=dict)
+    read: set = dc_field(default_factory=set, init=False)
 
     def where(self, key: str) -> str:
         """``path:line: key`` of a dotted key (``path: key`` when the key is
         absent), to start an error message."""
         line = f":{self.lines[key]}" if key in self.lines else ""
         return f"{self.path}{line}: {key}" if self.path else key
+
+    def get(self, key: str, kind: type = float, default=_REQUIRED, bounds: str = ""):
+        """The value of the dotted ``key`` checked by `_check`, or
+        ``default`` when the key is absent; records the key as read."""
+        self.read.add(key)
+        if key not in self.values:
+            if default is _REQUIRED:
+                raise ConfigError(f"{self.where(key)} is required")
+            return default
+        return _check(self.values[key], self.where(key), kind, bounds)
+
+    def check_read(self, command: str) -> None:
+        """ConfigError at the first key that no `get` looked up."""
+        for key in sorted(self.lines, key=self.lines.get):
+            if key not in self.read:
+                raise ConfigError(f"{self.where(key)} is not read by {command}")
 
 
 def _parse_value(raw: str):
@@ -99,10 +121,6 @@ def _parse_value(raw: str):
     except ValueError:
         pass
     return raw
-
-
-# every run.* key that some subcommand reads
-RUN_KEYS = ("alpha", "lambda", "n_sims", "n_trials", "out", "seed", "theta_grid")
 
 
 def parse_config(path: str) -> RunConfig:
@@ -129,13 +147,11 @@ def parse_config(path: str) -> RunConfig:
                 raise ConfigError(f"{path}:{lineno}: unknown section {section!r}")
             if not name:
                 raise ConfigError(f"{path}:{lineno}: empty key name in {key!r}")
-            getattr(cfg, section)[name] = _parse_value(raw)
+            cfg.values[key] = _parse_value(raw)
             cfg.lines[key] = lineno
-    _known(cfg.run, "run", RUN_KEYS, cfg.where, f"any subcommand (run keys: {', '.join(RUN_KEYS)})")
     return cfg
 
 
-_REQUIRED = object()  # the default of a key that must be set
 
 
 def _finite(value) -> bool:
@@ -152,37 +168,20 @@ _KINDS = {
 _COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
 
 
-def _read(section: dict, key: str, where: Callable[[str], str], kind: type = float,
-          default=_REQUIRED, bounds: str = ""):
-    """The value of the dotted key ``<section>.<name>``, or ``default`` when
-    it is absent.  The value must be of ``kind``: float (a finite number),
-    int, str, or list (one finite number or a comma-separated list of
-    them, returned as a list), and meet each comparison of ``bounds``
-    ("> 0", ">= 1", "> 0 and < 1").  Any failure raises a ConfigError that
-    starts with ``where(key)``."""
-    name = key.split(".", 1)[1]
-    if name not in section:
-        if default is _REQUIRED:
-            raise ConfigError(f"{where(key)} is required")
-        return default
-    value = section[name]
-    if kind is list and not isinstance(value, list):
-        value = [value]
+def _check(value, label: str, kind: type, bounds: str):
+    """``value`` if it is of ``kind``: float (a finite number), int, str, or
+    list (one finite number or a comma-separated list of them, returned as
+    a list), and meets each comparison of ``bounds`` ("> 0", ">= 1",
+    "> 0 and < 1"); else a ConfigError that starts with ``label``."""
+    checked = [value] if kind is list and not isinstance(value, list) else value
     text, valid = _KINDS[kind]
-    if not valid(value):
-        raise ConfigError(f"{where(key)} must be {text}, got {section[name]!r}")
+    if not valid(checked):
+        raise ConfigError(f"{label} must be {text}, got {value!r}")
     for bound in bounds.split(" and ") if bounds else ():
         op, limit = bound.split()
-        if not _COMPARE[op](value, float(limit)):
-            raise ConfigError(f"{where(key)} must be {bounds}, got {value!r}")
-    return value
-
-
-def _known(section: dict, prefix: str, names, where: Callable[[str], str], reader: str) -> None:
-    """ConfigError at the first key of the section outside ``names``."""
-    for name in section:
-        if name not in names:
-            raise ConfigError(f"{where(f'{prefix}.{name}')} is not read by {reader}")
+        if not _COMPARE[op](checked, float(limit)):
+            raise ConfigError(f"{label} must be {bounds}, got {checked!r}")
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +328,7 @@ class ProblemKind:
     columns its file gives the problem's ``summarize``, file after file: a
     stem ``"y"`` is column y, a pair ``("x", "p")`` the matrix of columns
     x1 .. x<problem.p>.  ``priors`` maps each allowed prior.kind to its
-    factory ``(problem, get) -> BfPair``, where ``get`` is `_read` on the
-    prior section.
+    factory ``(problem, get) -> BfPair``, where ``get`` is `RunConfig.get`.
     """
 
     problem: type
@@ -393,75 +391,71 @@ KINDS = {
         {"conjugate": _subset_selection},
     ),
     "subjective_variance": ProblemKind(
-        prob.SubjectiveVarianceEquality, ("n1", "n2"), {"a": 2.0, "b": 2.0}, _TWO_SAMPLES,
-        {"gamma": _subjective, "": _subjective},
+        prob.SubjectiveVarianceEquality, ("n1", "n2"), {"b": 2.0}, _TWO_SAMPLES,
+        {"gamma": _subjective},
     ),
 }
 _KIND_OF = {entry.problem: name for name, entry in KINDS.items()}
 
 
-def build_problem(pcfg: dict, where: Callable[[str], str] = str) -> prob.TestProblem:
-    """The problem a problem section declares.  ``where`` maps a dotted
-    key to the start of an error message (``RunConfig.where`` gives its
-    path:line)."""
-    kind = _read(pcfg, "problem.kind", where, str)
+def build_problem(cfg: RunConfig) -> prob.TestProblem:
+    """The problem that the config's problem.* keys declare."""
+    kind = cfg.get("problem.kind", str)
     if kind not in KINDS:
-        raise ConfigError(f"{where('problem.kind')} {kind!r} is not a known problem kind")
+        raise ConfigError(f"{cfg.where('problem.kind')} {kind!r} is not a known problem kind")
     entry = KINDS[kind]
-    _known(pcfg, "problem", {"kind", *entry.required, *entry.optional, *entry.data}, where,
-           f"problem.kind {kind!r}")
     types = {f.name: int if f.type in (int, "int") else float for f in fields(entry.problem)}
     defaults = {**dict.fromkeys(entry.required, _REQUIRED), **entry.optional}
-    args = {
-        key: _read(pcfg, f"problem.{key}", where, types[key], default)
-        for key, default in defaults.items()
-    }
+    args = {key: cfg.get(f"problem.{key}", types[key], default) for key, default in defaults.items()}
     try:
         return entry.problem(**args)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{where('problem.kind')} {kind!r}: invalid parameters: {exc}") from exc
+        raise ConfigError(f"{cfg.where('problem.kind')} {kind!r}: invalid parameters: {exc}") from exc
 
 
-def build_bf(problem: prob.TestProblem, prcfg: dict, where: Callable[[str], str] = str) -> BfPair:
-    """The Bayes factor a prior section declares for ``problem``;
-    ``where`` as in `build_problem`.  A prior key that the kind's factory
-    does not read is an error."""
-    kind = _read(prcfg, "prior.kind", where, str)
+def build_bf(problem: prob.TestProblem, cfg: RunConfig) -> BfPair:
+    """The Bayes factor that the config's prior.* keys declare for
+    ``problem``."""
+    kind = cfg.get("prior.kind", str)
     name = _KIND_OF[type(problem)]
     factory = KINDS[name].priors.get(kind)
     if factory is None:
-        raise ConfigError(f"{where('prior.kind')} {kind!r} is unsupported for {name}")
-    read = {"kind"}
-
-    def get(key, **kwargs):
-        read.add(key.split(".", 1)[1])
-        return _read(prcfg, key, where, **kwargs)
-
+        raise ConfigError(f"{cfg.where('prior.kind')} {kind!r} is unsupported for {name}")
     try:
-        pair = factory(problem, get)
+        return factory(problem, cfg.get)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{where('prior.kind')} {kind!r}: invalid parameters: {exc}") from exc
-    _known(prcfg, "prior", read, where, f"prior.kind {kind!r}")
-    return pair
+        raise ConfigError(f"{cfg.where('prior.kind')} {kind!r}: invalid parameters: {exc}") from exc
 
 
-def load_observed_summary(problem: prob.TestProblem, pcfg: dict, base_dir: str,
-                          where: Callable[[str], str] = str):
-    """The sufficient summary of the data files the problem section names,
-    or None when it names none (naming one requires them all)."""
+# the problem field that declares the row count of each data file
+_ROWS = {"data": "n", "data1": "n1", "data2": "n2"}
+
+
+def load_observed_summary(problem: prob.TestProblem, cfg: RunConfig):
+    """The sufficient summary of the data files that the config's problem.*
+    keys name, or None when they name none (naming one requires them all).
+    Each file must hold as many rows as its declared size (`_ROWS`).  A file
+    that fails, or data that ``summarize`` rejects, raises a DataError that
+    starts with the path:line of the data key."""
     files = KINDS[_KIND_OF[type(problem)]].data
-    if not any(key in pcfg for key in files):
+    if not any(f"problem.{key}" in cfg.values for key in files):
         return None
-    paths = {key: _read(pcfg, f"problem.{key}", where, str) for key in files}
+    base_dir = os.path.dirname(os.path.abspath(cfg.path))
     columns = []
-    for key, path in paths.items():
-        cols = load_columns(path, base_dir)
-        columns += [
-            _column(cols, stem, path) if isinstance(stem, str)
-            else _matrix(cols, stem[0], getattr(problem, stem[1]), path)
-            for stem in files[key]
-        ]
-    return problem.summarize(*columns)
+    try:
+        for key, stems in files.items():
+            where, path = cfg.where(f"problem.{key}"), cfg.get(f"problem.{key}", str)
+            cols, size = load_columns(path, base_dir), getattr(problem, _ROWS[key])
+            for stem in stems:
+                col = (_column(cols, stem, path) if isinstance(stem, str)
+                       else _matrix(cols, stem[0], getattr(problem, stem[1]), path))
+                if len(col) != size:
+                    raise DataError(f"{path} has {len(col)} rows, not problem.{_ROWS[key]} = {size}")
+                columns.append(col)
+        where = cfg.where(f"problem.{next(iter(files))}")
+        return problem.summarize(*columns)
+    except (DataError, ValueError, np.linalg.LinAlgError) as exc:
+        raise DataError(f"{where}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -470,51 +464,55 @@ def load_observed_summary(problem: prob.TestProblem, pcfg: dict, base_dir: str,
 
 def _out_dir(args, cfg: RunConfig) -> str:
     """--out, else run.out (checked even when --out is given), else "."."""
-    out = _read(cfg.run, "run.out", cfg.where, str, "")
+    out = cfg.get("run.out", str, "")
     out = args.out or out or "."
     os.makedirs(out, exist_ok=True)
     return out
 
 
 def _seed(args, cfg: RunConfig, default=_REQUIRED) -> int:
-    """--seed, else run.seed: an integer >= 0."""
+    """--seed, else run.seed (checked even when --seed is given), else
+    ``default``: an integer >= 0."""
+    seed = cfg.get("run.seed", int, None, ">= 0")
     if args.seed is not None:
-        return _read({"seed": args.seed}, "run.seed", lambda key: "--seed", int, bounds=">= 0")
-    where = lambda key: f"{cfg.where(key)} (or --seed)"
-    return _read(cfg.run, "run.seed", where, int, default, ">= 0")
+        return _check(args.seed, "--seed", int, ">= 0")
+    if seed is None and default is _REQUIRED:
+        raise ConfigError(f"{cfg.where('run.seed')} (or --seed) is required")
+    return default if seed is None else seed
 
 
 def _theta_grid(cfg: RunConfig, default=None):
-    grid = _read(cfg.run, "run.theta_grid", cfg.where, list, default)
+    grid = cfg.get("run.theta_grid", list, default)
     return None if grid is None else np.asarray(grid, dtype=float)
 
 
-def _setup(args, draws: bool):
-    """Parse the config, then make the output directory, read run =
-    (seed, n_sims, thetas or None) if ``draws`` (else run is None), then
-    build the problem, B and the decision rule (from run.alpha or
-    run.lambda), in that order.  Returns (config, output directory,
-    problem, B, rule, size, run)."""
+def _setup(args):
+    """Read the keys that calibrate, verify and power share, so one config
+    serves all three: run = (seed, n_sims, thetas or None), where calibrate
+    needs no seed; the problem and the summary of its data files (None
+    without any); B; and run.alpha or run.lambda.  Then check that every
+    key was read, and only then calibrate the decision rule.  Returns
+    (output directory, problem, B, rule, size, run, summary)."""
     cfg = parse_config(args.config)
     out = _out_dir(args, cfg)
-    run = None
-    if draws:  # before calibrating, which can fail on its own (exit 2 or 3)
-        seed = _seed(args, cfg)
-        run = seed, _read(cfg.run, "run.n_sims", cfg.where, int, 100_000, ">= 1"), _theta_grid(cfg)
-    problem = build_problem(cfg.problem, cfg.where)
-    pair = build_bf(problem, cfg.prior, cfg.where)
-    if ("alpha" in cfg.run) == ("lambda" in cfg.run):
+    seed = _seed(args, cfg, None if args.command == "calibrate" else _REQUIRED)
+    run = seed, cfg.get("run.n_sims", int, 100_000, ">= 1"), _theta_grid(cfg)
+    problem = build_problem(cfg)
+    summary = load_observed_summary(problem, cfg)
+    pair = build_bf(problem, cfg)
+    alpha = cfg.get("run.alpha", float, None, "> 0 and < 1")
+    lam = cfg.get("run.lambda", float, None)
+    if (alpha is None) == (lam is None):
         raise ConfigError(f"{cfg.where('run.lambda')}: set exactly one of run.alpha or run.lambda")
-    if "alpha" in cfg.run:
-        alpha = _read(cfg.run, "run.alpha", cfg.where, bounds="> 0 and < 1")
-        result = calibrate(problem, alpha, pair.of_stat)
-        return cfg, out, problem, pair, result.rule, result.alpha, run
-    lam = _read(cfg.run, "run.lambda", cfg.where)
-    if problem.region_shape != "upper":
+    if lam is not None and problem.region_shape != "upper":
         raise ConfigError(
             f"{cfg.where('run.lambda')} needs a one-sided test; "
             f"{_KIND_OF[type(problem)]} is two-sided, so set run.alpha instead"
         )
+    cfg.check_read(args.command)
+    if alpha is not None:
+        result = calibrate(problem, alpha, pair.of_stat)
+        return out, problem, pair, result.rule, result.alpha, run, summary
     region, implied = gamma_from_lambda(problem, pair.of_stat, lam)
     if implied in (0.0, 1.0):
         raise InfeasibleLambda(
@@ -522,7 +520,7 @@ def _setup(args, draws: bool):
             if implied == 0.0
             else f"lambda = {lam} is exceeded by B everywhere"
         )
-    return cfg, out, problem, pair, DecisionRule(region, lam), implied, run
+    return out, problem, pair, DecisionRule(region, lam), implied, run, summary
 
 
 def _write_fields(path: str, values: dict) -> None:
@@ -558,9 +556,8 @@ def _default_grid(problem, region, alpha):
 
 
 def cmd_calibrate(args) -> int:
-    cfg, out, problem, pair, rule, implied_alpha, _ = _setup(args, False)
+    out, problem, pair, rule, implied_alpha, _, summary = _setup(args)
     region, lam = rule.region, rule.lam
-    base_dir = os.path.dirname(os.path.abspath(cfg.path))
 
     header = ["alpha", "lambda", "gamma_lower", "gamma_upper"]
     row = [
@@ -569,7 +566,6 @@ def cmd_calibrate(args) -> int:
         region.lower if region.lower is not None else "",
         region.upper,
     ]
-    summary = load_observed_summary(problem, cfg.problem, base_dir, cfg.where)
     if summary is not None:
         stat = float(np.asarray(problem.decision_stat(summary)))
         b_obs = float(np.asarray(pair.of_summary(summary)))
@@ -585,7 +581,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg, out, problem, pair, rule, _, (seed, n_sims, thetas) = _setup(args, True)
+    out, problem, pair, rule, _, (seed, n_sims, thetas), _ = _setup(args)
     theta_list = (None,) if thetas is None else tuple(thetas)
     report = verify_equivalence(
         problem, pair.of_summary, rule, RngStream(seed), n_sims, thetas=theta_list
@@ -604,19 +600,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_power(args) -> int:
-    cfg, out, problem, pair, rule, alpha, (seed, n_sims, thetas) = _setup(args, True)
+    out, problem, pair, rule, alpha, (seed, n_sims, thetas), _ = _setup(args)
     if thetas is None:
         thetas = _default_grid(problem, rule.region, alpha)
     classical, bayes, identical = mc_power(
         problem, rule, RngStream(seed), thetas, n_sims, bf_of_summary=pair.of_summary
     )
-    rows = []
-    try:
-        exact = exact_power(problem, rule.region, thetas)
-        for th, pw in zip(exact.thetas, exact.power):
-            rows.append([th, pw, 0.0, "exact", alpha, 0])
-    except prob.UnsupportedExactLaw:
-        exact = None
+    exact = exact_power(problem, rule.region, thetas)
+    rows = [[th, pw, 0.0, "exact", alpha, 0] for th, pw in zip(exact.thetas, exact.power)]
     for th, pw, se in zip(classical.thetas, classical.power, classical.se):
         rows.append([th, pw, se, "mc_classical", alpha, n_sims])
     for th, pw, se in zip(bayes.thetas, bayes.power, bayes.se):
@@ -626,9 +617,7 @@ def cmd_power(args) -> int:
         ["theta", "power", "se", "method", "alpha", "N"],
         rows,
     )
-    series = {"classical (MC)": classical.power, "Bayes (MC)": bayes.power}
-    if exact is not None:
-        series["exact"] = exact.power
+    series = {"classical (MC)": classical.power, "Bayes (MC)": bayes.power, "exact": exact.power}
     write_svg_lines(os.path.join(out, "power.svg"), thetas, series, title="power")
     print(
         "decision vectors identical under common random numbers"
@@ -642,14 +631,16 @@ def cmd_dominance(args) -> int:
     cfg = parse_config(args.config)
     out = _out_dir(args, cfg)
     seed = _seed(args, cfg)
-    problem = build_problem(cfg.problem, cfg.where)
+    problem = build_problem(cfg)
     if not isinstance(problem, prob.SubjectiveVarianceEquality):
         raise ConfigError(f"{cfg.where('problem.kind')} must be subjective_variance for dominance")
-    if cfg.prior:  # the study's own priors; only prior.kind = gamma names them
-        build_bf(problem, cfg.prior, cfg.where)
-    alpha = _read(cfg.run, "run.alpha", cfg.where, float, 0.05, "> 0 and < 1")
-    n_sims = _read(cfg.run, "run.n_sims", cfg.where, int, 1_000_000, ">= 1")
+    # the study builds its own priors, which prior.kind = gamma names
+    if cfg.get("prior.kind", str, "gamma") != "gamma":
+        raise ConfigError(f"{cfg.where('prior.kind')} must be gamma for dominance")
+    alpha = cfg.get("run.alpha", float, 0.05, "> 0 and < 1")
+    n_sims = cfg.get("run.n_sims", int, 1_000_000, ">= 1")
     thetas = _theta_grid(cfg, default=[1.5, 2.0, 3.0, 5.0])
+    cfg.check_read("dominance")
     rep = dominance_study(problem, alpha, thetas, RngStream(seed), n_sims)
     write_csv(
         os.path.join(out, "dominance.csv"),
@@ -691,15 +682,14 @@ def cmd_johnson(args) -> int:
     out = _out_dir(args, cfg)
     seed = _seed(args, cfg)
     # at lambda = 1 the threshold-minimizing point mass sits on the null
-    lam = float(_read(cfg.run, "run.lambda", cfg.where, bounds="> 1"))
-    n = _read(cfg.problem, "problem.n", cfg.where, int, bounds=">= 1")
-    alpha = _read(cfg.run, "run.alpha", cfg.where, float, 0.05, "> 0 and < 1")
-    n_sims = _read(cfg.run, "run.n_sims", cfg.where, int, 100_000, ">= 1")
+    lam = float(cfg.get("run.lambda", bounds="> 1"))
+    n = cfg.get("problem.n", int, bounds=">= 1")
+    alpha = cfg.get("run.alpha", float, 0.05, "> 0 and < 1")
+    n_sims = cfg.get("run.n_sims", int, 100_000, ">= 1")
     thetas = _theta_grid(cfg)
-    if _read(cfg.problem, "problem.kind", cfg.where, str) != "one_sided_normal":
+    if cfg.get("problem.kind", str) != "one_sided_normal":
         raise ConfigError(f"{cfg.where('problem.kind')} must be one_sided_normal for johnson")
-    _known(cfg.problem, "problem", ("kind", "n"), cfg.where, "johnson")
-    _known(cfg.prior, "prior", (), cfg.where, "johnson, which builds its own point mass")
+    cfg.check_read("johnson")  # it builds its own point mass, so no prior.* key
     comp = johnson_comparison(
         lam, n, thetas, alpha_matched=alpha, rng=RngStream(seed), n_sims=n_sims
     )
@@ -729,7 +719,8 @@ def cmd_props(args) -> int:
     cfg = parse_config(args.config) if args.config else RunConfig()
     out = _out_dir(args, cfg)
     seed = _seed(args, cfg, default=0)
-    n_trials = _read(cfg.run, "run.n_trials", cfg.where, int, 200, ">= 1")
+    n_trials = cfg.get("run.n_trials", int, 200, ">= 1")
+    cfg.check_read("props")
     results, transcript = run_catalogue(RngStream(seed), n_trials=n_trials)
     write_text(os.path.join(out, "props.txt"), transcript)
     write_csv(

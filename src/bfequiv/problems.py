@@ -22,7 +22,6 @@ from .distributions import DistSpec
 __all__ = [
     "SufficientSummary",
     "DegenerateDataError",
-    "UnsupportedExactLaw",
     "orthonormalize",
     "TestProblem",
     "normal_log_ratio",
@@ -62,10 +61,6 @@ class SufficientSummary(dict):
 
 class DegenerateDataError(ValueError):
     """Raised when a required variance or sum of squares is zero."""
-
-
-class UnsupportedExactLaw(NotImplementedError):
-    """No closed-form law available; caller should fall back to MC."""
 
 
 def orthonormalize(X: np.ndarray):
@@ -121,7 +116,7 @@ class TestProblem:
         return dist.cdf(self.alt_law(theta), x)
 
     def alt_law(self, theta) -> DistSpec:
-        raise UnsupportedExactLaw(type(self).__name__)
+        raise NotImplementedError
 
     def simulate_summary(self, rng, theta, size: int) -> SufficientSummary:
         """`size` datasets at theta: only the fields the decision statistic
@@ -528,15 +523,14 @@ class SubjectiveVarianceEquality(TestProblem):
 
     n1: int = 2
     n2: int = 2
-    a: float = 2.0
     b: float = 2.0
     region_shape = "two_tail"
     theta0 = 1.0
     stat = "f"
 
     def __post_init__(self):
-        if self.n1 < 1 or self.n2 < 1 or not (self.a > 0 and self.b > 0):
-            raise ValueError("need n1, n2 >= 1 and a, b > 0")
+        if self.n1 < 1 or self.n2 < 1 or not self.b > 0:
+            raise ValueError("need n1, n2 >= 1 and b > 0")
 
     def summarize(self, x1, x2):
         x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)

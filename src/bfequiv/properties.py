@@ -182,9 +182,10 @@ def _p04_tsq_draw(rng):
 def _production_bf(problem, prior_kind: str, **params):
     """The CLI's Bayes factor for the problem, so the catalogue certifies
     the route the CLI decides with."""
-    from .cli import build_bf  # cli imports this module
+    from .cli import RunConfig, build_bf  # cli imports this module
 
-    return build_bf(problem, {"kind": prior_kind, **params})
+    prior = {"prior.kind": prior_kind, **{f"prior.{key}": v for key, v in params.items()}}
+    return build_bf(problem, RunConfig(prior))
 
 
 def _p04_tsq_test(c):

@@ -21,7 +21,7 @@ from scipy import stats
 
 from bfequiv import bayes_factors as bf
 from bfequiv.calibrate import calibrate, gamma_from_lambda, verify_equivalence
-from bfequiv.cli import build_bf, main
+from bfequiv.cli import RunConfig, build_bf, main
 from bfequiv.power import dominance_study, exact_power, johnson_comparison, mc_power
 from bfequiv.priors import (
     PointMass,
@@ -57,11 +57,11 @@ def problem_catalogue():
 
     # the CLI's production routes (Gaussian closed forms)
     p = GaussianMeanUnknownVar(n=12)
-    pair = build_bf(p, {"kind": "gaussian_scale"})
+    pair = build_bf(p, RunConfig({"prior.kind": "gaussian_scale"}))
     entries.append(("t_test", p, pair.of_stat, pair.of_summary, np.linspace(-1.0, 1.0, 21)))
 
     p = RegressionUnknownVar(p=2, n=20)
-    pair = build_bf(p, {"kind": "gaussian_spherical", "precision": 1.0})
+    pair = build_bf(p, RunConfig({"prior.kind": "gaussian_spherical", "prior.precision": 1.0}))
     entries.append(
         ("regression_f", p, pair.of_stat, pair.of_summary, np.linspace(0.0, 3.0, 21))
     )
@@ -190,7 +190,7 @@ class TestDominance:
 
     def test_uniform_dominance_and_bridge(self):
         start = time.monotonic()
-        problem = SubjectiveVarianceEquality(n1=10, n2=10, a=2.0, b=2.0)
+        problem = SubjectiveVarianceEquality(n1=10, n2=10, b=2.0)
         report = dominance_study(
             problem, 0.05, [1.5, 2.0, 3.0, 5.0], RngStream(43), 1_000_000
         )

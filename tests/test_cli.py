@@ -1,5 +1,5 @@
 import csv
-import glob
+import importlib.util
 import math
 import os
 import subprocess
@@ -11,7 +11,8 @@ from numpy.testing import assert_allclose
 
 import bfequiv
 from bfequiv import bayes_factors as bf
-from bfequiv.cli import build_bf, build_problem, main, parse_config
+from bfequiv import cli
+from bfequiv.cli import RunConfig, build_bf, main
 from bfequiv.priors import ScaledSymmetricPrior, SphericalPrior, standard_normal_log_h
 from bfequiv.problems import (
     GaussianMeanUnknownVar,
@@ -40,6 +41,10 @@ VARIANCE_RATIO_MODEL = (
     "problem.kind = variance_ratio\nproblem.n1 = 5\nproblem.n2 = 6\n"
     "prior.kind = shifted_exponential\nprior.rate = 1.5"
 )
+
+SUBJECTIVE_MODEL = "problem.kind = subjective_variance\nproblem.n1 = 10\nproblem.n2 = 10\nprior.kind = gamma"
+
+COMMANDS = ("calibrate", "verify", "power", "dominance", "johnson", "props")
 
 
 def read_csv(path):
@@ -207,6 +212,12 @@ class TestBadConfigValues:
                     ("johnson", "run.lambda = 1", ":8: run.lambda"),
                     ("johnson", "run.lambda = 10\nproblem.kind = t_test", ":9: problem.kind"),
                     ("johnson", "run.lambda = 10", ":4: prior.kind"),
+                    ("calibrate", "run.n_sims = abc", ":8: run.n_sims must be an integer"),
+                    ("calibrate", "run.theta_grid = nan", ":8: run.theta_grid must be finite numbers"),
+                    ("calibrate", "run.n_trials = 2.5", ":8: run.n_trials is not read by calibrate"),
+                    ("verify", "problem.data = 5", ":8: problem.data must be text"),
+                    ("verify", "problem.data = nope.csv", ":8: problem.data: data file not found"),
+                    ("props", "run.n_sims = abc", ":2: problem.kind is not read by props"),
                 ]
             ),
             ("calibrate", "run.alpha = 0.05", "run.lambda = nan", ":6: run.lambda"),
@@ -228,6 +239,18 @@ class TestBadConfigValues:
                 "prior.kind = point_mass\nrun.seed = 1",
                 ":5: prior.kind",
             ),
+            (
+                "calibrate",
+                ONE_SIDED_MODEL,
+                SUBJECTIVE_MODEL.replace("prior.kind", "problem.a = 2.0\nprior.kind"),
+                ":5: problem.a is not read by calibrate",
+            ),
+            (
+                "calibrate",
+                ONE_SIDED_MODEL,
+                SUBJECTIVE_MODEL.replace("gamma", ""),
+                ":5: prior.kind '' is unsupported for subjective_variance",
+            ),
             # run.n_sims is read before the two-sided point mass fails calibration (exit 3)
             (
                 "verify",
@@ -242,6 +265,40 @@ class TestBadConfigValues:
         cfg = write_config(tmp_path, "c.cfg", ONE_SIDED.replace(old, new))
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {cfg}{expected}")
+
+    @pytest.mark.parametrize(
+        "command, text, line, key",
+        [
+            (command, ONE_SIDED + "run.seed = 1\nrun.n_sims = 200\nrun.theta_grid = 0.5\nrun.n_trials = 5\n",
+             10, "run.n_trials")
+            for command in ("calibrate", "verify", "power")
+        ] + [
+            (
+                "dominance",
+                SUBJECTIVE_MODEL + "\nrun.seed = 1\nrun.n_sims = 200\nrun.lambda = 3.0\n",
+                7,
+                "run.lambda",
+            ),
+            (
+                "johnson",
+                "problem.kind = one_sided_normal\nproblem.n = 10\nrun.lambda = 10\n"
+                "run.seed = 1\nrun.n_sims = 200\nrun.n_trials = 5\n",
+                6,
+                "run.n_trials",
+            ),
+            ("props", "run.n_trials = 2\nrun.n_sims = 10\n", 2, "run.n_sims"),
+        ],
+        ids=COMMANDS,
+    )
+    def test_key_the_subcommand_does_not_read(self, tmp_path, capsys, command, text, line, key):
+        cfg = write_config(tmp_path, "c.cfg", text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:{line}: {key} is not read by {command}\n"
+
+    def test_config_seed_checked_under_seed_flag(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.cfg", ONE_SIDED + "run.seed = -3\n")
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path), "--seed", "1"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:7: run.seed must be >= 0")
 
     def test_non_numeric_n_trials(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "p.cfg", "run.n_trials = abc\n")
@@ -261,24 +318,114 @@ class TestBadConfigValues:
 
 
 REPO = os.path.join(os.path.dirname(__file__), os.pardir)
-BENCH_CONFIGS = sorted(glob.glob(os.path.join(REPO, "bench", "configs", "*", "*.ini")))
+README = os.path.join(REPO, "README.md")
+
+
+def _shipped_runs():
+    """(command, config) of every benchmark op that reads a config, and the
+    README example under each subcommand the README says it serves."""
+    spec = importlib.util.spec_from_file_location("bench_run", os.path.join(REPO, "bench", "run.py"))
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    ops = [op for workload in bench.WORKLOADS for op in bench.workload_ops(workload)]
+    runs = [(op["command"], op["config"]) for op in ops if op["config"]]
+    return runs + [(command, README) for command in ("calibrate", "verify", "power")]
+
+
+class _StudyReached(Exception):
+    pass
 
 
 @pytest.mark.parametrize(
-    "path", [*BENCH_CONFIGS, os.path.join(REPO, "README.md")], ids=lambda p: os.path.relpath(p, REPO)
+    "command, path", _shipped_runs(), ids=lambda v: os.path.relpath(v, REPO) if os.sep in v else v
 )
-def test_shipped_configs_are_accepted(tmp_path, path):
-    # every key of the benchmark's configs and of the README example is one
-    # that the problem, prior and run readers accept
-    if path.endswith("README.md"):
+def test_shipped_configs_are_accepted(tmp_path, monkeypatch, command, path):
+    # the subcommand reads every key of the config: it gets past its
+    # check_read to the study, which is stubbed so that no draws run
+    # (calibrate has no study and runs to the end)
+    def study(*args, **kwargs):
+        raise _StudyReached
+
+    for name in ("verify_equivalence", "mc_power", "dominance_study", "johnson_comparison", "run_catalogue"):
+        monkeypatch.setattr(cli, name, study)
+    if path == README:
         with open(path) as fh:
             example = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
         path = write_config(tmp_path, "readme.cfg", example)
-    cfg = parse_config(path)
-    if cfg.problem:
-        problem = build_problem(cfg.problem, cfg.where)
-        if cfg.prior:
-            build_bf(problem, cfg.prior, cfg.where)
+    argv = [command, "--config", path, "--out", str(tmp_path), "--seed", "1"]
+    if command == "calibrate":
+        assert main(argv) == 0
+    else:
+        with pytest.raises(_StudyReached):
+            main(argv)
+
+
+def write_data(tmp_path, name, columns):
+    """A CSV data file with one column per entry of ``columns``."""
+    names = list(columns)
+    rows = zip(*(columns[key] for key in names))
+    text = ",".join(names) + "\n" + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+    (tmp_path / name).write_text(text)
+
+
+RNG = np.random.default_rng(7)
+TWO_SAMPLES = "problem.n1 = 12\nproblem.n2 = 15\nproblem.data1 = x1.csv\nproblem.data2 = x2.csv\n"
+
+
+class TestObservedData:
+    """Data that does not fit the declared problem exits 1 with the path:line
+    of its data key, not with a wrong statistic or a traceback."""
+
+    @pytest.mark.parametrize(
+        "model, data, expected",
+        [
+            (
+                "problem.kind = t_test\nproblem.n = 30\nproblem.data = x.csv\nprior.kind = gaussian_scale",
+                {"x.csv": {"x": RNG.normal(size=50)}},
+                ":3: problem.data: x.csv has 50 rows, not problem.n = 30",
+            ),
+            (
+                "problem.kind = two_sample_t\n" + TWO_SAMPLES + "prior.kind = conjugate",
+                {"x1.csv": {"x": RNG.normal(size=8)}, "x2.csv": {"x": RNG.normal(size=50)}},
+                ":4: problem.data1: x1.csv has 8 rows, not problem.n1 = 12",
+            ),
+            (
+                "problem.kind = variance_ratio\n" + TWO_SAMPLES + "prior.kind = point_mass\nprior.theta1 = 2.0",
+                {"x1.csv": {"x": RNG.normal(size=8)}, "x2.csv": {"x": RNG.normal(size=50)}},
+                ":4: problem.data1: x1.csv has 8 rows, not problem.n1 = 12",
+            ),
+            (
+                "problem.kind = variance_ratio\n" + TWO_SAMPLES + "prior.kind = point_mass\nprior.theta1 = 2.0",
+                {"x1.csv": {"x": RNG.normal(size=12)}, "x2.csv": {"x": RNG.normal(size=50)}},
+                ":5: problem.data2: x2.csv has 50 rows, not problem.n2 = 15",
+            ),
+            (
+                "problem.kind = subset_selection\nproblem.n = 40\nproblem.p1 = 2\nproblem.p2 = 3\n"
+                "problem.data = d.csv\nprior.kind = conjugate",
+                {"d.csv": {key: RNG.normal(size=12) for key in ("y", "x1", "x2", "z1", "z2", "z3")}},
+                ":5: problem.data: d.csv has 12 rows, not problem.n = 40",
+            ),
+            (
+                "problem.kind = t_test\nproblem.n = 30\nproblem.data = x.csv\nprior.kind = gaussian_scale",
+                {"x.csv": {"x": np.full(30, 1.5)}},
+                ":3: problem.data: zero sample variance",
+            ),
+            (
+                "problem.kind = regression_known_var\nproblem.p = 2\nproblem.n = 6\nproblem.data = d.csv\n"
+                "prior.kind = gaussian_spherical",
+                {"d.csv": {"y": RNG.normal(size=6), "x1": np.arange(6.0), "x2": 2.0 * np.arange(6.0)}},
+                ":4: problem.data: design matrix is rank deficient",
+            ),
+        ],
+        ids=["t_test_rows", "two_sample_t_rows", "variance_ratio_rows1", "variance_ratio_rows2",
+             "subset_selection_rows", "constant_column", "rank_deficient_design"],
+    )
+    def test_bad_data_exit_1(self, tmp_path, capsys, model, data, expected):
+        for name, columns in data.items():
+            write_data(tmp_path, name, columns)
+        cfg = write_config(tmp_path, "c.cfg", f"{model}\nrun.alpha = 0.05\n")
+        assert main(["calibrate", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg}{expected}")
 
 
 class TestVerifyCommand:
@@ -319,7 +466,7 @@ class TestGaussianRoutes:
 
     @pytest.mark.parametrize("n", [3, 12, 20])
     def test_t_test(self, n):
-        pair = build_bf(GaussianMeanUnknownVar(n=n), {"kind": "gaussian_scale"})
+        pair = build_bf(GaussianMeanUnknownVar(n=n), RunConfig({"prior.kind": "gaussian_scale"}))
         oracle = bf.TTestBf(ScaledSymmetricPrior(standard_normal_log_h), n)
         for t in (0.0, 0.7, -2.5, 6.0, 10.0):
             xbar = t / math.sqrt(n)
@@ -330,7 +477,7 @@ class TestGaussianRoutes:
 
     @pytest.mark.parametrize("p, n, tau", [(1, 20, 1.0), (3, 12, 0.5), (2, 8, 2.0)])
     def test_regression_unknown_var(self, p, n, tau):
-        prior = {"kind": "gaussian_spherical", "precision": tau}
+        prior = RunConfig({"prior.kind": "gaussian_spherical", "prior.precision": tau})
         pair = build_bf(RegressionUnknownVar(p=p, n=n), prior)
         oracle = bf.RegressionUnknownVarBf(SphericalPrior.gaussian(p, tau), n)
         for t_hat in (0.0, 0.05, 0.3, 0.5):
@@ -341,7 +488,7 @@ class TestGaussianRoutes:
 
     @pytest.mark.parametrize("p, tau", [(1, 1.0), (3, 0.5), (2, 1.0)])
     def test_regression_known_var(self, p, tau):
-        prior = {"kind": "gaussian_spherical", "precision": tau}
+        prior = RunConfig({"prior.kind": "gaussian_spherical", "prior.precision": tau})
         pair = build_bf(RegressionKnownVar(p=p, n=p + 5), prior)
         oracle = bf.RegressionKnownVarBf(SphericalPrior.gaussian(p, tau))
         for t_abs in (0.0, 0.5, 8.0, 40.0):

@@ -114,7 +114,7 @@ class TestThreadedEqualsSequential:
         assert len(set(sources[:5])) > 1  # the five examples span chunks
 
     def test_dominance_study(self, threads):
-        p = SubjectiveVarianceEquality(n1=10, n2=10, a=2.0, b=2.0)
+        p = SubjectiveVarianceEquality(n1=10, n2=10, b=2.0)
         thetas, n_sims, chunk = [1.5, 3.0], 60_000, 25_000
         rep = dominance_study(p, 0.05, thetas, RngStream(63), n_sims, chunk_size=chunk)
         root = RngStream(63)

@@ -92,7 +92,7 @@ class TestCalibrateLambdaMc:
 
 class TestDominance:
     def test_study_verdict_and_bridge(self):
-        p = SubjectiveVarianceEquality(n1=10, n2=10, a=2.0, b=2.0)
+        p = SubjectiveVarianceEquality(n1=10, n2=10, b=2.0)
         rep = dominance_study(p, 0.05, [1.5, 2.0, 3.0, 5.0], RngStream(43), 100_000)
         assert rep.verdict == "PASS"
         assert rep.bridge_residual <= 1e-9
@@ -116,13 +116,13 @@ class TestDominance:
 
         bf_subjective = power.bf_subjective_variance
         monkeypatch.setattr(power, "bf_subjective_variance", lambda q, t: 0.99 * bf_subjective(q, t))
-        p = SubjectiveVarianceEquality(n1=10, n2=10, a=2.0, b=2.0)
+        p = SubjectiveVarianceEquality(n1=10, n2=10, b=2.0)
         rep = dominance_study(p, 0.05, [1.5, 2.0, 3.0, 5.0], RngStream(3), 200_000)
         assert rep.verdict == "FAIL"
         assert rep.n_proper_only > 0
 
     def test_strict_dominance_away_from_null(self):
-        p = SubjectiveVarianceEquality(n1=10, n2=10, a=2.0, b=2.0)
+        p = SubjectiveVarianceEquality(n1=10, n2=10, b=2.0)
         rep = dominance_study(p, 0.05, [2.0, 5.0], RngStream(42), 100_000)
         assert np.all(rep.power_subjective < rep.power_classical)
 

@@ -189,7 +189,7 @@ class TestSubsetSelection:
 
 class TestSubjectiveVariance:
     def test_summary_fields(self):
-        p = SubjectiveVarianceEquality(n1=2, n2=2, a=2.0, b=3.0)
+        p = SubjectiveVarianceEquality(n1=2, n2=2, b=3.0)
         s = p.summarize([1.0, 1.0], [1.0, 0.0])
         assert_allclose(s.f, 2.0)
         assert_allclose(s.q, 1.0)  # b / (S1^2 + S2^2) = 3/3
