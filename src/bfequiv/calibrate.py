@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import distributions as dist
+from .integrate import brentq
 from .problems import SufficientSummary, TestProblem
 from .rng import RngStream, tally
 

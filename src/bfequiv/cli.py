@@ -50,6 +50,7 @@ from .calibrate import (
     gamma_from_lambda,
     verify_equivalence,
 )
+from .integrate import brentq
 from .power import dominance_study, exact_power, johnson_comparison, mc_power
 from .priors import DensityPrior, PointMass
 from .properties import run_catalogue
@@ -266,7 +267,8 @@ def _variance_ratio_point_mass(problem, get):
 
 def _variance_ratio_shifted_exponential(problem, get):
     rate = get("prior.rate", default=1.0, bounds="> 0")
-    prior = DensityPrior(lambda th: math.log(rate) - rate * (th - 1.0), (1.0, math.inf))
+    # rate * exp(-rate (theta - 1)) integrates to 1 over (1, inf)
+    prior = DensityPrior(lambda th: math.log(rate) - rate * (th - 1.0), (1.0, math.inf), log_z=0.0)
     return _stat_pair(problem, bf.VarianceRatioBf(prior, problem.n1, problem.n2))
 
 
@@ -314,7 +316,10 @@ def _column(cols: dict, name: str, path: str) -> np.ndarray:
     return cols[name]
 
 
-def _matrix(cols: dict, stem: str, count: int, path: str) -> np.ndarray:
+def _matrix(cols: dict, stem: str, count: int, path: str, rows: int) -> np.ndarray:
+    """Columns <stem>1 .. <stem><count>; ``rows`` x 0 when count is 0."""
+    if not count:
+        return np.empty((rows, 0))
     return np.column_stack([_column(cols, f"{stem}{i}", path) for i in range(1, count + 1)])
 
 
@@ -448,7 +453,7 @@ def load_observed_summary(problem: prob.TestProblem, cfg: RunConfig):
             cols, size = load_columns(path, base_dir), getattr(problem, _ROWS[key])
             for stem in stems:
                 col = (_column(cols, stem, path) if isinstance(stem, str)
-                       else _matrix(cols, stem[0], getattr(problem, stem[1]), path))
+                       else _matrix(cols, stem[0], getattr(problem, stem[1]), path, size))
                 if len(col) != size:
                     raise DataError(f"{path} has {len(col)} rows, not problem.{_ROWS[key]} = {size}")
                 columns.append(col)
@@ -463,11 +468,12 @@ def load_observed_summary(problem: prob.TestProblem, cfg: RunConfig):
 
 
 def _out_dir(args, cfg: RunConfig) -> str:
-    """--out, else run.out (checked even when --out is given), else "."."""
+    """--out, else run.out (checked even when --out is given), else ".".
+    Each subcommand makes it once its config has passed check_read, so a
+    config error leaves no directory behind and a directory that cannot
+    be made fails before any Monte Carlo work."""
     out = cfg.get("run.out", str, "")
-    out = args.out or out or "."
-    os.makedirs(out, exist_ok=True)
-    return out
+    return args.out or out or "."
 
 
 def _seed(args, cfg: RunConfig, default=_REQUIRED) -> int:
@@ -510,6 +516,7 @@ def _setup(args):
             f"{_KIND_OF[type(problem)]} is two-sided, so set run.alpha instead"
         )
     cfg.check_read(args.command)
+    os.makedirs(out, exist_ok=True)
     if alpha is not None:
         result = calibrate(problem, alpha, pair.of_stat)
         return out, problem, pair, result.rule, result.alpha, run, summary
@@ -533,8 +540,6 @@ def _write_fields(path: str, values: dict) -> None:
 
 def _default_grid(problem, region, alpha):
     """21 equally spaced thetas covering classical power 0.05 -> 0.99."""
-    from scipy.optimize import brentq
-
     def power_at(th):
         return float(exact_power(problem, region, [th]).power[0])
 
@@ -641,6 +646,7 @@ def cmd_dominance(args) -> int:
     n_sims = cfg.get("run.n_sims", int, 1_000_000, ">= 1")
     thetas = _theta_grid(cfg, default=[1.5, 2.0, 3.0, 5.0])
     cfg.check_read("dominance")
+    os.makedirs(out, exist_ok=True)
     rep = dominance_study(problem, alpha, thetas, RngStream(seed), n_sims)
     write_csv(
         os.path.join(out, "dominance.csv"),
@@ -690,6 +696,7 @@ def cmd_johnson(args) -> int:
     if cfg.get("problem.kind", str) != "one_sided_normal":
         raise ConfigError(f"{cfg.where('problem.kind')} must be one_sided_normal for johnson")
     cfg.check_read("johnson")  # it builds its own point mass, so no prior.* key
+    os.makedirs(out, exist_ok=True)
     comp = johnson_comparison(
         lam, n, thetas, alpha_matched=alpha, rng=RngStream(seed), n_sims=n_sims
     )
@@ -721,6 +728,7 @@ def cmd_props(args) -> int:
     seed = _seed(args, cfg, default=0)
     n_trials = cfg.get("run.n_trials", int, 200, ">= 1")
     cfg.check_read("props")
+    os.makedirs(out, exist_ok=True)
     results, transcript = run_catalogue(RngStream(seed), n_trials=n_trials)
     write_text(os.path.join(out, "props.txt"), transcript)
     write_csv(
@@ -739,6 +747,7 @@ def cmd_props(args) -> int:
 
 def cmd_reproduce_sec6(args) -> int:
     out = _out_dir(args, RunConfig())
+    os.makedirs(out, exist_ok=True)
     # one-sample normal mean, n*xbar^2 = 10, standard-normal-slab prior with
     # precision tau; exact marginal-ratio value vs the large-n/(n+tau)
     # simplification that keeps only the sqrt prefactor

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .integrate import log_quad, quad
+from .integrate import brentq, log_quad, minimize_bounded, quad
 from .problems import normal_log_ratio
 
 __all__ = [
@@ -65,21 +64,24 @@ class PointMass(Prior):
 class DensityPrior(Prior):
     """Prior given by an unnormalized log-density on an interval.
 
-    The normalizing constant is computed at construction by adaptive
-    quadrature; construction fails if the density is not integrable.
+    ``log_z`` is the log of the density's integral over the support when
+    it is known; otherwise it is computed at construction by adaptive
+    quadrature, and construction fails if the density is not integrable.
     ``log_density`` is also called on arrays, so it must be elementwise.
     """
 
-    def __init__(self, log_density: Callable, support: Tuple[float, float]):
+    def __init__(self, log_density: Callable, support: Tuple[float, float], log_z: float | None = None):
         a, b = support
         if not a < b:
             raise ValueError("support must be a nonempty interval")
         self._log_density = log_density
         self.support = (a, b)
-        z, _ = quad(lambda x: math.exp(log_density(x)), a, b, tol=MASS_TOL)
-        if not np.isfinite(z) or z <= 0:
-            raise ValueError("density is not integrable over its support")
-        self._log_z = math.log(z)
+        if log_z is None:
+            z, _ = quad(lambda x: math.exp(log_density(x)), a, b, tol=MASS_TOL)
+            if not np.isfinite(z) or z <= 0:
+                raise ValueError("density is not integrable over its support")
+            log_z = math.log(z)
+        self._log_z = log_z
 
     def logpdf(self, theta):
         """log density at a scalar (a float) or at each entry of an array;
@@ -232,13 +234,8 @@ def solve_pairing(
         raise PairingError("phi(theta) is not negative above theta0")
 
     def peak(lo, hi):
-        from scipy.optimize import minimize_scalar
-
-        res = minimize_scalar(
-            lambda u: -logabs_phi(u), bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-12},
-        )
-        return float(res.x), logabs_phi(float(res.x))
+        x = float(minimize_bounded(lambda u: -logabs_phi(u), (lo, hi), xatol=1e-12))
+        return x, logabs_phi(x)
 
     # expand a finite window on each side until log|phi| drops below the
     # target, which guarantees a sign change for the bracketed root

@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import json
 import math
 import os
 import subprocess
@@ -292,8 +293,10 @@ class TestBadConfigValues:
     )
     def test_key_the_subcommand_does_not_read(self, tmp_path, capsys, command, text, line, key):
         cfg = write_config(tmp_path, "c.cfg", text)
-        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {cfg}:{line}: {key} is not read by {command}\n"
+        assert not out.exists(), "a rejected config left its output directory behind"
 
     def test_config_seed_checked_under_seed_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.cfg", ONE_SIDED + "run.seed = -3\n")
@@ -358,6 +361,31 @@ def test_shipped_configs_are_accepted(tmp_path, monkeypatch, command, path):
     else:
         with pytest.raises(_StudyReached):
             main(argv)
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("verify", ONE_SIDED + "run.seed = 1\nrun.n_sims = 200\n"),
+        ("power", ONE_SIDED + "run.seed = 1\nrun.n_sims = 200\nrun.theta_grid = 0.5\n"),
+        ("dominance", SUBJECTIVE_MODEL + "\nrun.seed = 1\nrun.n_sims = 200\n"),
+        ("johnson", "problem.kind = one_sided_normal\nproblem.n = 10\nrun.lambda = 10\nrun.seed = 1\n"),
+        ("props", "run.n_trials = 2\n"),
+    ],
+    ids=COMMANDS[1:],
+)
+def test_out_that_cannot_be_made_fails_before_the_study(tmp_path, monkeypatch, command, text):
+    # --out names a file, so making the directory fails, and it fails
+    # before the (stubbed) study would have run its draws
+    def study(*args, **kwargs):
+        raise _StudyReached
+
+    for name in ("verify_equivalence", "mc_power", "dominance_study", "johnson_comparison", "run_catalogue"):
+        monkeypatch.setattr(cli, name, study)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(FileExistsError):
+        main([command, "--config", write_config(tmp_path, "c.cfg", text), "--out", str(blocker)])
 
 
 def write_data(tmp_path, name, columns):
@@ -426,6 +454,27 @@ class TestObservedData:
         cfg = write_config(tmp_path, "c.cfg", f"{model}\nrun.alpha = 0.05\n")
         assert main(["calibrate", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {cfg}{expected}")
+
+    def test_subset_selection_without_null_covariates(self, tmp_path):
+        # p1 = 0: the null model has no covariates, so H1 = 0,
+        # F = y'Hy / y'(I-H)y and the file holds only y, z1 and z2
+        rng = np.random.default_rng(11)
+        z = rng.normal(size=(12, 2))
+        y = z @ [0.8, -0.5] + rng.normal(size=12)
+        write_data(tmp_path, "d.csv", {"y": y, "z1": z[:, 0], "z2": z[:, 1]})
+        cfg = write_config(
+            tmp_path,
+            "c.cfg",
+            "problem.kind = subset_selection\nproblem.n = 12\nproblem.p1 = 0\nproblem.p2 = 2\n"
+            "problem.data = d.csv\nprior.kind = conjugate\nrun.alpha = 0.05\n",
+        )
+        out = str(tmp_path / "out")
+        assert main(["calibrate", "--config", cfg, "--out", out]) == 0
+        (row,) = read_csv(os.path.join(out, "calibration.csv"))
+        hat = z @ np.linalg.solve(z.T @ z, z.T)
+        f = float(y @ hat @ y / (y @ (np.eye(12) - hat) @ y))
+        assert_allclose(float(row["stat"]), f, rtol=1e-11)
+        assert_allclose(float(row["bayes_factor"]), bf.SubsetSelectionBf(12, 2, 1.0).from_f(f), rtol=1e-11)
 
 
 class TestVerifyCommand:
@@ -549,38 +598,50 @@ run.theta_grid = 0.5
 
 
 IMPORT_GUARD = """
-import sys
+import json, sys
 from bfequiv.cli import main
 
-out, configs = sys.argv[1], sys.argv[2:]
-for cfg in configs:
-    for command in ("calibrate", "verify", "power"):
-        assert main([command, "--config", cfg, "--out", out]) == 0, (command, cfg)
-assert "scipy.stats" not in sys.modules, "a subcommand imported scipy.stats"
+out, runs = sys.argv[1], json.loads(sys.argv[2])
+for code, *argv in runs:
+    assert main([*argv, "--out", out]) == code, argv
+heavy = ("scipy.stats", "scipy.optimize", "scipy.integrate")
+loaded = [h for h in heavy if any(m == h or m.startswith(h + ".") for m in sys.modules)]
+assert not loaded, f"a subcommand imported {loaded}"
 """
 
 
-def test_subcommands_never_import_scipy_stats(tmp_path):
-    # importing scipy.stats is a large share of each CLI process's start-up
-    # time and memory, and distributions evaluates every law without it
-    common = "run.alpha = 0.05\nrun.seed = 3\nrun.n_sims = 2000\n"
-    configs = [
-        write_config(
-            tmp_path,
-            "t.cfg",
-            "problem.kind = t_test\nproblem.n = 12\nprior.kind = gaussian_scale\n" + common,
-        ),
-        write_config(
-            tmp_path,
-            "t2.cfg",
-            "problem.kind = two_sample_t\nproblem.n1 = 5\nproblem.n2 = 8\nprior.kind = conjugate\n"
-            + common,
-        ),
+def test_subcommands_import_no_scipy_stats_optimize_or_integrate(tmp_path):
+    # importing scipy.stats, scipy.optimize or scipy.integrate is a large
+    # share of each CLI process's start-up time and memory; distributions
+    # evaluates every law without the first, and integrate carries the
+    # root-finder, minimiser and quadrature that replace the other two
+    common = "run.seed = 3\nrun.n_sims = 2000\n"
+    configs = {
+        "t": "problem.kind = t_test\nproblem.n = 12\nprior.kind = gaussian_scale\nrun.alpha = 0.05\n",
+        "t2": "problem.kind = two_sample_t\nproblem.n1 = 5\nproblem.n2 = 8\nprior.kind = conjugate\n"
+        "run.alpha = 0.05\n",
+        "vr": VARIANCE_RATIO_MODEL + "\nrun.alpha = 0.05\n",
+        "lambda": ONE_SIDED.replace("run.alpha = 0.05", "run.lambda = 3.0"),
+        "dominance": SUBJECTIVE_MODEL + "\nrun.theta_grid = 2.0\n",
+        "johnson": "problem.kind = one_sided_normal\nproblem.n = 10\nrun.lambda = 10\n",
+    }
+    paths = {name: write_config(tmp_path, f"{name}.cfg", text + common) for name, text in configs.items()}
+    paths["props"] = write_config(tmp_path, "props.cfg", "run.n_trials = 2\nrun.seed = 3\n")
+    # power without run.theta_grid searches its default grid with brentq,
+    # and calibrate with run.lambda inverts B with it; each run is (exit
+    # code, argv), and at 2000 draws dominance's size check fails
+    runs = [
+        [0, command, "--config", paths[name]]
+        for name in ("t", "t2", "vr", "lambda")
+        for command in ("calibrate", "verify", "power")
     ]
+    runs += [[int(command == "dominance"), command, "--config", paths[command]]
+             for command in ("dominance", "johnson", "props")]
+    runs.append([0, "reproduce-sec6"])
     src = os.path.dirname(os.path.dirname(bfequiv.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run(
-        [sys.executable, "-c", IMPORT_GUARD, str(tmp_path / "out"), *configs],
+        [sys.executable, "-c", IMPORT_GUARD, str(tmp_path / "out"), json.dumps(runs)],
         env=env,
         check=True,
         timeout=300,
