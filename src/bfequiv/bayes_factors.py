@@ -65,10 +65,22 @@ def _exp_b(log_b: float) -> float:
 
 
 def _exp_each(log_b: Callable, t):
-    """`_exp_b(log_b(t_i))` at each entry of t, shaped like t (0-d: a float)."""
+    """`_exp_b(log_b(t_i))` at each float t_i of t, shaped like t (0-d: a float)."""
     t = np.asarray(t, dtype=float)
-    out = np.array([_exp_b(log_b(ti)) for ti in t.ravel()])
+    out = np.array([_exp_b(log_b(ti)) for ti in t.ravel().tolist()])
     return out.reshape(t.shape) if t.shape else float(out[0])
+
+
+_LOG_2 = math.log(2.0)
+
+
+def _logaddexp(x: float, y: float) -> float:
+    """log(e^x + e^y) for floats, by numpy's formula for np.logaddexp, so
+    the value is the same float without numpy's 0-d overhead."""
+    if x == y:  # also equal infinities, without a nan
+        return x + _LOG_2
+    big, small = (x, y) if x > y else (y, x)
+    return big + math.log1p(math.exp(small - big))
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +152,16 @@ def bf_two_sided(prior: SymmetricPaired, t, n: int):
     float range raises NumericalIntegrityError.
     """
     lo, hi = prior.theta0, prior.base.support[1]
+    half_lo_sq = lo * lo / 2.0
 
     def log_b(ti):
+        # problems.normal_log_ratio, on floats
+        def log_ratio(th):
+            return ti * (th - lo) - n * (th * th / 2.0 - half_lo_sq)
+
         def log_f(th):
-            pair = np.logaddexp(
-                normal_log_ratio(ti, th, lo, n), normal_log_ratio(ti, prior.r(th), lo, n)
-            )
-            return float(pair) + float(prior.half_weight_log(th))
+            pair = _logaddexp(log_ratio(th), log_ratio(prior.r(th)))
+            return pair + prior.half_weight_log(th)
 
         return log_quad(log_f, lo, hi, peak_bracket(log_f, lo, hi))
 
@@ -621,7 +636,9 @@ class VarianceRatioBf:
             np.multiply(rows[:, None], c, out=x)
             x += 1.0
             np.power(x, -self.n / 2.0, out=x)
-            np.dot(x, weight, out=vals[start : start + rows.size])
+            # einsum sums every row the same way wherever it sits (and
+            # starts no BLAS threads), so B(F) does not depend on the block
+            np.einsum("ij,j->i", x, weight, out=vals[start : start + rows.size])
         return vals.reshape(f.shape) if f.shape else float(vals[0])
 
     def adaptive(self, f: float) -> float:

@@ -745,6 +745,10 @@ def cmd_props(args) -> int:
     return EXIT_OK if n_fail == 0 else EXIT_ERROR
 
 
+# how far the fitted log-log slope of lambda(n) may sit from -1/2
+SEC6_SLOPE_TOL = 0.01
+
+
 def cmd_reproduce_sec6(args) -> int:
     out = _out_dir(args, RunConfig())
     os.makedirs(out, exist_ok=True)
@@ -789,10 +793,16 @@ def cmd_reproduce_sec6(args) -> int:
         f"threshold scaling: log-log slope of lambda(n) at fixed size = {slope:.4f} "
         "(expected -0.5)"
     )
+    # the paper prints both B values to one decimal
+    passed = abs(slope + 0.5) < SEC6_SLOPE_TOL and all(
+        round(b_approx, 1) == ref for _, _, b_approx, ref in rows
+    )
+    verdict = "PASS" if passed else "FAIL"
+    lines.append(f"verdict: {verdict}")
     text = "\n".join(lines) + "\n"
     write_text(os.path.join(out, "reproduce_sec6.txt"), text)
     print(text, end="")
-    return EXIT_OK
+    return EXIT_OK if passed else EXIT_ERROR
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from functools import cache
 
 import numpy as np
 
@@ -362,13 +363,24 @@ def peak_bracket(log_f, lo: float, hi: float) -> tuple:
     return lo, min(lo + 2.0 * step, hi)
 
 
+@cache
+def _leggauss(n: int):
+    """numpy's n-point Gauss-Legendre rule on (-1, 1), computed once per
+    process (an eigen-solve) and returned as read-only arrays."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre_nodes(n: int, a: float, b: float):
     """Gauss-Legendre nodes and weights mapped to the interval (a, b).
 
     Used for batch evaluation of smooth integrands over many parameter
     values at once; the adaptive routines above remain the accuracy
-    reference.
+    reference.  The rule on (-1, 1) is built once per n and process; the
+    mapped arrays are new on every call.
     """
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _leggauss(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w

@@ -87,7 +87,8 @@ class DensityPrior(Prior):
         """log density at a scalar (a float) or at each entry of an array;
         the log-density is called once, on the in-support entries."""
         a, b = self.support
-        if np.ndim(theta) == 0:
+        # a float skips np.ndim, which is most of a scalar call's cost
+        if isinstance(theta, float) or np.ndim(theta) == 0:
             theta = float(theta)
             return float(self._log_density(theta)) - self._log_z if a <= theta <= b else -math.inf
         arr = np.asarray(theta, dtype=float)
@@ -154,7 +155,10 @@ class SymmetricPaired(Prior):
         return (self.r(theta + step) - self.r(theta - step)) / (2 * step)
 
     def half_weight_log(self, theta):
-        """Log of the half-line weight w(theta) = c * base(theta), theta > theta0."""
+        """Log of the half-line weight w(theta) = c * base(theta), theta > theta0:
+        a float at a float theta, else an array."""
+        if isinstance(theta, float):
+            return self.base.logpdf(theta) + self._log_c
         return np.asarray(self.base.logpdf(theta), dtype=float) + self._log_c
 
     def _invert_r(self, theta_low: float) -> float:

@@ -123,6 +123,39 @@ class TestTwoSided:
         with pytest.raises(bf.NumericalIntegrityError):
             bf.bf_two_sided(mirror, 2000.0, n=1)
 
+    def test_logaddexp_is_numpys(self):
+        g = np.random.default_rng(3)
+        x = np.concatenate([g.normal(0, 1, 20_000), g.normal(0, 300, 20_000)])
+        y = x + np.concatenate([g.normal(0, 1, 20_000), g.normal(0, 40, 20_000)])
+        x = np.concatenate([x, [3.0, -np.inf, np.inf, -np.inf, np.inf]])
+        y = np.concatenate([y, [3.0, -np.inf, np.inf, 1.0, 1.0]])
+        floats = [bf._logaddexp(a, b) for a, b in zip(x.tolist(), y.tolist())]
+        assert np.array_equal(floats, np.logaddexp(x, y))
+
+    def test_float_integrand_matches_numpy_integrand(self):
+        # the integrand as numpy evaluates it: normal_log_ratio and
+        # np.logaddexp on 0-d arrays
+        from bfequiv.integrate import log_quad, peak_bracket
+        from bfequiv.priors import build_symmetric_class_member
+        from bfequiv.problems import normal_log_ratio
+
+        for base, r, n in (
+            (half_normal_prior(0.0, 1.5), lambda th: -th, 3),
+            (exponential_prior(0.5, 2.0), lambda th: 0.5 - 2.0 * (th - 0.5), 7),
+        ):
+            paired = build_symmetric_class_member(base.support[0], base, r)
+            lo, hi = paired.theta0, base.support[1]
+            for t in (-4.0, 0.3, 2.5):
+
+                def log_f(th):
+                    pair = np.logaddexp(
+                        normal_log_ratio(t, th, lo, n), normal_log_ratio(t, r(th), lo, n)
+                    )
+                    return float(pair) + float(paired.half_weight_log(np.asarray(th)))
+
+                expected = math.exp(log_quad(log_f, lo, hi, peak_bracket(log_f, lo, hi)))
+                assert bf.bf_two_sided(paired, t, n) == expected
+
 
 class TestTTest:
     def test_series_vs_quadrature(self):
@@ -301,6 +334,18 @@ class TestVarianceRatioBf:
         assert np.all(np.diff(vals) > 0)
         for edge in (512, 1024):
             assert vals[edge - 1] < vals[edge]
+
+    @pytest.mark.parametrize("n1, n2", [(8, 10), (5, 6)])
+    def test_batch_equals_scalar_bit_for_bit(self, n1, n2):
+        # lambda = B(gamma) is a scalar call and the draws go through the
+        # blocked batch: a draw at gamma must not flip on summation order
+        # the CLI's shifted_exponential at rate 1
+        prior = DensityPrior(lambda th: -(th - 1.0), (1.0, np.inf), log_z=0.0)
+        engine = bf.VarianceRatioBf(prior, n1, n2)
+        f = RngStream(11).generator.f(n1, n2, size=5_000)
+        batch = engine(f)
+        scalar = np.array([engine(x) for x in f.tolist()])
+        assert np.array_equal(batch, scalar)
 
     @pytest.mark.parametrize("n1, n2", [(8, 10), (5, 6), (61, 60)])
     def test_batch_matches_adaptive(self, n1, n2):

@@ -670,3 +670,16 @@ class TestReproduceSection6:
         scaling = read_csv(os.path.join(out, "lambda_scaling.csv"))
         slope = float(scaling[0]["fitted_slope"])
         assert abs(slope + 0.5) < 0.02
+        with open(os.path.join(out, "reproduce_sec6.txt")) as fh:
+            assert fh.read().endswith("verdict: PASS\n")
+
+    def test_wrong_threshold_scaling_fails(self, tmp_path, monkeypatch):
+        # lambda(n) ~ n^(-0.45): the fitted slope misses -1/2 by 0.05
+        conjugate = bf.bf_one_sided_normal_conjugate
+        monkeypatch.setattr(
+            bf, "bf_one_sided_normal_conjugate", lambda t, n, tau: conjugate(t, n, tau) * n**0.05
+        )
+        out = str(tmp_path / "out")
+        assert main(["reproduce-sec6", "--out", out]) == 1
+        with open(os.path.join(out, "reproduce_sec6.txt")) as fh:
+            assert fh.read().endswith("verdict: FAIL\n")

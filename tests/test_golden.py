@@ -1,4 +1,4 @@
-"""Golden outputs: five tiny CLI runs must write byte-identical files.
+"""Golden outputs: six tiny CLI runs must write byte-identical files.
 
 The sha256 of every file each run writes is pinned, so any drift in the
 CSV, text or SVG outputs fails the ordinary test suite.  The pins hold
@@ -53,6 +53,18 @@ RUNS = {
         {
             "power.csv": "6563bdcbc3902368e7b81d557eab03f172cb9aa496732cb47a7b922e8b059d7a",
             "power.svg": "ac884c6f88b00747276d9001202abd719d565c375ec64dc66b2f8a22215dc7a5",
+        },
+    ),
+    "power_variance_ratio": (
+        # the batch route of B: each theta's 1 500 draws span three row blocks
+        "power",
+        "problem.kind = variance_ratio\nproblem.n1 = 8\nproblem.n2 = 10\n"
+        "prior.kind = shifted_exponential\nprior.rate = 1.0\nrun.alpha = 0.05\n"
+        "run.seed = 3\nrun.n_sims = 1500\n",
+        {},
+        {
+            "power.csv": "d3554859dcdd4c69b8d15c7fe22b5a1129f58dd2f908c38d6e7bfecfce0ffd6d",
+            "power.svg": "f56ae725394edb313372aea18206005426b27fe532e6447c3b757072809c86dd",
         },
     ),
     "dominance": (

@@ -241,3 +241,36 @@ def test_quad_raises_past_limit_panels():
     with pytest.raises(QuadratureError) as info:
         quad(lambda x: math.sin(1e6 * x), 0.0, 100.0, tol=1e-10)
     assert info.value.error > 1e-9
+
+
+def test_gauss_legendre_rule_is_built_once_per_process(tmp_path, monkeypatch):
+    # every VarianceRatioBf takes its 200 nodes from one eigen-solve
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counted(n):
+        calls.append(n)
+        return leggauss(n)
+
+    integrate._leggauss.cache_clear()
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    cfg = tmp_path / "vr.cfg"
+    cfg.write_text(
+        "problem.kind = variance_ratio\nproblem.n1 = 8\nproblem.n2 = 10\n"
+        "prior.kind = shifted_exponential\nprior.rate = 1.0\nrun.alpha = 0.05\n"
+        "run.seed = 1\nrun.n_sims = 600\n"
+    )
+    props_cfg = tmp_path / "props.cfg"
+    props_cfg.write_text("run.n_trials = 20\n")
+    runs = (("calibrate", cfg), ("verify", cfg), ("power", cfg), ("props", props_cfg))
+    for command, config in runs:
+        assert cli.main([command, "--config", str(config), "--out", str(tmp_path / command)]) == 0
+    assert calls == [200]
+
+    x, w = integrate._leggauss(200)
+    for cached in (x, w):
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
+    nodes, weights = integrate.gauss_legendre_nodes(200, 0.0, 1.0)
+    nodes[0] = weights[0] = 0.0  # the mapped arrays are the caller's own
+    assert x[0] != 0.0 and w[0] != 0.0
