@@ -10,7 +10,13 @@ Three evaluation styles, always as functions of the sufficient summary:
 * power-series forms for the t-test and regression problems, built from
   the even moments of the damped prior density, with a direct
   nested-quadrature route alongside.  Both are test oracles for the
-  closed forms and hold for any symmetric prior.
+  closed forms and hold for any symmetric prior.  They form one chain:
+  RegressionKnownVarBf holds the only radial integral psi(|T|) and the
+  only series coefficients a_j; RegressionUnknownVarBf is the gamma
+  mixture int w^{n/2-1} e^{-w} psi(2wT) dw / Gamma(n/2) of it, with
+  coefficients a_j 2^j Gamma(n/2+j)/Gamma(n/2); TTestBf and
+  bf_t_test_quadrature are its p = 1 case, radial density
+  h(r/sqrt(n))/sqrt(n) at T = n xbar^2/sum(x^2), coefficients times n^j.
 
 All data-independent constants are computed explicitly so that the
 calibrated thresholds lambda are exact numbers, not ratios.
@@ -31,6 +37,7 @@ from .priors import (
     ScaledSymmetricPrior,
     SphericalPrior,
     SymmetricPaired,
+    log_damped_moment,
 )
 from .problems import normal_log_ratio
 
@@ -174,7 +181,7 @@ def bf_two_sided_normal_conjugate(t, n: int, tau: float):
 
 
 # ---------------------------------------------------------------------------
-# Power series (test oracles for the Gaussian closed forms)
+# Test oracles for the Gaussian closed forms, for any symmetric prior
 
 
 # relative size of the last term a power series adds
@@ -199,96 +206,11 @@ def _power_series(log_coefficient, x, max_terms: int):
     raise NumericalIntegrityError(f"series did not converge within {max_terms} terms")
 
 
-# ---------------------------------------------------------------------------
-# One-sample t-test (unknown variance), series in xbar^2 / sum(x^2)
-
-
-class TTestBf:
-    """Bayes factor for the mean of a normal with unknown variance.
-
-    Scaled symmetric prior on the mean given the precision, diffuse
-    1/phi prior on the precision.  B is a power series in
-    u = xbar^2 / sum(x_i^2), a monotone function of the squared
-    t-statistic; coefficients come from the even moments of
-    h*(s) = exp(-n s^2/2) h(s).
-    """
-
-    def __init__(self, h: ScaledSymmetricPrior, n: int):
-        if n < 2:
-            raise ValueError("need n >= 2")
-        self.h = h
-        self.n = n
-        self._log_coeffs = [h.log_even_moment(0, damping=n)]
-
-    def log_coefficient(self, j: int) -> float:
-        """log a*_j, a*_j = m_{2j} (2 n^2)^j Gamma(n/2+j) / ((2j)! Gamma(n/2))."""
-        while len(self._log_coeffs) <= j:
-            k = len(self._log_coeffs)
-            self._log_coeffs.append(
-                self.h.log_even_moment(k, damping=self.n)
-                + k * math.log(2.0 * self.n**2)
-                + special.gammaln(self.n / 2 + k)
-                - special.gammaln(self.n / 2)
-                - special.gammaln(2 * k + 1)
-            )
-        return self._log_coeffs[j]
-
-    def series(self, u):
-        """Sum of the series at u = xbar^2/sum(x^2); u in [0, 1/n]."""
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        if np.any(u < 0) or np.any(u > 1.0 / self.n + 1e-12):
-            raise ValueError("u must lie in [0, 1/n]")
-        return _power_series(self.log_coefficient, u, max_terms=3000)
-
-    def __call__(self, xbar, sum_sq):
-        xbar = np.asarray(xbar, dtype=float)
-        sum_sq = np.asarray(sum_sq, dtype=float)
-        return self.series(xbar**2 / sum_sq)
-
-    def from_t_squared(self, t_sq):
-        """Evaluate through the monotone map u = (1/n) t^2 / ((n-1) + t^2)."""
-        t_sq = np.asarray(t_sq, dtype=float)
-        return self.series((1.0 / self.n) * t_sq / ((self.n - 1) + t_sq))
-
-    def crosscheck(self, xbar: float, sum_sq: float, rtol: float = 1e-6) -> float:
-        """Series vs nested-quadrature evaluation; raise on disagreement."""
-        b_series = float(self(xbar, sum_sq))
-        b_quad = bf_t_test_quadrature(xbar, sum_sq, self.n, self.h)
-        if abs(b_series - b_quad) > 10 * rtol * abs(b_quad):
-            raise NumericalIntegrityError(
-                f"t-test BF series {b_series!r} vs quadrature {b_quad!r}"
-            )
-        return b_series
-
-
-def bf_t_test_quadrature(xbar: float, sum_sq: float, n: int, h: ScaledSymmetricPrior) -> float:
-    """Direct nested-quadrature evaluation of the t-test Bayes factor.
-
-    B = 1/Gamma(n/2) * int_0^inf w^{n/2-1} e^{-w} I(c sqrt(w)) dw with
-    c = n*xbar*sqrt(2/sum_sq) and I(z) = int e^{z s} e^{-n s^2/2} h(s) ds.
-    """
-    c = n * xbar * math.sqrt(2.0 / sum_sq)
-
-    def log_inner(z):
-        mu = z / n  # the peak of e^{z s - n s^2/2}
-        return log_quad(
-            lambda s: s * (z - 0.5 * n * s) + h.log_h(s),
-            -np.inf,
-            np.inf,
-            (min(0.0, mu) - 1.0, max(0.0, mu) + 1.0),
-            tol=1e-12,
-        )
-
-    def log_outer(w):
-        if w <= 0:
-            return -np.inf
-        return (n / 2 - 1) * math.log(w) - w + log_inner(c * math.sqrt(w))
-
-    # for the Gaussian h the outer log-integrand is (n/2 - 1) log w -
-    # (1 - n nu/(n+1)) w with nu = n xbar^2/sum_sq <= 1, so its peak lies
-    # below (n/2 - 1)(n + 1)
-    log_b = log_quad(log_outer, 0.0, np.inf, (0.0, n * (n + 1.0)), tol=1e-10)
-    return _exp_b(log_b - special.gammaln(n / 2))
+def _crosscheck(label: str, b_series: float, b_quad: float, rtol: float) -> float:
+    """b_series if it is within 10 rtol of b_quad; else NumericalIntegrityError."""
+    if abs(b_series - b_quad) > 10 * rtol * abs(b_quad):
+        raise NumericalIntegrityError(f"{label} series {b_series!r} vs quadrature {b_quad!r}")
+    return b_series
 
 
 # ---------------------------------------------------------------------------
@@ -297,25 +219,12 @@ def bf_t_test_quadrature(xbar: float, sum_sq: float, n: int, h: ScaledSymmetricP
 
 def _log_sphere_even_moment_factor(p: int, j: int) -> float:
     """log E[(u . s_hat)^{2j}] for s_hat uniform on the unit (p-1)-sphere."""
-    out = 0.0
-    for i in range(1, j + 1):
-        out += math.log(2 * i - 1) - math.log(p + 2 * i - 2)
-    return out
+    return sum(math.log(2 * i - 1) - math.log(p + 2 * i - 2) for i in range(1, j + 1))
 
 
 def _log_radial_damped_moment(prior: SphericalPrior, k: int) -> float:
     """log of int |s|^{2k} exp(-|s|^2/2) pi(s) ds for a spherical prior."""
-    q = prior.p - 1 + 2 * k
-
-    def log_f(r):
-        if r <= 0:
-            return -np.inf
-        return q * math.log(r) - 0.5 * r * r + prior.log_radial_density(r)
-
-    # the peak of r^q e^{-r^2/2} is sqrt(q); the prior only pulls it inwards
-    return math.log(prior.surface) + log_quad(
-        log_f, 0.0, np.inf, (0.0, math.sqrt(q) + 30.0), tol=1e-12
-    )
+    return math.log(prior.surface) + log_damped_moment(prior.log_radial_density, prior.p - 1 + 2 * k)
 
 
 def _log_angular_mean_exp(p: int, z: float) -> float:
@@ -364,40 +273,33 @@ class RegressionKnownVarBf:
             raise ValueError("|T| must be nonnegative")
         return _power_series(self.log_coefficient, t_abs, max_terms=3000)
 
-    def quadrature(self, t_abs: float) -> float:
-        """Radial-integral evaluation at |T| = t_abs."""
+    def log_quadrature(self, t_abs: float) -> float:
+        """log psi(t_abs) by the radial integral, which never overflows."""
         s = math.sqrt(t_abs)
         p = self.p
 
         def log_f(r):
             if r <= 0:
                 return -np.inf
-            return (
-                (p - 1) * math.log(r)
-                + self.prior.log_radial_density(r)
-                - 0.5 * r * r
-                + _log_angular_mean_exp(p, r * s)
-            )
+            log_prior = self.prior.log_radial_density(r)
+            return (p - 1) * math.log(r) + log_prior - 0.5 * r * r + _log_angular_mean_exp(p, r * s)
 
         # e^{r s - r^2/2} peaks at r = s
-        log_b = log_quad(log_f, 0.0, np.inf, (0.0, s + math.sqrt(p) + 30.0), tol=1e-11)
-        return _exp_b(math.log(self.prior.surface) + log_b)
+        log_b = log_quad(log_f, 0.0, np.inf, (0.0, s + math.sqrt(p) + 30.0), tol=1e-12)
+        return math.log(self.prior.surface) + log_b
+
+    def quadrature(self, t_abs: float) -> float:
+        """Radial-integral evaluation at |T| = t_abs."""
+        return _exp_b(self.log_quadrature(t_abs))
 
     def __call__(self, t_vec=None, t_abs=None):
         """Evaluate from the statistic vector (or its squared norm)."""
         if t_abs is None:
-            t_vec = np.asarray(t_vec, dtype=float)
-            t_abs = np.sum(t_vec**2, axis=-1)
+            t_abs = np.sum(np.asarray(t_vec, dtype=float) ** 2, axis=-1)
         return self.series(t_abs)
 
     def crosscheck(self, t_abs: float, rtol: float = 1e-6) -> float:
-        b_series = float(self.series(t_abs))
-        b_quad = self.quadrature(t_abs)
-        if abs(b_series - b_quad) > 10 * rtol * abs(b_quad):
-            raise NumericalIntegrityError(
-                f"radial BF series {b_series!r} vs quadrature {b_quad!r}"
-            )
-        return b_series
+        return _crosscheck("radial BF", float(self.series(t_abs)), self.quadrature(t_abs), rtol)
 
 
 def bf_regression_known_var_gaussian(t_abs, p: int, tau: float):
@@ -414,8 +316,10 @@ class RegressionUnknownVarBf:
     """Bayes factor for the global F-test with unknown error variance.
 
     Scaled spherical prior phi^{p/2} h(sqrt(phi) delta) on the
-    coefficients, diffuse 1/phi on the precision.  B is a power series
-    in T = y'Hy/y'y = F/(kappa + F), kappa = (n-p)/p.
+    coefficients, diffuse 1/phi on the precision.  B is the gamma mixture
+    int_0^inf w^{n/2-1} e^{-w} psi(2 w T) dw / Gamma(n/2) of the
+    known-variance psi for the prior h, a power series in
+    T = y'Hy/y'y = F/(kappa + F), kappa = (n-p)/p.
     """
 
     def __init__(self, h: SphericalPrior, n: int):
@@ -424,26 +328,16 @@ class RegressionUnknownVarBf:
         self.n = n
         if n <= self.p:
             raise ValueError("need n > p")
-        self._log_coeffs = []
-
-    @property
-    def kappa(self) -> float:
-        """F = kappa * T/(1-T)."""
-        return (self.n - self.p) / self.p
+        self._psi = RegressionKnownVarBf(h)
 
     def log_coefficient(self, j: int) -> float:
-        """log a*_j, a*_j = a_j 2^j Gamma(n/2+j)/Gamma(n/2)."""
-        while len(self._log_coeffs) <= j:
-            k = len(self._log_coeffs)
-            self._log_coeffs.append(
-                _log_sphere_even_moment_factor(self.p, k)
-                + _log_radial_damped_moment(self.h, k)
-                - special.gammaln(2 * k + 1)
-                + k * math.log(2.0)
-                + special.gammaln(self.n / 2 + k)
-                - special.gammaln(self.n / 2)
-            )
-        return self._log_coeffs[j]
+        """log a*_j, a*_j = a_j 2^j Gamma(n/2+j)/Gamma(n/2), a_j psi's."""
+        return (
+            self._psi.log_coefficient(j)
+            + j * _LOG_2
+            + special.gammaln(self.n / 2 + j)
+            - special.gammaln(self.n / 2)
+        )
 
     def series(self, t_hat):
         """B at T = y'Hy/y'y in [0, 1)."""
@@ -453,52 +347,90 @@ class RegressionUnknownVarBf:
         return _power_series(self.log_coefficient, t_hat, max_terms=2000)
 
     def quadrature(self, t_hat: float) -> float:
-        """Nested-quadrature evaluation (independent of the series)."""
-        p, n = self.p, self.n
-        s_norm = math.sqrt(t_hat)  # |T|_2 / sqrt(y'y)
+        """The gamma mixture of psi by nested quadrature (independent of the series)."""
+        if not 0.0 <= t_hat < 1.0:
+            raise ValueError("T must lie in [0, 1)")
+        n = self.n
 
-        def log_inner(z):
-            def log_f(r):
-                if r <= 0:
-                    return -np.inf
-                return (
-                    (p - 1) * math.log(r)
-                    + self.h.log_radial_density(r)
-                    - 0.5 * r * r
-                    + _log_angular_mean_exp(p, r * z)
-                )
-
-            return log_quad(log_f, 0.0, np.inf, (0.0, max(4.0, 2.0 * z)), tol=1e-11)
-
-        def log_outer(w):
+        def log_f(w):
             if w <= 0:
                 return -np.inf
-            return (n / 2 - 1) * math.log(w) - w + log_inner(math.sqrt(2.0 * w) * s_norm)
+            return (n / 2 - 1) * math.log(w) - w + self._psi.log_quadrature(2.0 * w * t_hat)
 
-        # the inner integral grows at most like e^{T w}, so the outer peak
-        # lies below (n/2 - 1)/(1 - T)
-        log_b = log_quad(log_outer, 0.0, np.inf, (0.0, n / (1.0 - t_hat)), tol=1e-9)
-        return _exp_b(math.log(self.h.surface) + log_b - special.gammaln(n / 2))
+        # psi(2 w T) grows at most like e^{T w}, so the peak lies below
+        # (n/2 - 1)/(1 - T)
+        log_b = log_quad(log_f, 0.0, np.inf, (0.0, n / (1.0 - t_hat)), tol=1e-10)
+        return _exp_b(log_b - special.gammaln(n / 2))
 
     def __call__(self, yHy, yy):
-        yHy = np.asarray(yHy, dtype=float)
-        yy = np.asarray(yy, dtype=float)
-        return self.series(yHy / yy)
+        return self.series(np.asarray(yHy, dtype=float) / np.asarray(yy, dtype=float))
 
     def from_f(self, f):
         """Evaluate through T = F~/(1 + F~) with F~ = F * p/(n-p)."""
-        f = np.asarray(f, dtype=float)
-        f_raw = f / self.kappa
+        f_raw = np.asarray(f, dtype=float) * self.p / (self.n - self.p)
         return self.series(f_raw / (1.0 + f_raw))
 
     def crosscheck(self, t_hat: float, rtol: float = 1e-6) -> float:
-        b_series = float(self.series(t_hat))
-        b_quad = self.quadrature(t_hat)
-        if abs(b_series - b_quad) > 10 * rtol * abs(b_quad):
-            raise NumericalIntegrityError(
-                f"F-test BF series {b_series!r} vs quadrature {b_quad!r}"
-            )
-        return b_series
+        return _crosscheck("F-test BF", float(self.series(t_hat)), self.quadrature(t_hat), rtol)
+
+
+# ---------------------------------------------------------------------------
+# One-sample t-test (unknown variance): the p = 1 F-test
+
+
+def _t_test_f_test(h: ScaledSymmetricPrior, n: int) -> RegressionUnknownVarBf:
+    """The one-coefficient F-test whose radial density is h(r/sqrt(n))/sqrt(n);
+    at T = n xbar^2/sum(x^2) its B is the t-test's."""
+    root_n = math.sqrt(n)
+    log_root_n = math.log(root_n)
+    return RegressionUnknownVarBf(SphericalPrior(1, lambda r: h.log_h(r / root_n) - log_root_n), n)
+
+
+class TTestBf:
+    """Bayes factor for the mean of a normal with unknown variance.
+
+    Scaled symmetric prior on the mean given the precision, diffuse
+    1/phi prior on the precision.  B is a power series in
+    u = xbar^2 / sum(x_i^2), a monotone function of the squared
+    t-statistic: the p = 1 F-test series at T = n u (`_t_test_f_test`).
+    """
+
+    def __init__(self, h: ScaledSymmetricPrior, n: int):
+        if n < 2:
+            raise ValueError("need n >= 2")
+        self.h = h
+        self.n = n
+        self._f_test = _t_test_f_test(h, n)
+
+    def log_coefficient(self, j: int) -> float:
+        """log a*_j, a*_j = a_j n^j with a_j the p = 1 F-test's."""
+        return self._f_test.log_coefficient(j) + j * math.log(self.n)
+
+    def series(self, u):
+        """Sum of the series at u = xbar^2/sum(x^2); u in [0, 1/n]."""
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        if np.any(u < 0) or np.any(u > 1.0 / self.n + 1e-12):
+            raise ValueError("u must lie in [0, 1/n]")
+        return _power_series(self.log_coefficient, u, max_terms=3000)
+
+    def __call__(self, xbar, sum_sq):
+        return self.series(np.asarray(xbar, dtype=float) ** 2 / np.asarray(sum_sq, dtype=float))
+
+    def from_t_squared(self, t_sq):
+        """Evaluate through the monotone map u = (1/n) t^2 / ((n-1) + t^2)."""
+        t_sq = np.asarray(t_sq, dtype=float)
+        return self.series((1.0 / self.n) * t_sq / ((self.n - 1) + t_sq))
+
+    def crosscheck(self, xbar: float, sum_sq: float, rtol: float = 1e-6) -> float:
+        """Series vs nested-quadrature evaluation; raise on disagreement."""
+        b_quad = self._f_test.quadrature(self.n * xbar**2 / sum_sq)
+        return _crosscheck("t-test BF", float(self(xbar, sum_sq)), b_quad, rtol)
+
+
+def bf_t_test_quadrature(xbar: float, sum_sq: float, n: int, h: ScaledSymmetricPrior) -> float:
+    """Direct nested-quadrature evaluation of the t-test Bayes factor: the
+    p = 1 F-test's gamma mixture at T = n xbar^2/sum_sq."""
+    return _t_test_f_test(h, n).quadrature(n * xbar**2 / sum_sq)
 
 
 # ---------------------------------------------------------------------------

@@ -68,12 +68,16 @@ class CriticalRegion:
             return stat > self.upper
         return (stat < self.lower) | (stat > self.upper)
 
-    def size(self, null_law) -> float:
-        """Null rejection probability of the region."""
-        upper_mass = 1.0 - dist.cdf(null_law, self.upper)
+    def mass(self, cdf: Callable) -> float:
+        """Probability of the region under the law with distribution function cdf."""
+        upper_mass = 1.0 - cdf(self.upper)
         if self.shape == "upper":
             return float(upper_mass)
-        return float(upper_mass + dist.cdf(null_law, self.lower))
+        return float(upper_mass + cdf(self.lower))
+
+    def size(self, null_law) -> float:
+        """Null rejection probability of the region."""
+        return self.mass(lambda x: dist.cdf(null_law, x))
 
 
 @dataclass(frozen=True)

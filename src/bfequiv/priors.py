@@ -304,16 +304,22 @@ class ScaledSymmetricPrior:
 
     def log_even_moment(self, k: int, damping: float) -> float:
         """log m_{2k}, m_{2k} the even moment of h*(s) = exp(-damping*s^2/2) * h(s)
-        over the whole line, by `log_quad` over the half-line."""
+        over the whole line: twice the half-line moment, h being symmetric."""
+        return math.log(2.0) + log_damped_moment(self.log_h, 2 * k, damping)
 
-        def log_f(s):
-            if s <= 0.0:
-                return self.log_h(s) if k == 0 else -np.inf
-            return 2 * k * math.log(s) - 0.5 * damping * s * s + self.log_h(s)
 
-        guess = math.sqrt(2 * k / damping) if k > 0 else 0.0
-        # h is symmetric, so the whole-line moment is twice the half-line one
-        return math.log(2.0) + log_quad(log_f, 0.0, np.inf, (0.0, guess + 30.0), tol=1e-12)
+def log_damped_moment(log_density: Callable, q: int, damping: float = 1.0) -> float:
+    """log of int_0^inf r^q exp(-damping r^2/2) f(r) dr, f = exp(log_density)
+    nonincreasing in r, by `log_quad`; the damped moment of the t-test's
+    scaled prior and of a spherical prior's radial density alike."""
+
+    def log_f(r):
+        if r <= 0.0:
+            return log_density(0.0) if q == 0 else -math.inf
+        return q * math.log(r) - 0.5 * damping * r * r + log_density(r)
+
+    # r^q e^{-damping r^2/2} peaks at sqrt(q/damping); f only pulls it inwards
+    return log_quad(log_f, 0.0, math.inf, (0.0, math.sqrt(q / damping) + 30.0), tol=1e-12)
 
 
 def standard_normal_log_h(x):

@@ -257,6 +257,31 @@ class TestRegressionKnownVar:
         )
 
 
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        pytest.param(
+            lambda: bf.TTestBf(ScaledSymmetricPrior(standard_normal_log_h), n=7), (0.4, 3.0), id="t_test"
+        ),
+        pytest.param(lambda: bf.RegressionKnownVarBf(SphericalPrior.gaussian(2, 1.0)), (3.0,), id="known_var"),
+        pytest.param(
+            lambda: bf.RegressionUnknownVarBf(SphericalPrior.gaussian(2, 1.0), n=12), (0.3,), id="unknown_var"
+        ),
+    ],
+)
+def test_crosscheck_raises_when_quadrature_disagrees(monkeypatch, build, args):
+    # every oracle quadrature mixes psi's radial integral, so psi x (1 + 1e-4)
+    # puts each quadrature B off by 1e-4, ten times what crosscheck allows
+    engine = build()
+    engine.crosscheck(*args)
+    log_psi = bf.RegressionKnownVarBf.log_quadrature
+    monkeypatch.setattr(
+        bf.RegressionKnownVarBf, "log_quadrature", lambda self, t: log_psi(self, t) + math.log1p(1e-4)
+    )
+    with pytest.raises(bf.NumericalIntegrityError, match="series .* vs quadrature"):
+        engine.crosscheck(*args)
+
+
 class TestRegressionUnknownVar:
     def test_series_vs_quadrature(self):
         engine = bf.RegressionUnknownVarBf(SphericalPrior.gaussian(2, 1.0), n=12)

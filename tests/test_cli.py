@@ -252,6 +252,22 @@ class TestBadConfigValues:
                 SUBJECTIVE_MODEL.replace("gamma", ""),
                 ":5: prior.kind '' is unsupported for subjective_variance",
             ),
+            # a repeated key is an error, not a silent override
+            ("calibrate", "run.alpha = 0.05", "run.alpha = 0.05\nrun.alpha = 0.5", ":7: run.alpha already set on line 6"),
+            # the two johnson rows above that set problem.n and problem.kind
+            # twice stop at the repeat; these set each key once
+            (
+                "johnson",
+                ONE_SIDED_MODEL,
+                "problem.kind = one_sided_normal\nproblem.n = 0\nrun.lambda = 10\nrun.seed = 1",
+                ":3: problem.n must be >= 1",
+            ),
+            (
+                "johnson",
+                ONE_SIDED_MODEL,
+                "problem.kind = t_test\nproblem.n = 4\nrun.lambda = 10\nrun.seed = 1",
+                ":2: problem.kind must be one_sided_normal for johnson",
+            ),
             # run.n_sims is read before the two-sided point mass fails calibration (exit 3)
             (
                 "verify",

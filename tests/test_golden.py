@@ -1,8 +1,9 @@
 """Golden outputs: six tiny CLI runs must write byte-identical files.
 
-The sha256 of every file each run writes is pinned, so any drift in the
-CSV, text or SVG outputs fails the ordinary test suite.  The pins hold
-only for the numpy and scipy versions they were taken with.
+The exit code of each run and the sha256 of every file it writes are
+pinned, so any drift in a verdict or in the CSV, text or SVG outputs
+fails the ordinary test suite.  The pins hold only for the numpy and
+scipy versions they were taken with.
 """
 
 import hashlib
@@ -19,7 +20,7 @@ pytestmark = pytest.mark.skipif(
     reason="hashes pinned to numpy 2.4.6 and scipy 1.17.1",
 )
 
-# (command, config, data files, {output file: sha256})
+# (command, config, data files, exit code, {output file: sha256})
 RUNS = {
     "calibrate_variance_ratio_data": (
         "calibrate",
@@ -30,6 +31,7 @@ RUNS = {
             "x1.csv": "x\n0.3\n-1.2\n2.5\n0.8\n-2.9\n",
             "x2.csv": "x\n0.1\n-0.4\n0.6\n0.2\n-0.3\n0.5\n",
         },
+        0,
         {
             "calibration.csv": "dc2076bbbac4602b0719e51243c8e77a4848e0f494cd5ca71cbbb85db946c89b",
         },
@@ -40,6 +42,7 @@ RUNS = {
         "prior.kind = gaussian_spherical\nprior.precision = 0.5\nrun.alpha = 0.05\n"
         "run.seed = 5\nrun.n_sims = 3000\nrun.theta_grid = 0.0, 2.0, 8.0\n",
         {},
+        0,
         {
             "verify.csv": "467755e4a3bfe543ac681a6fec60c942f48f2a44bd556dc82f3e2b5789a16964",
         },
@@ -50,6 +53,7 @@ RUNS = {
         "prior.kind = conjugate\nprior.c = 2.0\nrun.alpha = 0.05\n"
         "run.seed = 9\nrun.n_sims = 2000\n",
         {},
+        0,
         {
             "power.csv": "6563bdcbc3902368e7b81d557eab03f172cb9aa496732cb47a7b922e8b059d7a",
             "power.svg": "ac884c6f88b00747276d9001202abd719d565c375ec64dc66b2f8a22215dc7a5",
@@ -62,6 +66,7 @@ RUNS = {
         "prior.kind = shifted_exponential\nprior.rate = 1.0\nrun.alpha = 0.05\n"
         "run.seed = 3\nrun.n_sims = 1500\n",
         {},
+        0,
         {
             "power.csv": "d3554859dcdd4c69b8d15c7fe22b5a1129f58dd2f908c38d6e7bfecfce0ffd6d",
             "power.svg": "f56ae725394edb313372aea18206005426b27fe532e6447c3b757072809c86dd",
@@ -72,10 +77,12 @@ RUNS = {
         "problem.kind = subjective_variance\nproblem.n1 = 10\nproblem.n2 = 10\n"
         "prior.kind = gamma\nrun.alpha = 0.05\nrun.seed = 4\nrun.n_sims = 3000\n",
         {},
+        # 3 000 draws cannot hold the limiting size within 1.3e-3 of alpha
+        1,
         {
             "dominance.csv": "f3ac56ce48300625a38b39610f0912033a591a8b9fc5cde061786d45b595b016",
             "dominance.svg": "dec0de36b5eb7ec84b413fe0add2859ae319adf609df97d302f02b53366c6509",
-            "dominance.txt": "d64303025c9e0ec112e52a75fe33ae7560bdecd0d07a52a2f478c90381fe7c88",
+            "dominance.txt": "f757d8504af54edd737832e97b791a5d72be0770012702d47f38e10f987c41c1",
         },
     ),
     "johnson": (
@@ -83,6 +90,7 @@ RUNS = {
         "problem.kind = one_sided_normal\nproblem.n = 10\nrun.lambda = 10\n"
         "run.alpha = 0.05\nrun.seed = 6\nrun.n_sims = 3000\n",
         {},
+        0,
         {
             "johnson.csv": "0a28a8d14652420b04aa8656209076b53c549af874d912dc3649f26b5e9c8636",
             "johnson.txt": "ca366c25f8d36f3c931cbea1be615f6d074ba7a1b936d5f707a27448d8da70bf",
@@ -97,8 +105,8 @@ def outputs(tmp_path, command, config, data):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
     out = tmp_path / "out"
-    main([command, "--config", str(cfg), "--out", str(out)])
-    return {
+    code = main([command, "--config", str(cfg), "--out", str(out)])
+    return code, {
         name: hashlib.sha256((out / name).read_bytes()).hexdigest()
         for name in sorted(os.listdir(out))
     }
@@ -106,5 +114,5 @@ def outputs(tmp_path, command, config, data):
 
 @pytest.mark.parametrize("run", sorted(RUNS))
 def test_outputs_are_pinned(tmp_path, run):
-    command, config, data, expected = RUNS[run]
-    assert outputs(tmp_path, command, config, data) == expected
+    command, config, data, code, expected = RUNS[run]
+    assert outputs(tmp_path, command, config, data) == (code, expected)
