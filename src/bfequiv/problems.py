@@ -479,21 +479,16 @@ class SubsetSelection(TestProblem):
 
     def summarize(self, y, X1, X2):
         y = np.asarray(y, dtype=float)
-        X1 = np.asarray(X1, dtype=float)
-        X2 = np.asarray(X2, dtype=float)
-        Xfull = np.hstack([X1, X2])
-        H1 = X1 @ np.linalg.solve(X1.T @ X1, X1.T)
-        H = Xfull @ np.linalg.solve(Xfull.T @ Xfull, Xfull.T)
-        num = float(y @ (H - H1) @ y)
-        den = float(y @ (np.eye(self.n) - H) @ y)
-        if den <= 0.0:
+        # Gram-Schmidt keeps the column order, so the first p1 columns of Z
+        # span X1: a[:p1] projects y on the null model, a[p1:] on what X2 adds
+        Z, _ = orthonormalize(np.hstack([np.asarray(X1, dtype=float), np.asarray(X2, dtype=float)]))
+        a = Z.T @ y
+        rss_null = float(y @ y) - float(a[: self.p1] @ a[: self.p1])
+        num = float(a[self.p1 :] @ a[self.p1 :])
+        if rss_null - num <= 0.0:
             raise DegenerateDataError("zero residual sum of squares")
-        f = num / den
-        return SufficientSummary(
-            f=f,
-            t_stat=f / (1.0 + f),
-            rss_null=float(y @ (np.eye(self.n) - H1) @ y),
-        )
+        f = num / (rss_null - num)
+        return SufficientSummary(f=f, t_stat=f / (1.0 + f), rss_null=rss_null)
 
     def alt_law(self, ncp):
         # ncp = b2' X'X b2 / sigma^2 with X = (I - H1) X2

@@ -3,8 +3,11 @@ machinery relies on: monotonicity, convexity, invariances, and the
 threshold identities.
 
 Each property draws random instances from a seeded stream, so a given
-seed yields a byte-identical transcript.  On failure the counterexample
-is shrunk toward a baseline instance before reporting.
+seed yields a byte-identical transcript.  A property fails when its check
+returns a message or raises; the counterexample is then shrunk toward a
+baseline instance before reporting.  Every property on a (problem, prior)
+pair that the CLI offers gets its Bayes factor from `cli.build_bf`, so the
+catalogue certifies the route the CLI decides with.
 """
 
 from __future__ import annotations
@@ -15,23 +18,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import bayes_factors as bf
+from . import priors
+from . import problems as prob
+from .bayes_factors import bf_two_sided
 from .calibrate import gamma_from_alpha, gamma_from_lambda, lambda_from_gamma
-from .priors import (
-    DensityPrior,
-    PointMass,
-    half_normal_prior,
-    solve_pairing,
-)
-from .problems import (
-    GaussianMeanUnknownVar,
-    OneSidedNormal,
-    RegressionKnownVar,
-    RegressionUnknownVar,
-    SubsetSelection,
-    SufficientSummary,
-    normal_log_ratio,
-)
+from .problems import SufficientSummary
 from .rng import RngStream
 
 __all__ = ["PropertySpec", "PropertyResult", "run_property", "catalogue", "run_catalogue"]
@@ -64,6 +55,15 @@ class PropertyResult:
         return out
 
 
+def _failure(spec: PropertySpec, case: dict) -> Optional[str]:
+    """Why ``case`` fails the property, or None when it holds: the test's
+    message, or ``"<Type>: <message>"`` of what it raised."""
+    try:
+        return spec.test(case)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 def _shrink(spec: PropertySpec, case: dict) -> dict:
     """Halve each shrinkable value toward its baseline while still failing,
     at most 50 rounds."""
@@ -74,14 +74,9 @@ def _shrink(spec: PropertySpec, case: dict) -> dict:
             base = spec.baseline.get(key, 0.0)
             candidate = dict(current)
             candidate[key] = base + 0.5 * (current[key] - base)
-            if candidate[key] == current[key]:
-                continue
-            try:
-                if spec.test(candidate) is not None:
-                    current = candidate
-                    moved = True
-            except Exception:
-                pass
+            if candidate[key] != current[key] and _failure(spec, candidate) is not None:
+                current = candidate
+                moved = True
         if not moved:
             break
     return current
@@ -90,11 +85,11 @@ def _shrink(spec: PropertySpec, case: dict) -> dict:
 def run_property(spec: PropertySpec, rng: RngStream, n_trials: int = 200) -> PropertyResult:
     for i in range(n_trials):
         case = spec.draw(rng.substream(i))
-        message = spec.test(case)
+        message = _failure(spec, case)
         if message is not None:
             shrunk = _shrink(spec, case)
             return PropertyResult(
-                spec.name, spec.claim, i + 1, False, shrunk, spec.test(shrunk) or message
+                spec.name, spec.claim, i + 1, False, shrunk, _failure(spec, shrunk) or message
             )
     return PropertyResult(spec.name, spec.claim, n_trials, True)
 
@@ -105,6 +100,38 @@ def run_property(spec: PropertySpec, rng: RngStream, n_trials: int = 200) -> Pro
 
 def _u(g, lo, hi):
     return float(g.generator.uniform(lo, hi))
+
+
+def _production_bf(problem, prior_kind: str, **params):
+    """The CLI's Bayes factor for the problem, so the catalogue certifies
+    the route the CLI decides with."""
+    from .cli import RunConfig, build_bf  # cli imports this module
+
+    prior = {"prior.kind": prior_kind, **{f"prior.{key}": v for key, v in params.items()}}
+    return build_bf(problem, RunConfig(prior))
+
+
+def _increasing(b, x: float, dx: float) -> Optional[str]:
+    """The shared monotonicity check: B(x + dx) > B(x)."""
+    b1, b2 = float(b(x)), float(b(x + dx))
+    if not b2 > b1:
+        return f"B({x + dx}) = {b2} not above B({x}) = {b1}"
+    return None
+
+
+def _c_free(problem, c: dict, stat: float, gamma: float) -> Optional[str]:
+    """The shared check of the prior-scale properties: the CLI's B at each
+    scale c1 and c2, thresholded at its own B(gamma), rejects at ``stat``
+    exactly when the classical rule |stat| > gamma does (the upper region
+    of a nonnegative statistic, or the symmetric two-tailed one)."""
+    decisions = []
+    for scale in (c["c1"], c["c2"]):
+        b = _production_bf(problem, "conjugate", c=scale).of_stat
+        decisions.append(bool(float(b(stat)) > float(b(gamma))))
+    classical = abs(stat) > gamma
+    if decisions != [classical, classical]:
+        return f"decisions {decisions} vs classical {classical}"
+    return None
 
 
 def _p01_monotone_draw(rng):
@@ -120,16 +147,9 @@ def _p01_monotone_draw(rng):
 
 
 def _p01_monotone_test(c):
-    t1, t2 = c["t1"], c["t1"] + c["dt"]
-    if c["kind"] == "half_normal":
-        b1 = float(bf.bf_one_sided_normal_halfnormal(t1, c["n"], c["tau"]))
-        b2 = float(bf.bf_one_sided_normal_halfnormal(t2, c["n"], c["tau"]))
-    else:
-        b1 = float(bf.bf_one_sided_normal_exponential(t1, c["n"], c["tau"]))
-        b2 = float(bf.bf_one_sided_normal_exponential(t2, c["n"], c["tau"]))
-    if not b2 > b1:
-        return f"B({t2}) = {b2} not above B({t1}) = {b1}"
-    return None
+    hyper = "precision" if c["kind"] == "half_normal" else "rate"
+    pair = _production_bf(prob.OneSidedNormal(n=c["n"]), c["kind"], **{hyper: c["tau"]})
+    return _increasing(pair.of_stat, c["t1"], c["dt"])
 
 
 def _p02_convex_draw(rng):
@@ -144,7 +164,8 @@ def _p02_convex_draw(rng):
 
 def _p02_convex_test(c):
     t1, t2, w = c["t1"], c["t1"] + c["dt"], c["w"]
-    f = lambda t: float(bf.bf_two_sided_normal_conjugate(t, c["n"], c["tau"]))
+    b = _production_bf(prob.TwoSidedNormal(n=c["n"]), "normal", precision=c["tau"]).of_stat
+    f = lambda t: float(b(t))
     mid = f(w * t1 + (1 - w) * t2)
     chord = w * f(t1) + (1 - w) * f(t2)
     if mid > chord * (1 + 1e-12):
@@ -161,12 +182,11 @@ def _p03_pair_equal_draw(rng):
 
 
 def _p03_pair_equal_test(c):
-    from .priors import build_symmetric_class_member
-
-    base = half_normal_prior(0.0, c["tau"])
-    sym = build_symmetric_class_member(0.0, base, lambda th: -th)
-    b_hi = float(bf.bf_two_sided(sym, c["gamma"], c["n"]))
-    b_lo = float(bf.bf_two_sided(sym, -c["gamma"], c["n"]))
+    # no CLI kind offers a paired prior, so this checks bf_two_sided itself
+    base = priors.half_normal_prior(0.0, c["tau"])
+    sym = priors.build_symmetric_class_member(0.0, base, lambda th: -th)
+    b_hi = float(bf_two_sided(sym, c["gamma"], c["n"]))
+    b_lo = float(bf_two_sided(sym, -c["gamma"], c["n"]))
     if abs(b_hi - b_lo) > 1e-8 * max(b_hi, b_lo):
         return f"B({c['gamma']}) = {b_hi} vs B({-c['gamma']}) = {b_lo}"
     return None
@@ -179,26 +199,15 @@ def _p04_tsq_draw(rng):
     return {"n": n, "xbar": xbar, "sum_sq": ss_c + n * xbar**2}
 
 
-def _production_bf(problem, prior_kind: str, **params):
-    """The CLI's Bayes factor for the problem, so the catalogue certifies
-    the route the CLI decides with."""
-    from .cli import RunConfig, build_bf  # cli imports this module
-
-    prior = {"prior.kind": prior_kind, **{f"prior.{key}": v for key, v in params.items()}}
-    return build_bf(problem, RunConfig(prior))
-
-
 def _p04_tsq_test(c):
     n, xbar, sum_sq = c["n"], c["xbar"], c["sum_sq"]
-    pair = _production_bf(GaussianMeanUnknownVar(n=n), "gaussian_scale")
+    pair = _production_bf(prob.GaussianMeanUnknownVar(n=n), "gaussian_scale")
     b_pos = float(pair.of_summary(SufficientSummary(xbar=xbar, sum_sq=sum_sq)))
     b_neg = float(pair.of_summary(SufficientSummary(xbar=-xbar, sum_sq=sum_sq)))
-    if abs(b_pos - b_neg) > 1e-12 * b_pos:
-        return f"sign flip changed B: {b_pos} vs {b_neg}"
     t_sq = n * xbar**2 / ((sum_sq - n * xbar**2) / (n - 1))
     b_t = float(pair.of_stat(math.sqrt(t_sq)))
-    if abs(b_pos - b_t) > 1e-9 * b_pos:
-        return f"statistic route disagrees: {b_pos} vs {b_t}"
+    if abs(b_pos - b_neg) > 1e-12 * b_pos or abs(b_pos - b_t) > 1e-9 * b_pos:
+        return f"B at xbar, -xbar and t: {b_pos}, {b_neg}, {b_t}"
     return None
 
 
@@ -211,7 +220,7 @@ def _p05_rotation_draw(rng):
 def _p05_rotation_test(c):
     # with the identity design the response is the statistic vector T
     p = c["p"]
-    problem = RegressionKnownVar(p=p, n=p)
+    problem = prob.RegressionKnownVar(p=p, n=p)
     pair = _production_bf(problem, "gaussian_spherical", precision=c["tau"])
     q, _ = np.linalg.qr(np.random.default_rng(c["seed_q"]).normal(size=(p, p)))
     b0 = float(pair.of_summary(problem.summarize(c["t_vec"], np.eye(p))))
@@ -229,13 +238,9 @@ def _p06_fmono_draw(rng):
 
 
 def _p06_fmono_test(c):
-    problem = RegressionUnknownVar(p=c["p"], n=c["n"])
+    problem = prob.RegressionUnknownVar(p=c["p"], n=c["n"])
     pair = _production_bf(problem, "gaussian_spherical", precision=c["tau"])
-    b1 = float(pair.of_stat(c["f1"]))
-    b2 = float(pair.of_stat(c["f1"] + c["df"]))
-    if not b2 > b1:
-        return f"B not increasing in F: {b1} -> {b2}"
-    return None
+    return _increasing(pair.of_stat, c["f1"], c["df"])
 
 
 def _p07_2skv_cindep_draw(rng):
@@ -253,15 +258,8 @@ def _p07_2skv_cindep_draw(rng):
 
 
 def _p07_2skv_cindep_test(c):
-    decisions = []
-    for cc in (c["c1"], c["c2"]):
-        rule = bf.TwoSampleKnownVarBf(c["n1"], c["n2"], c["tau1"], c["tau2"], cc)
-        lam = float(rule.from_t(c["gamma"]))
-        decisions.append(bool(float(rule.from_t(c["t"])) > lam))
-    classical = c["t"] > c["gamma"]
-    if decisions[0] != decisions[1] or decisions[0] != classical:
-        return f"decisions {decisions} vs classical {classical}"
-    return None
+    problem = prob.TwoSampleMeansKnownVar(c["n1"], c["n2"], c["tau1"], c["tau2"])
+    return _c_free(problem, c, c["t"], c["gamma"])
 
 
 def _p08_2st_cindep_draw(rng):
@@ -277,15 +275,8 @@ def _p08_2st_cindep_draw(rng):
 
 
 def _p08_2st_cindep_test(c):
-    decisions = []
-    for cc in (c["c1"], c["c2"]):
-        rule = bf.TwoSampleTBf(c["n1"], c["n2"], cc)
-        lam = float(rule.from_t(c["gamma"]))
-        decisions.append(bool(float(rule.from_t(c["t"])) > lam))
-    classical = c["t"] ** 2 > c["gamma"] ** 2
-    if decisions[0] != decisions[1] or decisions[0] != classical:
-        return f"decisions {decisions} vs classical {classical}"
-    return None
+    problem = prob.TwoSampleMeansUnknownEqualVar(c["n1"], c["n2"])
+    return _c_free(problem, c, c["t"], c["gamma"])
 
 
 def _p09_subset_cindep_draw(rng):
@@ -294,6 +285,7 @@ def _p09_subset_cindep_draw(rng):
     n = int(g.integers(p1 + p2 + 2, p1 + p2 + 25))
     return {
         "n": n,
+        "p1": p1,
         "p2": p2,
         "c1": _u(rng, 0.1, 10.0),
         "c2": _u(rng, 0.1, 10.0),
@@ -303,15 +295,10 @@ def _p09_subset_cindep_draw(rng):
 
 
 def _p09_subset_cindep_test(c):
-    decisions = []
-    for cc in (c["c1"], c["c2"]):
-        rule = bf.SubsetSelectionBf(c["n"], c["p2"], cc)
-        lam = float(rule(c["gamma_t"]))
-        decisions.append(bool(float(rule(c["t"])) > lam))
-    classical = c["t"] > c["gamma_t"]
-    if decisions[0] != decisions[1] or decisions[0] != classical:
-        return f"decisions {decisions} vs classical {classical}"
-    return None
+    # drawn on the scale of T = F/(1+F); the CLI's B reads F = T/(1-T)
+    problem = prob.SubsetSelection(c["n"], c["p1"], c["p2"])
+    f_of = lambda t: t / (1.0 - t)
+    return _c_free(problem, c, f_of(c["t"]), f_of(c["gamma_t"]))
 
 
 def _p10_vr_mono_draw(rng):
@@ -329,16 +316,12 @@ def _p10_vr_mono_draw(rng):
 
 
 def _p10_vr_mono_test(c):
+    problem = prob.VarianceRatio(c["n1"], c["n2"])
     if c["kind"] == "point":
-        prior = PointMass(c["theta1"])
+        pair = _production_bf(problem, "point_mass", theta1=c["theta1"])
     else:
-        rate = c["rate"]
-        prior = DensityPrior(lambda th: -rate * (th - 1.0), (1.0, np.inf))
-    rule = bf.VarianceRatioBf(prior, c["n1"], c["n2"])
-    b1, b2 = float(rule(c["f1"])), float(rule(c["f1"] + c["df"]))
-    if not b2 > b1:
-        return f"B not increasing in F: {b1} -> {b2}"
-    return None
+        pair = _production_bf(problem, "shifted_exponential", rate=c["rate"])
+    return _increasing(pair.of_stat, c["f1"], c["df"])
 
 
 def _p11_bstar_draw(rng):
@@ -350,15 +333,14 @@ def _p11_bstar_draw(rng):
 
 
 def _p11_bstar_test(c):
+    # B*(Q, T) is the CLI's B of the summary (Q, T), whatever n1 and n2
     q, t = c["q"], c["t"]
-    b_q = float(bf.bf_subjective_variance(q, t))
-    b_0 = float(bf.bf_subjective_variance(0.0, t))
+    pair = _production_bf(prob.SubjectiveVarianceEquality(), "gamma")
+    b_star = lambda at_q, at_t: float(pair.of_summary(SufficientSummary(q=at_q, t_sub=at_t)))
+    b_q, b_0 = b_star(q, t), b_star(0.0, t)
     if b_q > b_0:
         return f"B*({q},{t}) = {b_q} above the diffuse limit {b_0}"
-    t2 = min(t + c["dt"], 0.2499999)
-    if not float(bf.bf_subjective_variance(q, t2)) > b_q:
-        return "B* not increasing in T"
-    return None
+    return _increasing(lambda x: b_star(q, x), t, min(c["dt"], 0.2499999 - t))
 
 
 def _p12_pairing_draw(rng):
@@ -371,14 +353,11 @@ def _p12_pairing_draw(rng):
 
 def _p12_pairing_test(c):
     g2, th, n = c["gamma"], c["theta"], c["n"]
-    r = solve_pairing(-g2, g2, th, 0.0, n)
-    if abs(r + th) > 1e-9 * max(1.0, th):
-        return f"mirror of {th} came out {r}, expected {-th}"
+    r = priors.solve_pairing(-g2, g2, th, 0.0, n)
     # the pair's two likelihood ratios against 0, summed, at -g2 and at g2
-    lhs, rhs = (float(np.exp(normal_log_ratio(t, np.array([th, r]), 0.0, n)).sum()) for t in (-g2, g2))
-    resid = lhs - rhs
-    if abs(resid) > 1e-9:
-        return f"pairing residual {resid}"
+    lhs, rhs = (float(np.exp(prob.normal_log_ratio(t, np.array([th, r]), 0.0, n)).sum()) for t in (-g2, g2))
+    if abs(r + th) > 1e-9 * max(1.0, th) or abs(lhs - rhs) > 1e-9:
+        return f"mirror of {th} came out {r}, expected {-th}; pairing residual {lhs - rhs}"
     return None
 
 
@@ -391,15 +370,14 @@ def _p13_roundtrip_draw(rng):
 
 
 def _p13_roundtrip_test(c):
-    problem = OneSidedNormal(n=c["n"])
-    bf_of_stat = lambda t: bf.bf_one_sided_normal_halfnormal(t, c["n"], c["tau"])
+    problem = prob.OneSidedNormal(n=c["n"])
+    bf_of_stat = _production_bf(problem, "half_normal", precision=c["tau"]).of_stat
     region = gamma_from_alpha(problem, c["alpha"])
     lam, _ = lambda_from_gamma(region, bf_of_stat)
     region2, alpha2 = gamma_from_lambda(problem, bf_of_stat, lam)
-    if abs(region2.upper - region.upper) > 1e-8 * max(1.0, abs(region.upper)):
-        return f"gamma round trip {region.upper} -> {region2.upper}"
-    if abs(alpha2 - c["alpha"]) > 1e-8:
-        return f"alpha round trip {c['alpha']} -> {alpha2}"
+    if (abs(region2.upper - region.upper) > 1e-8 * max(1.0, abs(region.upper))
+            or abs(alpha2 - c["alpha"]) > 1e-8):
+        return f"round trip: gamma {region.upper} -> {region2.upper}, alpha {c['alpha']} -> {alpha2}"
     return None
 
 
@@ -410,18 +388,18 @@ def _p14_ssdecomp_draw(rng):
 
 
 def _p14_ssdecomp_test(c):
+    # B of the summary (means and S1^2, S2^2) equals B of a T built from the
+    # total sum of squares only if (n-1)S^2 = (n1-1)S1^2 + (n2-1)S2^2 + m d^2
     x1, x2 = np.asarray(c["x1"]), np.asarray(c["x2"])
-    n1, n2 = len(x1), len(x2)
-    m = n1 * n2 / (n1 + n2)
+    problem = prob.TwoSampleMeansUnknownEqualVar(len(x1), len(x2))
+    pair = _production_bf(problem, "conjugate")
     grand = np.concatenate([x1, x2])
-    total = float(np.sum((grand - grand.mean()) ** 2))
-    parts = (
-        float(np.sum((x1 - x1.mean()) ** 2))
-        + float(np.sum((x2 - x2.mean()) ** 2))
-        + m * (x2.mean() - x1.mean()) ** 2
-    )
-    if abs(total - parts) > 1e-9 * max(1.0, total):
-        return f"sum-of-squares decomposition off: {total} vs {parts}"
+    d, m = x2.mean() - x1.mean(), len(x1) * len(x2) / len(grand)
+    t = d / math.sqrt(float(np.sum((grand - grand.mean()) ** 2)) - m * d**2)
+    b_summary = float(pair.of_summary(problem.summarize(x1, x2)))
+    b_stat = float(pair.of_stat(t))
+    if abs(b_summary - b_stat) > 1e-9 * b_stat:
+        return f"sum-of-squares decomposition off: B of the summary {b_summary} vs of T {b_stat}"
     return None
 
 
@@ -440,7 +418,8 @@ def _p15_hat_draw(rng):
 
 
 def _p15_hat_test(c):
-    problem = SubsetSelection(n=c["n"], p1=c["p1"], p2=c["p2"])
+    # explicit hat matrices: a reference independent of summarize's projection
+    problem = prob.SubsetSelection(n=c["n"], p1=c["p1"], p2=c["p2"])
     s = problem.summarize(c["y"], c["X1"], c["X2"])
     y = np.asarray(c["y"], dtype=float)
     X1 = np.asarray(c["X1"], dtype=float)
@@ -449,14 +428,12 @@ def _p15_hat_test(c):
     H = Xf @ np.linalg.solve(Xf.T @ Xf, Xf.T)
     mid = float(y @ (H - H1) @ y)
     resid = float(y @ (np.eye(c["n"]) - H) @ y)
-    if abs(s.rss_null - (mid + resid)) > 1e-8 * max(1.0, s.rss_null):
-        return f"null residual does not split: {s.rss_null} vs {mid + resid}"
-    if mid < -1e-10:
-        return f"projection difference gave negative quadratic form {mid}"
-    if abs(s.f - mid / resid) > 1e-9 * max(1.0, abs(s.f)):
-        return f"statistic mismatch: {s.f} vs {mid / resid}"
-    if not 0.0 <= s.t_stat < 1.0:
-        return f"T = F/(1+F) out of range: {s.t_stat}"
+    f = mid / resid
+    reference = (mid + resid, f, f / (1.0 + f))
+    if (mid < -1e-10 or abs(s.rss_null - reference[0]) > 1e-8 * max(1.0, s.rss_null)
+            or abs(s.f - f) > 1e-9 * max(1.0, abs(f))
+            or abs(s.t_stat - reference[2]) > 1e-9):
+        return f"summary (rss_null, F, T) = ({s.rss_null}, {s.f}, {s.t_stat}) vs {reference}"
     return None
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib.util
 import json
 import math
@@ -13,6 +14,7 @@ from numpy.testing import assert_allclose
 import bfequiv
 from bfequiv import bayes_factors as bf
 from bfequiv import cli
+from bfequiv.calibrate import DecisionRule
 from bfequiv.cli import RunConfig, build_bf, main
 from bfequiv.priors import ScaledSymmetricPrior, SphericalPrior, standard_normal_log_h
 from bfequiv.problems import (
@@ -460,9 +462,18 @@ class TestObservedData:
                 {"d.csv": {"y": RNG.normal(size=6), "x1": np.arange(6.0), "x2": 2.0 * np.arange(6.0)}},
                 ":4: problem.data: design matrix is rank deficient",
             ),
+            (
+                # the tested covariate z1 is a multiple of the null covariate x1
+                "problem.kind = subset_selection\nproblem.n = 8\nproblem.p1 = 1\nproblem.p2 = 2\n"
+                "problem.data = d.csv\nprior.kind = conjugate",
+                {"d.csv": {"y": RNG.normal(size=8), "x1": np.arange(8.0), "z1": 3.0 * np.arange(8.0),
+                           "z2": RNG.normal(size=8)}},
+                ":5: problem.data: design matrix is rank deficient",
+            ),
         ],
         ids=["t_test_rows", "two_sample_t_rows", "variance_ratio_rows1", "variance_ratio_rows2",
-             "subset_selection_rows", "constant_column", "rank_deficient_design"],
+             "subset_selection_rows", "constant_column", "rank_deficient_design",
+             "collinear_subset_design"],
     )
     def test_bad_data_exit_1(self, tmp_path, capsys, model, data, expected):
         for name, columns in data.items():
@@ -523,6 +534,62 @@ run.n_sims = 20000
         )
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "run.n_sims" in capsys.readouterr().err
+
+
+TWO_SAMPLE_KNOWN_VAR = """
+problem.kind = two_sample_known_var
+problem.n1 = 5
+problem.n2 = 7
+problem.tau2 = 2.0
+prior.kind = conjugate
+prior.c = 2.0
+run.alpha = 0.05
+run.seed = 13
+run.n_sims = 20000
+run.theta_grid = 0.0, 0.8, 1.6
+"""
+
+
+class TestTwoSampleKnownVariance:
+    """verify and power on the one kind that only calibrate covered."""
+
+    def test_verify_agrees_on_every_draw(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "k.cfg", TWO_SAMPLE_KNOWN_VAR)
+        out = str(tmp_path / "out")
+        assert main(["verify", "--config", cfg, "--out", out]) == 0
+        assert "agreement 60000/60000" in capsys.readouterr().out
+        (row,) = read_csv(os.path.join(out, "verify.csv"))
+        assert row["n_mismatch"] == "0"
+
+    def test_power_curves_identical_and_near_exact(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "k.cfg", TWO_SAMPLE_KNOWN_VAR)
+        out = str(tmp_path / "out")
+        assert main(["power", "--config", cfg, "--out", out]) == 0
+        assert "decision vectors identical" in capsys.readouterr().out
+        rows = read_csv(os.path.join(out, "power.csv"))
+        curve = {m: [r for r in rows if r["method"] == m] for m in ("exact", "mc_classical", "mc_bayes")}
+        assert [r["power"] for r in curve["mc_bayes"]] == [r["power"] for r in curve["mc_classical"]]
+        for exact, mc in zip(curve["exact"], curve["mc_classical"]):
+            assert abs(float(mc["power"]) - float(exact["power"])) <= 5 * float(mc["se"])
+
+    def test_power_with_perturbed_lambda_diverges(self, tmp_path, monkeypatch, capsys):
+        calibrate = cli.calibrate
+
+        def perturbed(problem, alpha, bf_of_stat):
+            result = calibrate(problem, alpha, bf_of_stat)
+            return dataclasses.replace(result, rule=DecisionRule(result.rule.region, 1.5 * result.rule.lam))
+
+        monkeypatch.setattr(cli, "calibrate", perturbed)
+        cfg = write_config(tmp_path, "k.cfg", TWO_SAMPLE_KNOWN_VAR)
+        assert main(["power", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert "WARNING: Bayes and classical decisions diverged" in capsys.readouterr().out
+
+    def test_lambda_below_the_minimum_of_b_exit_2(self, tmp_path, capsys):
+        # B = sqrt(c/(1+c)) exp(kappa' T) >= 0.816 for T = (xbar1 - xbar2)^2 >= 0
+        text = TWO_SAMPLE_KNOWN_VAR.replace("run.alpha = 0.05", "run.lambda = 0.5")
+        cfg = write_config(tmp_path, "k.cfg", text)
+        assert main(["calibrate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "lambda = 0.5 is exceeded by B everywhere" in capsys.readouterr().err
 
 
 class TestGaussianRoutes:
@@ -673,6 +740,20 @@ class TestPropsCommand:
         rows = read_csv(os.path.join(out, "props.csv"))
         assert len(rows) >= 12
         assert all(r["status"] == "PASS" for r in rows)
+
+    def test_raising_property_is_a_fail(self, tmp_path, monkeypatch, capsys):
+        def raising(q, t):
+            raise ValueError("planted")
+
+        monkeypatch.setattr(bf, "bf_subjective_variance", raising)
+        cfg = write_config(tmp_path, "p.cfg", "run.n_trials = 3\nrun.seed = 0\n")
+        out = str(tmp_path / "out")
+        assert main(["props", "--config", cfg, "--out", out]) == 1
+        failed = [r["name"] for r in read_csv(os.path.join(out, "props.csv")) if r["status"] == "FAIL"]
+        assert failed == ["subjective_score_bounds"]
+        with open(os.path.join(out, "props.txt")) as fh:
+            assert "     ValueError: planted\n" in fh.read()
+        assert "14/15 properties passed" in capsys.readouterr().out
 
 
 class TestReproduceSection6:

@@ -1,4 +1,4 @@
-"""Golden outputs: six tiny CLI runs must write byte-identical files.
+"""Golden outputs: seven tiny CLI runs must write byte-identical files.
 
 The exit code of each run and the sha256 of every file it writes are
 pinned, so any drift in a verdict or in the CSV, text or SVG outputs
@@ -83,6 +83,16 @@ RUNS = {
             "dominance.csv": "f3ac56ce48300625a38b39610f0912033a591a8b9fc5cde061786d45b595b016",
             "dominance.svg": "dec0de36b5eb7ec84b413fe0add2859ae319adf609df97d302f02b53366c6509",
             "dominance.txt": "f757d8504af54edd737832e97b791a5d72be0770012702d47f38e10f987c41c1",
+        },
+    ),
+    "props": (
+        "props",
+        "run.n_trials = 5\nrun.seed = 3\n",
+        {},
+        0,
+        {
+            "props.csv": "8271e0741d3770b351338fc9e219d0e2ca1462eeafa29623ccc094c769fb92bf",
+            "props.txt": "df36b9a12eaa4b44cbd7b3938e97dba3f8e68b661cce36f80d965a94396531cc",
         },
     ),
     "johnson": (

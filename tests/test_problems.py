@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,6 +180,24 @@ class TestSubsetSelection:
         expected = (y @ (H - H1) @ y) / (y @ (np.eye(3) - H) @ y)
         assert_allclose(s.f, expected, rtol=1e-12)
         assert_allclose(s.t_stat, s.f / (1 + s.f), rtol=1e-12)
+
+    def test_summary_memory_grows_with_n_not_n_squared(self):
+        # two n x n hat matrices at n = 2 000 would hold 64 MB
+        g = RngStream(12).generator
+        n = 2_000
+        y, X1, X2 = g.normal(size=n), g.normal(size=(n, 2)), g.normal(size=(n, 3))
+        tracemalloc.start()
+        try:
+            s = SubsetSelection(n=n, p1=2, p2=3).summarize(y, X1, X2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        X = np.hstack([X1, X2])
+        fit = lambda A: y - A @ np.linalg.lstsq(A, y, rcond=None)[0]
+        rss1, rss = float(fit(X1) @ fit(X1)), float(fit(X) @ fit(X))
+        assert_allclose(s.f, (rss1 - rss) / rss, rtol=1e-10)
+        assert_allclose(s.rss_null, rss1, rtol=1e-10)
 
     def test_null_law_is_scaled_f(self):
         p = SubsetSelection(n=10, p1=2, p2=3)

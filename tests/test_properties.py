@@ -1,8 +1,17 @@
+import importlib
+
 import numpy as np
 import pytest
 
+from bfequiv import bayes_factors as bf
+from bfequiv import cli, priors
+from bfequiv import problems as prob
+from bfequiv.problems import SufficientSummary
 from bfequiv.properties import PropertySpec, catalogue, run_catalogue, run_property
 from bfequiv.rng import RngStream
+
+# the package exports the function calibrate under the module's name
+calibration = importlib.import_module("bfequiv.calibrate")
 
 
 class TestCatalogue:
@@ -53,3 +62,138 @@ class TestRunProperty:
         result = run_property(spec, RngStream(2), n_trials=5)
         assert result.passed
         assert result.line() == "PASS trivial (5 trials): draws are finite"
+
+
+
+def _plant_factory(monkeypatch, kind, prior, change):
+    """Replace the CLI's factory for (kind, prior) by ``change`` of its pair."""
+    factory = cli.KINDS[kind].priors[prior]
+    monkeypatch.setitem(cli.KINDS[kind].priors, prior, lambda problem, get: change(factory(problem, get)))
+
+
+def _wrap(monkeypatch, owner, name, defect):
+    """Replace ``owner.name`` by ``defect(original)``."""
+    monkeypatch.setattr(owner, name, defect(getattr(owner, name)))
+
+
+def _reciprocal(f):
+    """1/B: decreasing wherever B increases."""
+    return lambda *args: 1.0 / f(*args)
+
+
+def _shift_root(brentq):
+    return lambda *args, **kwargs: brentq(*args, **kwargs) + 1e-6
+
+
+def _complement_t(from_f):
+    # T = 1/(1+F) in place of F/(1+F)
+    return lambda self, f: self(1.0 / (1.0 + np.asarray(f, dtype=float)))
+
+
+def _l1_statistic(summarize):
+    def with_l1(self, y, X):
+        s = summarize(self, y, X)
+        return SufficientSummary(t_vec=s.t_vec, t_abs=float(np.abs(s.t_vec).sum()) ** 2)
+
+    return with_l1
+
+
+def _biased_s2(summarize):
+    def biased(self, x1, x2):
+        s = summarize(self, x1, x2)
+        return SufficientSummary(s, s2_sq=s.s2_sq * (self.n2 - 1) / self.n2)
+
+    return biased
+
+
+def _skewed_z(orthonormalize):
+    def skewed(X):
+        Z, Q = orthonormalize(X)
+        return Z * 1.001, Q
+
+    return skewed
+
+
+def _raise_integrity(method):
+    def raising(*args):
+        raise bf.NumericalIntegrityError("planted")
+
+    return raising
+
+
+def _plant_reciprocal_one_sided(monkeypatch):
+    for name in ("bf_one_sided_normal_halfnormal", "bf_one_sided_normal_exponential"):
+        _wrap(monkeypatch, bf, name, _reciprocal)
+
+
+# property -> (plant(monkeypatch), start of the failure message)
+DEFECTS = {
+    "one_sided_monotone": (_plant_reciprocal_one_sided, "B("),
+    "two_sided_convex": (
+        lambda mp: _wrap(mp, bf, "bf_two_sided_normal_conjugate", _reciprocal), "B at interpolant"
+    ),
+    # the mirror term of the paired integrand dropped
+    "two_sided_equal_at_pair": (lambda mp: mp.setattr(bf, "_logaddexp", lambda x, y: x), "B("),
+    # the statistic route of the CLI's t-test pair reads t 1 % too large
+    "t_test_statistic_function": (
+        lambda mp: _plant_factory(
+            mp, "t_test", "gaussian_scale",
+            lambda pair: cli.BfPair(lambda t: pair.of_stat(1.01 * np.asarray(t)), pair.of_summary),
+        ),
+        "B at xbar",
+    ),
+    "radial_rotation_invariant": (
+        lambda mp: _wrap(mp, prob.RegressionKnownVar, "summarize", _l1_statistic), "rotation changed B"
+    ),
+    "f_test_monotone": (lambda mp: _wrap(mp, bf.SubsetSelectionBf, "from_f", _complement_t), "B("),
+    "two_sample_known_var_c_free": (
+        lambda mp: _wrap(mp, bf.TwoSampleKnownVarBf, "from_t", _reciprocal), "decisions"
+    ),
+    "two_sample_t_c_free": (lambda mp: _wrap(mp, bf.TwoSampleTBf, "from_t", _reciprocal), "decisions"),
+    "subset_selection_c_free": (
+        lambda mp: _wrap(mp, bf.SubsetSelectionBf, "from_f", _complement_t), "decisions"
+    ),
+    # the CLI's shifted-exponential factory reads 1/F
+    "variance_ratio_monotone": (
+        lambda mp: _plant_factory(
+            mp, "variance_ratio", "shifted_exponential",
+            lambda pair: cli.BfPair(lambda f: pair.of_stat(1.0 / np.asarray(f)), pair.of_summary),
+        ),
+        "B(",
+    ),
+    "subjective_score_bounds": (
+        lambda mp: _wrap(
+            mp, bf, "bf_subjective_variance", lambda g: lambda q, t: g(0.0, t) * (1.0 + np.asarray(q))
+        ),
+        "B*(",
+    ),
+    "pairing_solver_exact": (lambda mp: _wrap(mp, priors, "brentq", _shift_root), "mirror of"),
+    "calibration_round_trip": (lambda mp: _wrap(mp, calibration, "brentq", _shift_root), "round trip"),
+    "pooled_ss_decomposition": (
+        lambda mp: _wrap(mp, prob.TwoSampleMeansUnknownEqualVar, "summarize", _biased_s2),
+        "sum-of-squares decomposition off",
+    ),
+    "hat_matrix_split": (lambda mp: _wrap(mp, prob, "orthonormalize", _skewed_z), "summary (rss_null"),
+}
+RAISES = (
+    lambda mp: _wrap(mp, bf.TwoSampleTBf, "from_t", _raise_integrity), "NumericalIntegrityError: planted"
+)
+
+
+@pytest.mark.parametrize(
+    "name, plant, expected",
+    [(name, *DEFECTS[name]) for name in DEFECTS] + [("two_sample_t_c_free", *RAISES)],
+    ids=list(DEFECTS) + ["two_sample_t_c_free_raises"],
+)
+def test_planted_defect_fails_the_property(monkeypatch, name, plant, expected):
+    """Each property fails on a defect planted in the code it checks; a
+    check that raises fails with the exception's type and message."""
+    (spec,) = [s for s in catalogue() if s.name == name]
+    plant(monkeypatch)
+    result = run_property(spec, RngStream(0), n_trials=20)
+    assert not result.passed
+    assert result.message.startswith(expected)
+
+
+def test_every_property_has_a_planted_defect():
+    assert list(DEFECTS) == [s.name for s in catalogue()]
