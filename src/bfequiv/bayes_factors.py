@@ -227,20 +227,24 @@ def _log_radial_damped_moment(prior: SphericalPrior, k: int) -> float:
     return math.log(prior.surface) + log_damped_moment(prior.log_radial_density, prior.p - 1 + 2 * k)
 
 
-def _log_angular_mean_exp(p: int, z: float) -> float:
-    """Log of the angular mean, stable for large z."""
-    if z == 0.0:
-        return 0.0
+def _log_angular_mean_exp(p: int) -> Callable[[float], float]:
+    """z -> log of the angular mean of exp(z u.e) over unit p-vectors u,
+    stable for large z; the constants of p are computed once, here."""
     if p == 1:
-        # log cosh without overflow
-        return abs(z) + math.log1p(math.exp(-2.0 * abs(z))) - math.log(2.0)
+        def log_mean(z):
+            # log cosh without overflow
+            return 0.0 if z == 0.0 else abs(z) + math.log1p(math.exp(-2.0 * abs(z))) - _LOG_2
+
+        return log_mean
     nu = p / 2.0 - 1.0
-    return (
-        special.gammaln(p / 2.0)
-        + nu * (math.log(2.0) - math.log(z))
-        + math.log(float(special.ive(nu, z)))
-        + abs(z)
-    )
+    log_gamma = float(special.gammaln(p / 2.0))
+
+    def log_mean(z):
+        if z == 0.0:
+            return 0.0
+        return log_gamma + nu * (_LOG_2 - math.log(z)) + math.log(float(special.ive(nu, z))) + abs(z)
+
+    return log_mean
 
 
 class RegressionKnownVarBf:
@@ -277,12 +281,12 @@ class RegressionKnownVarBf:
         """log psi(t_abs) by the radial integral, which never overflows."""
         s = math.sqrt(t_abs)
         p = self.p
+        log_prior, log_mean = self.prior.log_radial_density, _log_angular_mean_exp(p)
 
         def log_f(r):
             if r <= 0:
                 return -np.inf
-            log_prior = self.prior.log_radial_density(r)
-            return (p - 1) * math.log(r) + log_prior - 0.5 * r * r + _log_angular_mean_exp(p, r * s)
+            return (p - 1) * math.log(r) + log_prior(r) - 0.5 * r * r + log_mean(r * s)
 
         # e^{r s - r^2/2} peaks at r = s
         log_b = log_quad(log_f, 0.0, np.inf, (0.0, s + math.sqrt(p) + 30.0), tol=1e-12)
@@ -380,10 +384,12 @@ class RegressionUnknownVarBf:
 
 def _t_test_f_test(h: ScaledSymmetricPrior, n: int) -> RegressionUnknownVarBf:
     """The one-coefficient F-test whose radial density is h(r/sqrt(n))/sqrt(n);
-    at T = n xbar^2/sum(x^2) its B is the t-test's."""
+    at T = n xbar^2/sum(x^2) its B is the t-test's.  The density integrates
+    to that of h, which is 1."""
     root_n = math.sqrt(n)
     log_root_n = math.log(root_n)
-    return RegressionUnknownVarBf(SphericalPrior(1, lambda r: h.log_h(r / root_n) - log_root_n), n)
+    radial = SphericalPrior(1, lambda r: h.log_h(r / root_n) - log_root_n, log_z=0.0)
+    return RegressionUnknownVarBf(radial, n)
 
 
 class TTestBf:
@@ -465,7 +471,8 @@ class TwoSampleTBf:
     """Two-sample t-test Bayes factor, B = kappa (1 - kappa' Ttilde^2)^(-n/2).
 
     With m = n1 n2 / n: kappa = sqrt(c/(m+c)), kappa' = m^2/(m+c), and
-    Ttilde^2 = (xbar2-xbar1)^2 / ((n-1) S^2) = T^2/(1 + T^2 m).
+    Ttilde^2 = d^2 / ((n-1) S^2) = d^2 / (pooled + m d^2) = T^2/(1 + T^2 m),
+    where d = xbar2 - xbar1 and pooled = (n1-1)S1^2 + (n2-1)S2^2.
     """
 
     def __init__(self, n1: int, n2: int, c: float):
@@ -477,21 +484,17 @@ class TwoSampleTBf:
         self.kappa = math.sqrt(c / (self.m + c))
         self.kappa_prime = self.m**2 / (self.m + c)
 
-    def __call__(self, xbar1, xbar2, s1_sq, s2_sq):
-        d = np.asarray(xbar2, dtype=float) - np.asarray(xbar1, dtype=float)
-        total_ss = (
-            (self.n1 - 1) * np.asarray(s1_sq, dtype=float)
-            + (self.n2 - 1) * np.asarray(s2_sq, dtype=float)
-            + self.m * d**2
-        )
-        t_tilde_sq = d**2 / total_ss
+    def __call__(self, d, pooled):
+        d = np.asarray(d, dtype=float)
+        d_sq = d**2
+        t_tilde_sq = d_sq / (np.asarray(pooled, dtype=float) + self.m * d_sq)
         arg = 1.0 - self.kappa_prime * t_tilde_sq
         if np.any(arg <= 0):
             raise NumericalIntegrityError("kappa' * Ttilde^2 >= 1: invalid constants or data")
         return self.kappa * arg ** (-self.n / 2.0)
 
     def from_t(self, t):
-        """Evaluate from T = (xbar2-xbar1)/sqrt((n1-1)S1^2 + (n2-1)S2^2)."""
+        """Evaluate from T = d/sqrt(pooled)."""
         t_sq = np.asarray(t, dtype=float) ** 2
         t_tilde_sq = t_sq / (1.0 + t_sq * self.m)
         arg = 1.0 - self.kappa_prime * t_tilde_sq

@@ -189,10 +189,11 @@ class EquivalenceReport:
 def decide_chunk(problem: TestProblem, rule: DecisionRule, bf_of_summary, summary) -> tuple:
     """(classical rejections, Bayes rejections, disagreements, statistics of
     the first MAX_EXAMPLES disagreeing draws) on one simulated chunk, taken
-    ROW_BLOCK draws at a time."""
+    ROW_BLOCK draws at a time, each block derived (`TestProblem.derive`)
+    before it is read."""
     n_classical = n_bayes = n_mismatch = 0
     examples = []
-    for block in summary.blocks():
+    for block in map(problem.derive, summary.blocks()):
         stat = np.asarray(problem.decision_stat(block), dtype=float)
         classical = rule.classical(stat)
         bayes = rule.bayes(bf_of_summary(block))

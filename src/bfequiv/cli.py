@@ -50,7 +50,7 @@ from .calibrate import (
     gamma_from_lambda,
     verify_equivalence,
 )
-from .integrate import brentq
+from .integrate import QuadratureError, brentq
 from .power import dominance_study, exact_power, johnson_comparison, mc_power
 from .priors import DensityPrior, PointMass
 from .properties import run_catalogue
@@ -63,6 +63,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE_LAMBDA = 2
 EXIT_CLASS_VIOLATION = 3
+EXIT_NUMERICAL = 4
 
 
 class ConfigError(Exception):
@@ -259,7 +260,7 @@ def _two_sample_known_var(problem, get):
 
 def _two_sample_t(problem, get):
     engine = bf.TwoSampleTBf(problem.n1, problem.n2, get("prior.c", default=1.0, bounds="> 0"))
-    return BfPair(engine.from_t, lambda s: engine(s.xbar1, s.xbar2, s.s1_sq, s.s2_sq))
+    return BfPair(engine.from_t, lambda s: engine(s.d, s.pooled))
 
 
 def _variance_ratio_point_mass(problem, get):
@@ -850,6 +851,9 @@ def main(argv=None) -> int:
     except InfeasibleLambda as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE_LAMBDA
+    except (bf.NumericalIntegrityError, QuadratureError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -224,7 +224,7 @@ def dominance_study(
     def count(k, stream, size):
         summary = problem.simulate_summary(stream, runs[k][0], size, scale2=runs[k][1])
         hits_p = hits_c = proper_only = 0
-        for block in summary.blocks():
+        for block in map(problem.derive, summary.blocks()):
             proper = _proper_rejects(block, lam)
             classical = block.t_sub > gamma_t
             hits_p += int(np.count_nonzero(proper))

@@ -332,22 +332,25 @@ class SphericalPrior:
 
     radial_log is the log of the density as a function of the Euclidean
     norm rho (density w.r.t. p-dimensional Lebesgue measure evaluated at
-    any point with |x|_2 = rho).  Normalization is computed at
-    construction.
+    any point with |x|_2 = rho).  ``log_z`` is the log of its integral over
+    R^p when it is known; otherwise it is computed at construction by
+    adaptive quadrature.
     """
 
-    def __init__(self, p: int, radial_log: Callable[[float], float]):
+    def __init__(self, p: int, radial_log: Callable[[float], float], log_z: float | None = None):
         if p < 1:
             raise ValueError("p must be >= 1")
         self.p = p
         self._radial_log = radial_log
         surf = 2 * math.pi ** (p / 2) / math.gamma(p / 2)
-        z, _ = quad(
-            lambda r: surf * r ** (p - 1) * math.exp(radial_log(r)), 0, np.inf, tol=MASS_TOL
-        )
-        if not np.isfinite(z) or z <= 0:
-            raise ValueError("radial density is not integrable")
-        self._log_z = math.log(z)
+        if log_z is None:
+            z, _ = quad(
+                lambda r: surf * r ** (p - 1) * math.exp(radial_log(r)), 0, np.inf, tol=MASS_TOL
+            )
+            if not np.isfinite(z) or z <= 0:
+                raise ValueError("radial density is not integrable")
+            log_z = math.log(z)
+        self._log_z = log_z
         self.surface = surf
 
     def log_radial_density(self, rho: float) -> float:
@@ -358,4 +361,7 @@ class SphericalPrior:
     def gaussian(p: int, precision: float = 1.0) -> "SphericalPrior":
         if precision <= 0:
             raise ValueError("precision must be > 0")
-        return SphericalPrior(p, lambda r: -0.5 * precision * r * r)
+        # exp(-precision |x|^2 / 2) integrates to (2 pi / precision)^{p/2}
+        return SphericalPrior(
+            p, lambda r: -0.5 * precision * r * r, log_z=0.5 * p * math.log(2.0 * math.pi / precision)
+        )

@@ -5,7 +5,10 @@ decision statistic and the shape of its critical region, the exact null
 law of that statistic, the exact alternative CDF where one exists, and
 fast samplers for the sufficient summary (used by the Monte Carlo
 studies; they draw the summary directly from its exact sampling
-distribution rather than the raw observations).
+distribution rather than the raw observations).  A simulated summary
+holds only its draws and their exact in-place reductions; `derive` forms
+the fields built from them, per block of ROW_BLOCK draws where a Monte
+Carlo loop reads them, and for observed data in `summarize`.
 """
 
 from __future__ import annotations
@@ -103,7 +106,14 @@ class TestProblem:
     def summarize(self, *data) -> SufficientSummary:
         raise NotImplementedError
 
+    def derive(self, summary: SufficientSummary) -> SufficientSummary:
+        """The summary with the fields formed from its stored reductions
+        added: the one formula for observed data and for simulated blocks.
+        The base summary stores every field."""
+        return summary
+
     def decision_stat(self, summary: SufficientSummary):
+        """The statistic of a derived summary (see `derive`)."""
         return summary[self.stat]
 
     def null_law(self) -> DistSpec:
@@ -119,8 +129,9 @@ class TestProblem:
         raise NotImplementedError
 
     def simulate_summary(self, rng, theta, size: int) -> SufficientSummary:
-        """`size` datasets at theta: only the fields the decision statistic
-        and the Bayes factor read, built in place where possible."""
+        """`size` datasets at theta: the reductions that `derive` turns into
+        the decision statistic and the Bayes factor's inputs, built in
+        place where possible."""
         raise NotImplementedError
 
 
@@ -352,8 +363,8 @@ class TwoSampleMeansKnownVar(TestProblem):
 class TwoSampleMeansUnknownEqualVar(TestProblem):
     """Two-sample t-test with equal unknown variance; H0: means equal.
 
-    Decision statistic T = (xbar2 - xbar1)/sqrt((n1-1)S1^2 + (n2-1)S2^2),
-    a scaled Student-t(n-2).
+    Summary d = xbar2 - xbar1 and pooled = (n1-1)S1^2 + (n2-1)S2^2.
+    Decision statistic T = d/sqrt(pooled), a scaled Student-t(n-2).
     """
 
     n1: int = 2
@@ -381,13 +392,10 @@ class TwoSampleMeansUnknownEqualVar(TestProblem):
         pooled = (self.n1 - 1) * s1_sq + (self.n2 - 1) * s2_sq
         if pooled <= 0.0:
             raise DegenerateDataError("zero pooled variance")
-        return SufficientSummary(
-            xbar1=xbar1,
-            xbar2=xbar2,
-            s1_sq=s1_sq,
-            s2_sq=s2_sq,
-            t=(xbar2 - xbar1) / math.sqrt(pooled),
-        )
+        return self.derive(SufficientSummary(d=xbar2 - xbar1, pooled=pooled))
+
+    def derive(self, summary):
+        return SufficientSummary(summary, t=summary.d / np.sqrt(summary.pooled))
 
     def null_law(self):
         return DistSpec.student_t(self.n - 2, self.stat_scale)
@@ -399,17 +407,19 @@ class TwoSampleMeansUnknownEqualVar(TestProblem):
     def simulate_summary(self, rng, theta, size):
         g = rng.generator
         xbar1 = g.normal(0.0, 1.0 / math.sqrt(self.n1), size=size)
-        xbar2 = g.normal(theta, 1.0 / math.sqrt(self.n2), size=size)
-        s1_sq = g.chisquare(self.n1 - 1, size=size)
-        s1_sq /= self.n1 - 1
+        d = g.normal(theta, 1.0 / math.sqrt(self.n2), size=size)
+        d -= xbar1
+        del xbar1
+        # (n_j - 1) S_j^2 is formed from S_j^2 = chi^2/(n_j - 1), as
+        # `summarize` forms it, so the division's rounding is kept
+        pooled = g.chisquare(self.n1 - 1, size=size)
+        pooled /= self.n1 - 1
+        pooled *= self.n1 - 1
         s2_sq = g.chisquare(self.n2 - 1, size=size)
         s2_sq /= self.n2 - 1
-        t = np.empty(size)
-        for start in range(0, size, ROW_BLOCK):
-            rows = slice(start, start + ROW_BLOCK)
-            pooled = (self.n1 - 1) * s1_sq[rows] + (self.n2 - 1) * s2_sq[rows]
-            np.divide(xbar2[rows] - xbar1[rows], np.sqrt(pooled), out=t[rows])
-        return SufficientSummary(xbar1=xbar1, xbar2=xbar2, s1_sq=s1_sq, s2_sq=s2_sq, t=t)
+        s2_sq *= self.n2 - 1
+        pooled += s2_sq
+        return SufficientSummary(d=d, pooled=pooled)
 
 
 @dataclass(frozen=True)
@@ -487,8 +497,11 @@ class SubsetSelection(TestProblem):
         num = float(a[self.p1 :] @ a[self.p1 :])
         if rss_null - num <= 0.0:
             raise DegenerateDataError("zero residual sum of squares")
-        f = num / (rss_null - num)
-        return SufficientSummary(f=f, t_stat=f / (1.0 + f), rss_null=rss_null)
+        return self.derive(SufficientSummary(f=num / (rss_null - num), rss_null=rss_null))
+
+    def derive(self, summary):
+        # T = F/(1+F), the statistic the Bayes factor reads
+        return SufficientSummary(summary, t_stat=summary.f / (summary.f + 1.0))
 
     def alt_law(self, ncp):
         # ncp = b2' X'X b2 / sigma^2 with X = (I - H1) X2
@@ -502,18 +515,17 @@ class SubsetSelection(TestProblem):
         else:
             f = g.noncentral_chisquare(self.p2, ncp, size=size)
         f /= g.chisquare(self.resid_df, size=size)
-        t_stat = np.add(f, 1.0)
-        np.divide(f, t_stat, out=t_stat)
-        return SufficientSummary(f=f, t_stat=t_stat)
+        return SufficientSummary(f=f)
 
 
 @dataclass(frozen=True)
 class SubjectiveVarianceEquality(TestProblem):
     """Equality of variances with known means 0 and proper Gamma priors.
 
-    Sufficient summary: S1^2 = sum x1^2, S2^2 = sum x2^2, F = S1^2/S2^2,
-    Q = b/(S1^2 + S2^2), T = 1/4 - F/(1+F)^2.  The classical region is
-    two-tailed in F, equivalently one-sided {T > gamma}.
+    Sufficient summary: S1^2 = sum x1^2 and S2^2 = sum x2^2, from which
+    `derive` forms F = S1^2/S2^2, Q = b/(S1^2 + S2^2) and
+    T = 1/4 - F/(1+F)^2.  The classical region is two-tailed in F,
+    equivalently one-sided {T > gamma}.
     """
 
     n1: int = 2
@@ -533,14 +545,14 @@ class SubjectiveVarianceEquality(TestProblem):
         s2_sq = float(np.sum(x2**2))
         if s1_sq == 0.0 or s2_sq == 0.0:
             raise DegenerateDataError("zero sum of squares")
+        return self.derive(SufficientSummary(s1_sq=s1_sq, s2_sq=s2_sq))
+
+    def derive(self, summary):
+        s1_sq, s2_sq = summary.s1_sq, summary.s2_sq
         f = s1_sq / s2_sq
-        total = s1_sq + s2_sq
+        # ** squares an array as np.square does, and a float by pow
         return SufficientSummary(
-            s1_sq=s1_sq,
-            s2_sq=s2_sq,
-            f=f,
-            q=self.b / total,
-            t_sub=0.25 - f / (1.0 + f) ** 2,
+            summary, f=f, q=self.b / (s1_sq + s2_sq), t_sub=0.25 - f / (f + 1.0) ** 2
         )
 
     def alt_law(self, theta):
@@ -554,12 +566,4 @@ class SubjectiveVarianceEquality(TestProblem):
         s1_sq *= theta * scale2
         s2_sq = g.chisquare(self.n2, size=size)
         s2_sq *= scale2
-        q = np.add(s1_sq, s2_sq)
-        np.divide(self.b, q, out=q)
-        f = np.divide(s1_sq, s2_sq, out=s1_sq)
-        # t_sub = 1/4 - f/(1+f)^2, built in the buffer of S2^2
-        t_sub = np.add(f, 1.0, out=s2_sq)
-        np.square(t_sub, out=t_sub)
-        np.divide(f, t_sub, out=t_sub)
-        np.subtract(0.25, t_sub, out=t_sub)
-        return SufficientSummary(f=f, q=q, t_sub=t_sub)
+        return SufficientSummary(s1_sq=s1_sq, s2_sq=s2_sq)

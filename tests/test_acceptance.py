@@ -73,7 +73,7 @@ def problem_catalogue():
             "two_sample_t",
             p,
             eng.from_t,
-            lambda s, e=eng: e(s.xbar1, s.xbar2, s.s1_sq, s.s2_sq),
+            lambda s, e=eng: e(s.d, s.pooled),
             np.linspace(-1.5, 1.5, 21),
         )
     )

@@ -315,9 +315,8 @@ class TestTwoSample:
     def test_t_routes_agree(self):
         engine = bf.TwoSampleTBf(5, 8, c=1.0)
         xbar1, xbar2, s1, s2 = 0.2, 1.1, 1.3, 0.8
-        d = xbar2 - xbar1
-        t = d / math.sqrt(4 * s1 + 7 * s2)
-        assert_allclose(engine(xbar1, xbar2, s1, s2), engine.from_t(t), rtol=1e-10)
+        d, pooled = xbar2 - xbar1, 4 * s1 + 7 * s2
+        assert_allclose(engine(d, pooled), engine.from_t(d / math.sqrt(pooled)), rtol=1e-10)
 
     def test_decision_free_of_c(self):
         # B is monotone in T^2 for every c, so the ordering of datasets

@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 
 import bfequiv
 from bfequiv import bayes_factors as bf
-from bfequiv import cli
+from bfequiv import cli, integrate
 from bfequiv.calibrate import DecisionRule
 from bfequiv.cli import RunConfig, build_bf, main
 from bfequiv.priors import ScaledSymmetricPrior, SphericalPrior, standard_normal_log_h
@@ -108,6 +108,35 @@ run.alpha = 0.05
             ONE_SIDED.replace("run.alpha = 0.05", "run.lambda = 1e30"),
         )
         assert main(["calibrate", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "text, plant, message",
+        [
+            # the 200 node weights of the batch route overflow at n2 = 3000
+            (
+                "problem.kind = variance_ratio\nproblem.n1 = 10\nproblem.n2 = 3000\n"
+                "prior.kind = shifted_exponential\nrun.alpha = 0.05\n",
+                None,
+                "a node weight overflows a float",
+            ),
+            (
+                VARIANCE_RATIO_MODEL + "\nrun.alpha = 0.05\n",
+                integrate.QuadratureError("planted"),
+                "planted",
+            ),
+        ],
+        ids=["integrity", "quadrature"],
+    )
+    def test_numerical_failure_exit_4(self, tmp_path, monkeypatch, capsys, text, plant, message):
+        if plant is not None:
+            def raising(self, f):
+                raise plant
+
+            monkeypatch.setattr(bf.VarianceRatioBf, "__call__", raising)
+        cfg = write_config(tmp_path, "c.cfg", text)
+        assert main(["calibrate", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
     def test_observed_data_reported(self, tmp_path):
         data = tmp_path / "x.csv"

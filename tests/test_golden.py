@@ -1,4 +1,4 @@
-"""Golden outputs: seven tiny CLI runs must write byte-identical files.
+"""Golden outputs: nine tiny CLI runs must write byte-identical files.
 
 The exit code of each run and the sha256 of every file it writes are
 pinned, so any drift in a verdict or in the CSV, text or SVG outputs
@@ -57,6 +57,33 @@ RUNS = {
         {
             "power.csv": "6563bdcbc3902368e7b81d557eab03f172cb9aa496732cb47a7b922e8b059d7a",
             "power.svg": "ac884c6f88b00747276d9001202abd719d565c375ec64dc66b2f8a22215dc7a5",
+        },
+    ),
+    "power_subset_selection": (
+        "power",
+        "problem.kind = subset_selection\nproblem.n = 20\nproblem.p1 = 2\nproblem.p2 = 3\n"
+        "prior.kind = conjugate\nprior.c = 0.5\nrun.alpha = 0.05\n"
+        "run.seed = 8\nrun.n_sims = 2000\n",
+        {},
+        0,
+        {
+            "power.csv": "fb7126eaa1914516ce5e645352a1626d19ba8b3e35243f68a47a3191b6375e1c",
+            "power.svg": "f0c22307fba0e6b801e88e77d151114eb349fde14ec5011434e2f13ae6b81eb2",
+        },
+    ),
+    "calibrate_two_sample_t_data": (
+        # the summarize path: the observed statistic and B from two data files
+        "calibrate",
+        "problem.kind = two_sample_t\nproblem.n1 = 7\nproblem.n2 = 9\n"
+        "problem.data1 = x1.csv\nproblem.data2 = x2.csv\n"
+        "prior.kind = conjugate\nprior.c = 2.0\nrun.alpha = 0.05\n",
+        {
+            "x1.csv": "x\n-0.01\n1.05\n0.74\n0.72\n1.62\n-1.21\n-0.63\n",
+            "x2.csv": "x\n-0.78\n0.67\n2.0\n0.77\n1.4\n-1.49\n0.98\n-0.29\n2.93\n",
+        },
+        0,
+        {
+            "calibration.csv": "fe44b45e0721d98bcb43bcc7dc6aeb28c164898d3aab79029d507e2aacc9e9fe",
         },
     ),
     "power_variance_ratio": (

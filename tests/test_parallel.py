@@ -48,7 +48,7 @@ def two_sample_t():
     problem = TwoSampleMeansUnknownEqualVar(n1=5, n2=7)
     engine = bf.TwoSampleTBf(5, 7, 1.0)
     rule = calibrate(problem, 0.05, engine.from_t).rule
-    return problem, rule, lambda s: engine(s.xbar1, s.xbar2, s.s1_sq, s.s2_sq)
+    return problem, rule, lambda s: engine(s.d, s.pooled)
 
 
 class TestMapJobs:
@@ -79,6 +79,7 @@ class TestThreadedEqualsSequential:
         counts = np.zeros((len(thetas), 2), dtype=np.int64)
         for i, th in enumerate(thetas):
             for s in sequential_chunks(problem, RngStream(61).substream(i), th, n_sims, chunk):
+                s = problem.derive(s)
                 counts[i] += [
                     np.count_nonzero(rule.classical(problem.decision_stat(s))),
                     np.count_nonzero(rule.bayes(of_summary(s))),
@@ -124,6 +125,7 @@ class TestThreadedEqualsSequential:
         proper_only = 0
         for k, (th, scale2, stream) in enumerate(runs):
             for s in sequential_chunks(p, stream, th, n_sims, chunk, scale2=scale2):
+                s = p.derive(s)
                 proper = s.t_sub > (s.q + 0.5) ** 2 * (1.0 - 1.0 / rep.lam**2)
                 classical = s.t_sub > rep.gamma_t
                 hits[k] += [np.count_nonzero(proper), np.count_nonzero(classical)]
@@ -150,29 +152,53 @@ class TestThreadedEqualsSequential:
         assert comp.n_disagree == 0
 
 
-def test_each_thread_holds_under_two_summaries(monkeypatch):
-    # 2 theta x 400 000 two-sample draws in chunks of 200 000; a summary
-    # holds five float64 arrays, 8 MB per chunk
+def traced_peak(monkeypatch, problem_cls, study):
+    """(tracemalloc peak of study(), number of threads that drew a chunk),
+    with the package's two worker threads."""
     monkeypatch.setattr(rng_module, "WORKERS", 2)
-    problem = TwoSampleMeansUnknownEqualVar(n1=12, n2=15)
-    engine = bf.TwoSampleTBf(12, 15, 1.0)
-    rule = calibrate(problem, 0.05, engine.from_t).rule
     callers = set()
-    simulate = TwoSampleMeansUnknownEqualVar.simulate_summary
+    simulate = problem_cls.simulate_summary
 
     def counted(self, *args, **kwargs):
         callers.add(threading.get_ident())
         return simulate(self, *args, **kwargs)
 
-    monkeypatch.setattr(TwoSampleMeansUnknownEqualVar, "simulate_summary", counted)
+    monkeypatch.setattr(problem_cls, "simulate_summary", counted)
     tracemalloc.start()
     try:
-        mc_power(
-            problem, rule, RngStream(65), [0.0, 0.5], 400_000,
-            bf_of_summary=lambda s: engine(s.xbar1, s.xbar2, s.s1_sq, s.s2_sq),
-        )
-        peak = tracemalloc.get_traced_memory()[1]
+        study()
+        return tracemalloc.get_traced_memory()[1], len(callers)
     finally:
         tracemalloc.stop()
-    summary_bytes = 5 * 200_000 * 8
-    assert peak < 2 * summary_bytes * len(callers)
+
+
+def test_each_thread_holds_under_two_summaries(monkeypatch):
+    # 2 theta x 400 000 two-sample draws in chunks of 200 000: a chunk holds
+    # d, pooled and, while S2^2 is drawn, one more array; T and B are
+    # formed per block of ROW_BLOCK draws (half an array at most)
+    problem = TwoSampleMeansUnknownEqualVar(n1=12, n2=15)
+    engine = bf.TwoSampleTBf(12, 15, 1.0)
+    rule = calibrate(problem, 0.05, engine.from_t).rule
+    peak, callers = traced_peak(
+        monkeypatch,
+        TwoSampleMeansUnknownEqualVar,
+        lambda: mc_power(
+            problem, rule, RngStream(65), [0.0, 0.5], 400_000,
+            bf_of_summary=lambda s: engine(s.d, s.pooled),
+        ),
+    )
+    array_bytes = 200_000 * 8
+    assert peak < 3.5 * array_bytes * callers
+
+
+def test_each_dominance_thread_holds_two_draws(monkeypatch):
+    # 4 runs x 1 000 000 draws in chunks of 500 000: a chunk holds the
+    # scaled S1^2 and S2^2; F, Q and T are formed per block
+    problem = SubjectiveVarianceEquality(n1=10, n2=10, b=2.0)
+    peak, callers = traced_peak(
+        monkeypatch,
+        SubjectiveVarianceEquality,
+        lambda: dominance_study(problem, 0.05, [1.5, 3.0], RngStream(66), 1_000_000, chunk_size=500_000),
+    )
+    array_bytes = 500_000 * 8
+    assert peak < 2.5 * array_bytes * callers

@@ -6,7 +6,9 @@ from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.integrate import quad as scipy_quad
 
+from bfequiv import bayes_factors as bf
 from bfequiv.priors import (
+    MASS_TOL,
     DensityPrior,
     PairingError,
     ScaledSymmetricPrior,
@@ -89,6 +91,27 @@ class TestSphericalPrior:
         )
         expected = stats.chi.pdf(rs * math.sqrt(tau), p) * math.sqrt(tau)
         assert_allclose(radius_pdf, expected, rtol=1e-8)
+
+
+class TestKnownSphericalNormaliser:
+    """Each log normaliser passed to SphericalPrior matches the quadrature
+    that the prior runs without it."""
+
+    @staticmethod
+    def by_quadrature(prior):
+        return SphericalPrior(prior.p, prior._radial_log)
+
+    @pytest.mark.parametrize("p, precision", [(1, 1.0), (2, 0.3), (3, 2.0), (5, 0.5), (8, 3.0)])
+    def test_gaussian(self, p, precision):
+        prior = SphericalPrior.gaussian(p, precision)
+        quad_prior = self.by_quadrature(prior)
+        assert abs(prior.log_radial_density(0.7) - quad_prior.log_radial_density(0.7)) <= MASS_TOL
+
+    @pytest.mark.parametrize("n", [3, 12, 60])
+    def test_t_test_radial_density(self, n):
+        prior = bf._t_test_f_test(ScaledSymmetricPrior(standard_normal_log_h), n).h
+        quad_prior = self.by_quadrature(prior)
+        assert abs(prior.log_radial_density(0.7) - quad_prior.log_radial_density(0.7)) <= MASS_TOL
 
 
 class TestPairing:

@@ -136,7 +136,7 @@ class TestTwoSample:
 
     def test_t_statistic_scaled_student_null(self):
         p = TwoSampleMeansUnknownEqualVar(n1=5, n2=7)
-        s = p.simulate_summary(RngStream(7), 0.0, 100_000)
+        s = p.derive(p.simulate_summary(RngStream(7), 0.0, 100_000))
         law = p.null_law()
         assert stats.kstest(s.t, lambda v: dist.cdf(law, v)).statistic < 0.006
 
@@ -216,7 +216,7 @@ class TestSubjectiveVariance:
 
     def test_t_invariant_under_reciprocal_f(self):
         p = SubjectiveVarianceEquality(n1=5, n2=5)
-        s = p.simulate_summary(RngStream(11), 1.0, 1000)
+        s = p.derive(p.simulate_summary(RngStream(11), 1.0, 1000))
         t_flip = 0.25 - (1.0 / s.f) / (1.0 + 1.0 / s.f) ** 2
         assert_allclose(s.t_sub, t_flip, atol=1e-12)
 

@@ -99,9 +99,10 @@ def _l1_statistic(summarize):
 
 
 def _biased_s2(summarize):
+    # the pooled sum of squares with S2^2 taken with divisor n2, not n2 - 1
     def biased(self, x1, x2):
         s = summarize(self, x1, x2)
-        return SufficientSummary(s, s2_sq=s.s2_sq * (self.n2 - 1) / self.n2)
+        return SufficientSummary(s, pooled=s.pooled - (self.n2 - 1) * np.var(x2, ddof=1) / self.n2)
 
     return biased
 
