@@ -23,7 +23,6 @@ from .bayes_factors import (
     bf_two_sided,
     bf_two_sided_normal_conjugate,
     johnson_umpbt_threshold,
-    subjective_t_from_f,
 )
 from .calibrate import (
     CalibrationResult,

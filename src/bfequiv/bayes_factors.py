@@ -126,23 +126,30 @@ def bf_one_sided_normal_conjugate(t, n: int, tau: float):
     return np.sqrt(tau / (tau + n)) * np.exp(t**2 / (2.0 * (n + tau)))
 
 
+def _scaled_mills(coef, half_sq, z):
+    """coef * exp(half_sq) * ndtr(z), with half_sq = z^2/2 as the caller forms
+    it; where that product is not finite (below z = -37.6 the exp overflows),
+    the same quantity as coef * erfcx(-z/sqrt(2)) / 2."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = coef * np.exp(half_sq) * special.ndtr(z)
+    finite = np.isfinite(out)
+    if finite.all():
+        return out
+    return np.where(finite, out, coef * (0.5 * special.erfcx(-z / math.sqrt(2.0))))
+
+
 def bf_one_sided_normal_halfnormal(t, n: int, tau: float):
     """Normal model, half-normal prior on theta > 0 with precision tau."""
     t = np.asarray(t, dtype=float)
     s = n + tau
-    return 2.0 * np.sqrt(tau / s) * np.exp(t**2 / (2.0 * s)) * special.ndtr(t / np.sqrt(s))
+    return _scaled_mills(2.0 * np.sqrt(tau / s), t**2 / (2.0 * s), t / np.sqrt(s))
 
 
 def bf_one_sided_normal_exponential(t, n: int, rate: float):
     """Normal model, Exponential(rate) prior on theta > 0."""
     t = np.asarray(t, dtype=float)
     b = t - rate
-    return (
-        rate
-        * np.sqrt(2.0 * np.pi / n)
-        * np.exp(b**2 / (2.0 * n))
-        * special.ndtr(b / np.sqrt(n))
-    )
+    return _scaled_mills(rate * np.sqrt(2.0 * np.pi / n), b**2 / (2.0 * n), b / np.sqrt(n))
 
 
 # ---------------------------------------------------------------------------
@@ -641,13 +648,6 @@ def bf_subjective_variance(q, t):
     if np.any(inside <= 0):
         raise ValueError("(Q + 1/2)^2 <= T: invalid inputs")
     out = half / np.sqrt(inside)
-    return out if out.shape else float(out)
-
-
-def subjective_t_from_f(f):
-    """T = 1/4 - F/(1+F)^2; invariant under F -> 1/F."""
-    f = np.asarray(f, dtype=float)
-    out = 0.25 - f / (1.0 + f) ** 2
     return out if out.shape else float(out)
 
 

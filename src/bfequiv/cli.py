@@ -22,14 +22,14 @@ threshold cannot be inverted to a critical region, 3 when the prior
 violates the calibrated two-sided class; malformed configs exit 1 with a
 message that starts with the path:line of the offending key (the path
 alone when a required key is absent); other subcommands exit nonzero iff
-their verdict fails; bad or missing data files exit 1.
+their verdict fails; bad or missing data files, usage errors and an
+output directory that cannot be made exit 1; a numerical failure exits 4.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import logging
 import math
 import operator
 import os
@@ -56,8 +56,6 @@ from .priors import DensityPrior, PointMass
 from .properties import run_catalogue
 from .reports import format_float, write_csv, write_svg_lines, write_text
 from .rng import RngStream
-
-log = logging.getLogger("bfequiv")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -154,8 +152,6 @@ def parse_config(path: str) -> RunConfig:
             cfg.values[key] = _parse_value(raw)
             cfg.lines[key] = lineno
     return cfg
-
-
 
 
 def _finite(value) -> bool:
@@ -277,13 +273,12 @@ def _variance_ratio_shifted_exponential(problem, get):
 
 def _subset_selection(problem, get):
     c = get("prior.c", default=1.0, bounds="> 0")
-    engine = bf.SubsetSelectionBf(problem.n, problem.p2, c)
-    return BfPair(engine.from_f, lambda s: engine(s.t_stat))
+    return _stat_pair(problem, bf.SubsetSelectionBf(problem.n, problem.p2, c).from_f)
 
 
 def _subjective(problem, get):
     return BfPair(
-        lambda f: bf.bf_subjective_variance(0.0, bf.subjective_t_from_f(f)),
+        lambda f: bf.bf_subjective_variance(0.0, prob.subjective_t(f)),
         lambda s: bf.bf_subjective_variance(s.q, s.t_sub),
     )
 
@@ -331,8 +326,9 @@ class ProblemKind:
     """What the CLI knows about one problem.kind.
 
     The problem is ``problem(**args)`` with ``args`` read from the problem
-    section: every key in ``required``, and the keys of ``optional`` with
-    those defaults.  ``data`` maps each data-file key of the section to the
+    section, one key per dataclass field of ``problem``: a field named in
+    ``required`` must be set, any other defaults to the field's own
+    default.  ``data`` maps each data-file key of the section to the
     columns its file gives the problem's ``summarize``, file after file: a
     stem ``"y"`` is column y, a pair ``("x", "p")`` the matrix of columns
     x1 .. x<problem.p>.  ``priors`` maps each allowed prior.kind to its
@@ -341,7 +337,6 @@ class ProblemKind:
 
     problem: type
     required: tuple
-    optional: dict
     data: dict
     priors: dict
 
@@ -349,11 +344,11 @@ class ProblemKind:
 _TWO_SAMPLES = {"data1": ("x",), "data2": ("x",)}
 
 
-# Each entry: problem class, required and optional keys, data files on
-# the first line; the allowed prior kinds and their factories below it.
+# Each entry: problem class, required keys and data files on the first
+# line; the allowed prior kinds and their factories below it.
 KINDS = {
     "one_sided_normal": ProblemKind(
-        prob.OneSidedNormal, (), {"n": 1, "theta0": 0.0}, {"data": ("x",)},
+        prob.OneSidedNormal, (), {"data": ("x",)},
         {
             "point_mass": _point_mass,
             "half_normal": _shifted_normal_mean("bf_one_sided_normal_halfnormal", "precision"),
@@ -361,45 +356,45 @@ KINDS = {
         },
     ),
     "two_sided_normal": ProblemKind(
-        prob.TwoSidedNormal, (), {"n": 1, "theta0": 0.0}, {"data": ("x",)},
+        prob.TwoSidedNormal, (), {"data": ("x",)},
         {
             "normal": _shifted_normal_mean("bf_two_sided_normal_conjugate", "precision"),
             "point_mass": _point_mass,
         },
     ),
     "t_test": ProblemKind(
-        prob.GaussianMeanUnknownVar, ("n",), {}, {"data": ("x",)},
+        prob.GaussianMeanUnknownVar, ("n",), {"data": ("x",)},
         {"gaussian_scale": _t_test_gaussian},
     ),
     "regression_known_var": ProblemKind(
-        prob.RegressionKnownVar, ("p", "n"), {}, {"data": ("y", ("x", "p"))},
+        prob.RegressionKnownVar, ("p", "n"), {"data": ("y", ("x", "p"))},
         {"gaussian_spherical": _regression_known_var_gaussian},
     ),
     "regression_unknown_var": ProblemKind(
-        prob.RegressionUnknownVar, ("p", "n"), {}, {"data": ("y", ("x", "p"))},
+        prob.RegressionUnknownVar, ("p", "n"), {"data": ("y", ("x", "p"))},
         {"gaussian_spherical": _regression_unknown_var_gaussian},
     ),
     "two_sample_known_var": ProblemKind(
-        prob.TwoSampleMeansKnownVar, ("n1", "n2"), {"tau1": 1.0, "tau2": 1.0}, _TWO_SAMPLES,
+        prob.TwoSampleMeansKnownVar, ("n1", "n2"), _TWO_SAMPLES,
         {"conjugate": _two_sample_known_var},
     ),
     "two_sample_t": ProblemKind(
-        prob.TwoSampleMeansUnknownEqualVar, ("n1", "n2"), {}, _TWO_SAMPLES,
+        prob.TwoSampleMeansUnknownEqualVar, ("n1", "n2"), _TWO_SAMPLES,
         {"conjugate": _two_sample_t},
     ),
     "variance_ratio": ProblemKind(
-        prob.VarianceRatio, ("n1", "n2"), {}, _TWO_SAMPLES,
+        prob.VarianceRatio, ("n1", "n2"), _TWO_SAMPLES,
         {
             "point_mass": _variance_ratio_point_mass,
             "shifted_exponential": _variance_ratio_shifted_exponential,
         },
     ),
     "subset_selection": ProblemKind(
-        prob.SubsetSelection, ("n", "p1", "p2"), {}, {"data": ("y", ("x", "p1"), ("z", "p2"))},
+        prob.SubsetSelection, ("n", "p1", "p2"), {"data": ("y", ("x", "p1"), ("z", "p2"))},
         {"conjugate": _subset_selection},
     ),
     "subjective_variance": ProblemKind(
-        prob.SubjectiveVarianceEquality, ("n1", "n2"), {"b": 2.0}, _TWO_SAMPLES,
+        prob.SubjectiveVarianceEquality, ("n1", "n2"), _TWO_SAMPLES,
         {"gamma": _subjective},
     ),
 }
@@ -412,9 +407,14 @@ def build_problem(cfg: RunConfig) -> prob.TestProblem:
     if kind not in KINDS:
         raise ConfigError(f"{cfg.where('problem.kind')} {kind!r} is not a known problem kind")
     entry = KINDS[kind]
-    types = {f.name: int if f.type in (int, "int") else float for f in fields(entry.problem)}
-    defaults = {**dict.fromkeys(entry.required, _REQUIRED), **entry.optional}
-    args = {key: cfg.get(f"problem.{key}", types[key], default) for key, default in defaults.items()}
+    args = {
+        f.name: cfg.get(
+            f"problem.{f.name}",
+            int if f.type in (int, "int") else float,
+            _REQUIRED if f.name in entry.required else f.default,
+        )
+        for f in fields(entry.problem)
+    }
     try:
         return entry.problem(**args)
     except (ValueError, TypeError) as exc:
@@ -472,11 +472,20 @@ def load_observed_summary(problem: prob.TestProblem, cfg: RunConfig):
 
 def _out_dir(args, cfg: RunConfig) -> str:
     """--out, else run.out (checked even when --out is given), else ".".
-    Each subcommand makes it once its config has passed check_read, so a
-    config error leaves no directory behind and a directory that cannot
-    be made fails before any Monte Carlo work."""
+    Each subcommand makes it (`_make_dir`) once its config has passed
+    check_read, and before any Monte Carlo work."""
     out = cfg.get("run.out", str, "")
     return args.out or out or "."
+
+
+def _make_dir(out: str, args, cfg: RunConfig) -> None:
+    """Make the output directory ``out``; one that cannot be made is a
+    ConfigError that names --out or the path:line of run.out."""
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        source = "--out" if args.out else cfg.where("run.out")
+        raise ConfigError(f"{source}: cannot make directory {out!r}: {exc.strerror}") from exc
 
 
 def _seed(args, cfg: RunConfig, default=_REQUIRED) -> int:
@@ -500,8 +509,10 @@ def _setup(args):
     serves all three: run = (seed, n_sims, thetas or None), where calibrate
     needs no seed; the problem and the summary of its data files (None
     without any); B; and run.alpha or run.lambda.  Then check that every
-    key was read, and only then calibrate the decision rule.  Returns
-    (output directory, problem, B, rule, size, run, summary)."""
+    key was read, and only then calibrate the decision rule; the output
+    directory is made last, so a run that fails to calibrate leaves none
+    behind.  Returns (output directory, problem, B, rule, size, run,
+    summary)."""
     cfg = parse_config(args.config)
     out = _out_dir(args, cfg)
     seed = _seed(args, cfg, None if args.command == "calibrate" else _REQUIRED)
@@ -519,18 +530,20 @@ def _setup(args):
             f"{_KIND_OF[type(problem)]} is two-sided, so set run.alpha instead"
         )
     cfg.check_read(args.command)
-    os.makedirs(out, exist_ok=True)
     if alpha is not None:
         result = calibrate(problem, alpha, pair.of_stat)
-        return out, problem, pair, result.rule, result.alpha, run, summary
-    region, implied = gamma_from_lambda(problem, pair.of_stat, lam)
-    if implied in (0.0, 1.0):
-        raise InfeasibleLambda(
-            f"lambda = {lam} is never crossed by B on the statistic range"
-            if implied == 0.0
-            else f"lambda = {lam} is exceeded by B everywhere"
-        )
-    return out, problem, pair, DecisionRule(region, lam), implied, run, summary
+        rule, size = result.rule, result.alpha
+    else:
+        region, size = gamma_from_lambda(problem, pair.of_stat, lam)
+        if size in (0.0, 1.0):
+            raise InfeasibleLambda(
+                f"lambda = {lam} is never crossed by B on the statistic range"
+                if size == 0.0
+                else f"lambda = {lam} is exceeded by B everywhere"
+            )
+        rule = DecisionRule(region, lam)
+    _make_dir(out, args, cfg)
+    return out, problem, pair, rule, size, run, summary
 
 
 def _write_fields(path: str, values: dict) -> None:
@@ -580,7 +593,6 @@ def cmd_calibrate(args) -> int:
         header += ["stat", "bayes_factor", "reject"]
         row += [stat, b_obs, int(b_obs > lam)]
     write_csv(os.path.join(out, "calibration.csv"), header, [row])
-    log.info("calibration written to %s", os.path.join(out, "calibration.csv"))
     print(
         f"gamma = {format_float(region.upper)}  lambda = {format_float(lam)}  "
         f"alpha = {format_float(implied_alpha)}"
@@ -642,6 +654,8 @@ def cmd_dominance(args) -> int:
     problem = build_problem(cfg)
     if not isinstance(problem, prob.SubjectiveVarianceEquality):
         raise ConfigError(f"{cfg.where('problem.kind')} must be subjective_variance for dominance")
+    if problem.n1 != problem.n2:  # else {T > gamma} is not the equal-tailed F test
+        raise ConfigError(f"{cfg.where('problem.n2')} must equal problem.n1 for dominance")
     # the study builds its own priors, which prior.kind = gamma names
     if cfg.get("prior.kind", str, "gamma") != "gamma":
         raise ConfigError(f"{cfg.where('prior.kind')} must be gamma for dominance")
@@ -649,7 +663,7 @@ def cmd_dominance(args) -> int:
     n_sims = cfg.get("run.n_sims", int, 1_000_000, ">= 1")
     thetas = _theta_grid(cfg, default=[1.5, 2.0, 3.0, 5.0])
     cfg.check_read("dominance")
-    os.makedirs(out, exist_ok=True)
+    _make_dir(out, args, cfg)
     rep = dominance_study(problem, alpha, thetas, RngStream(seed), n_sims)
     write_csv(
         os.path.join(out, "dominance.csv"),
@@ -693,7 +707,7 @@ def cmd_johnson(args) -> int:
     if cfg.get("problem.kind", str) != "one_sided_normal":
         raise ConfigError(f"{cfg.where('problem.kind')} must be one_sided_normal for johnson")
     cfg.check_read("johnson")  # it builds its own point mass, so no prior.* key
-    os.makedirs(out, exist_ok=True)
+    _make_dir(out, args, cfg)
     comp = johnson_comparison(
         lam, n, thetas, alpha_matched=alpha, rng=RngStream(seed), n_sims=n_sims
     )
@@ -725,7 +739,7 @@ def cmd_props(args) -> int:
     seed = _seed(args, cfg, default=0)
     n_trials = cfg.get("run.n_trials", int, 200, ">= 1")
     cfg.check_read("props")
-    os.makedirs(out, exist_ok=True)
+    _make_dir(out, args, cfg)
     results, transcript = run_catalogue(RngStream(seed), n_trials=n_trials)
     write_text(os.path.join(out, "props.txt"), transcript)
     write_csv(
@@ -747,8 +761,9 @@ SEC6_SLOPE_TOL = 0.01
 
 
 def cmd_reproduce_sec6(args) -> int:
-    out = _out_dir(args, RunConfig())
-    os.makedirs(out, exist_ok=True)
+    cfg = RunConfig()
+    out = _out_dir(args, cfg)
+    _make_dir(out, args, cfg)
     # one-sample normal mean, n*xbar^2 = 10, standard-normal-slab prior with
     # precision tau; exact marginal-ratio value vs the large-n/(n+tau)
     # simplification that keeps only the sqrt prefactor
@@ -806,9 +821,17 @@ def cmd_reproduce_sec6(args) -> int:
 # Entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError, so that it exits 1 like any
+    other malformed input, not 2, the code of an infeasible lambda."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 @cache  # built once per process, on the first call of main
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bfequiv",
         description="Calibrate Bayes-factor thresholds against classical tests.",
     )
@@ -831,29 +854,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _setup_logging() -> None:
-    level = os.environ.get("BFEQUIV_LOG", "error").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    logging.basicConfig(level=levels.get(level, logging.ERROR), format="%(message)s")
+# each error that ends a run with one "error:" line, and its exit code
+_EXIT_CODES = {
+    ConfigError: EXIT_ERROR,
+    DataError: EXIT_ERROR,
+    InfeasibleLambda: EXIT_INFEASIBLE_LAMBDA,
+    ClassViolationError: EXIT_CLASS_VIOLATION,
+    bf.NumericalIntegrityError: EXIT_NUMERICAL,
+    QuadratureError: EXIT_NUMERICAL,
+}
 
 
 def main(argv=None) -> int:
-    _setup_logging()
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
-    except (ConfigError, DataError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ClassViolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CLASS_VIOLATION
-    except InfeasibleLambda as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE_LAMBDA
-    except (bf.NumericalIntegrityError, QuadratureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -21,7 +21,8 @@ from scipy import special
 
 from .bayes_factors import bf_subjective_variance, johnson_umpbt_threshold
 from .calibrate import CriticalRegion, DecisionRule, decide_chunk, gamma_from_alpha
-from .problems import OneSidedNormal, SubjectiveVarianceEquality, TestProblem, normal_log_ratio
+from .problems import (OneSidedNormal, SubjectiveVarianceEquality, TestProblem, normal_log_ratio,
+                       subjective_t)
 from .rng import RngStream, map_jobs, tally
 
 __all__ = [
@@ -211,8 +212,7 @@ def dominance_study(
     region_f = gamma_from_alpha(problem, alpha)  # equal-tailed in F
     # reciprocal symmetry of the null law (n1 == n2) makes this region
     # exactly {T > gamma_t}
-    f2 = region_f.upper
-    gamma_t = 0.25 - f2 / (1.0 + f2) ** 2
+    gamma_t = subjective_t(region_f.upper)
     lam = float(bf_subjective_variance(0.0, gamma_t))
     lam_tilde = 0.25 - 1.0 / (4.0 * lam**2)  # solves psi(0, x) = lam
     bridge_residual = abs(lam_tilde - gamma_t)

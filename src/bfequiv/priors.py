@@ -126,7 +126,8 @@ class SymmetricPaired(Prior):
     Stored as a half-line density weight w on (theta0, inf) plus the
     pairing map r into (-inf, theta0); the density value at r(theta)
     equals the value at theta by construction.  Normalization accounts
-    for the Jacobian of r on the mirrored side.
+    for the Jacobian of r on the mirrored side.  The prior is read only
+    through its half-line weight (`bf_two_sided`), so it has no logpdf.
     """
 
     def __init__(self, theta0: float, base: DensityPrior, r: Callable[[float], float]):
@@ -160,33 +161,6 @@ class SymmetricPaired(Prior):
         if isinstance(theta, float):
             return self.base.logpdf(theta) + self._log_c
         return np.asarray(self.base.logpdf(theta), dtype=float) + self._log_c
-
-    def _invert_r(self, theta_low: float) -> float:
-        # r is decreasing from theta0; expand the upper bracket until r crosses
-        lo = self.theta0 + 1e-14
-        if theta_low >= self.r(lo):
-            # within rounding of theta0, where r is locally a reflection
-            return self.theta0 + (self.theta0 - theta_low)
-        hi = self.theta0 + 1.0
-        for _ in range(200):
-            if self.r(hi) <= theta_low:
-                break
-            hi = self.theta0 + 2 * (hi - self.theta0)
-        else:
-            raise ValueError("could not invert pairing map")
-        return brentq(lambda th: self.r(th) - theta_low, self.theta0 + 1e-14, hi, xtol=1e-14)
-
-    def logpdf(self, theta):
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        out = np.empty(theta.shape)
-        for i, th in enumerate(theta):
-            if th > self.theta0:
-                out[i] = float(self.half_weight_log(th))
-            elif th == self.theta0:
-                out[i] = -np.inf
-            else:
-                out[i] = float(self.half_weight_log(self._invert_r(th)))
-        return out if out.size > 1 else float(out[0])
 
 
 class PairingError(RuntimeError):

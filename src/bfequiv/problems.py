@@ -38,6 +38,7 @@ __all__ = [
     "VarianceRatio",
     "SubsetSelection",
     "SubjectiveVarianceEquality",
+    "subjective_t",
 ]
 
 
@@ -188,8 +189,9 @@ class TwoSidedNormal(OneSidedNormal):
 class GaussianMeanUnknownVar(TestProblem):
     """X_i ~ N(theta, 1/phi), phi unknown; H0: theta = 0, two-sided.
 
-    Decision statistic is the t-statistic sqrt(n)*xbar/S.  The Bayes
-    factor consumes (xbar, sum of squares, n).
+    Decision statistic is the t-statistic sqrt(n)*xbar/S, which `derive`
+    forms from xbar and the centred sum of squares SS = (n-1) S^2.  The
+    Bayes factor consumes (xbar, sum of squares, n).
     """
 
     n: int = 2
@@ -205,12 +207,12 @@ class GaussianMeanUnknownVar(TestProblem):
         ss_centered = float(np.sum((x - xbar) ** 2))
         if ss_centered == 0.0:
             raise DegenerateDataError("zero sample variance")
-        s = math.sqrt(ss_centered / (self.n - 1))
-        return SufficientSummary(
-            xbar=xbar,
-            sum_sq=float(np.sum(x**2)),
-            t=math.sqrt(self.n) * xbar / s,
-        )
+        summary = SufficientSummary(xbar=xbar, ss_centered=ss_centered, sum_sq=float(np.sum(x**2)))
+        return self.derive(summary)
+
+    def derive(self, summary):
+        s = np.sqrt(summary.ss_centered / (self.n - 1))
+        return SufficientSummary(summary, t=math.sqrt(self.n) * summary.xbar / s)
 
     def null_law(self):
         return DistSpec.student_t(self.n - 1)
@@ -223,11 +225,8 @@ class GaussianMeanUnknownVar(TestProblem):
         g = rng.generator
         xbar = g.normal(theta, 1.0 / math.sqrt(self.n), size=size)
         ss_centered = g.chisquare(self.n - 1, size=size)
-        s = np.sqrt(ss_centered / (self.n - 1))
         return SufficientSummary(
-            xbar=xbar,
-            sum_sq=ss_centered + self.n * xbar**2,
-            t=math.sqrt(self.n) * xbar / s,
+            xbar=xbar, ss_centered=ss_centered, sum_sq=ss_centered + self.n * xbar**2
         )
 
 
@@ -276,7 +275,8 @@ class RegressionUnknownVar(TestProblem):
     """y = Z delta + sigma*eps, sigma unknown; H0: delta = 0 (global F-test).
 
     F = ((RSS1 - RSS2)/p) / (RSS2/(n - p)) with RSS1 = y'y (the null
-    model has no free parameters) and RSS2 the residual from the full fit.
+    model has no free parameters) and RSS2 the residual from the full fit;
+    `derive` forms it from yHy = RSS1 - RSS2 and rss2 = RSS2.
     """
 
     p: int = 1
@@ -297,8 +297,11 @@ class RegressionUnknownVar(TestProblem):
         rss2 = yy - yHy
         if rss2 <= 0.0:
             raise DegenerateDataError("zero residual sum of squares")
-        f = (yHy / self.p) / (rss2 / (self.n - self.p))
-        return SufficientSummary(rss1=yy, rss2=rss2, yHy=yHy, yy=yy, f=f)
+        return self.derive(SufficientSummary(rss2=rss2, yHy=yHy, yy=yy))
+
+    def derive(self, summary):
+        f = (summary.yHy / self.p) / (summary.rss2 / (self.n - self.p))
+        return SufficientSummary(summary, f=f)
 
     def alt_law(self, delta_norm_sq):
         return DistSpec.noncentral_f(self.p, self.n - self.p, delta_norm_sq)
@@ -310,11 +313,7 @@ class RegressionUnknownVar(TestProblem):
         else:
             yHy = g.noncentral_chisquare(self.p, delta_norm_sq, size=size)
         rss2 = g.chisquare(self.n - self.p, size=size)
-        yy = yHy + rss2
-        f = yHy / self.p
-        rss2 /= self.n - self.p
-        f /= rss2
-        return SufficientSummary(yHy=yHy, yy=yy, f=f)
+        return SufficientSummary(yHy=yHy, yy=yHy + rss2, rss2=rss2)
 
 
 # ---------------------------------------------------------------------------
@@ -497,11 +496,7 @@ class SubsetSelection(TestProblem):
         num = float(a[self.p1 :] @ a[self.p1 :])
         if rss_null - num <= 0.0:
             raise DegenerateDataError("zero residual sum of squares")
-        return self.derive(SufficientSummary(f=num / (rss_null - num), rss_null=rss_null))
-
-    def derive(self, summary):
-        # T = F/(1+F), the statistic the Bayes factor reads
-        return SufficientSummary(summary, t_stat=summary.f / (summary.f + 1.0))
+        return SufficientSummary(f=num / (rss_null - num), rss_null=rss_null)
 
     def alt_law(self, ncp):
         # ncp = b2' X'X b2 / sigma^2 with X = (I - H1) X2
@@ -550,10 +545,7 @@ class SubjectiveVarianceEquality(TestProblem):
     def derive(self, summary):
         s1_sq, s2_sq = summary.s1_sq, summary.s2_sq
         f = s1_sq / s2_sq
-        # ** squares an array as np.square does, and a float by pow
-        return SufficientSummary(
-            summary, f=f, q=self.b / (s1_sq + s2_sq), t_sub=0.25 - f / (f + 1.0) ** 2
-        )
+        return SufficientSummary(summary, f=f, q=self.b / (s1_sq + s2_sq), t_sub=subjective_t(f))
 
     def alt_law(self, theta):
         scale = theta * self.n1 / self.n2
@@ -567,3 +559,10 @@ class SubjectiveVarianceEquality(TestProblem):
         s2_sq = g.chisquare(self.n2, size=size)
         s2_sq *= scale2
         return SufficientSummary(s1_sq=s1_sq, s2_sq=s2_sq)
+
+
+def subjective_t(f):
+    """T = 1/4 - F/(1+F)^2 of `SubjectiveVarianceEquality`, at a float or
+    elementwise; invariant under F -> 1/F."""
+    # ** squares an array as np.square does, and a float by pow
+    return 0.25 - f / (f + 1.0) ** 2

@@ -83,9 +83,9 @@ def problem_catalogue():
     entries.append(("variance_ratio", p, eng, lambda s, e=eng: e(s.f), np.linspace(1.0, 5.0, 21)))
 
     p = SubsetSelection(n=20, p1=2, p2=3)
-    eng = bf.SubsetSelectionBf(20, 3, 1.0)
+    pair = build_bf(p, RunConfig({"prior.kind": "conjugate", "prior.c": 1.0}))
     entries.append(
-        ("subset_selection", p, eng.from_f, lambda s, e=eng: e(s.t_stat), np.linspace(0.0, 30.0, 21))
+        ("subset_selection", p, pair.of_stat, pair.of_summary, np.linspace(0.0, 30.0, 21))
     )
 
     return entries

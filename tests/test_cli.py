@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -53,6 +54,11 @@ COMMANDS = ("calibrate", "verify", "power", "dominance", "johnson", "props")
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def _mills(z):
+    """exp(z^2/2) ndtr(z) at the working precision of mpmath."""
+    return mpmath.exp(z**2 / 2) * mpmath.ncdf(z)
 
 
 class TestCalibrateCommand:
@@ -147,6 +153,38 @@ run.alpha = 0.05
         row = read_csv(os.path.join(out, "calibration.csv"))[0]
         assert abs(float(row["stat"]) - 5.0) < 1e-12
         assert row["reject"] == "1"  # 5.0 > 3.2897
+
+    @pytest.mark.parametrize(
+        "x, prior, expected",
+        [
+            # n = 4, precision 1: B = 2 sqrt(1/5) exp(z^2/2) ndtr(z), z = t/sqrt(5)
+            ("-21.25", "half_normal\nprior.precision = 1",
+             lambda t: 2 / mpmath.sqrt(5) * _mills(t / mpmath.sqrt(5))),
+            # n = 4, rate 1: B = sqrt(2 pi/4) exp(z^2/2) ndtr(z), z = (t - 1)/2
+            ("-21.25", "exponential\nprior.rate = 1",
+             lambda t: mpmath.sqrt(mpmath.pi / 2) * _mills((t - 1) / 2)),
+            # n = 4, precision 0.01, t = -75.5: z^2/2 = 710.8 overflows the exp
+            # alone while the coefficient 0.0999 keeps the product in range
+            ("-18.875", "half_normal\nprior.precision = 0.01",
+             lambda t: 2 * mpmath.sqrt(mpmath.mpf("0.01") / mpmath.mpf("4.01"))
+             * _mills(t / mpmath.sqrt(mpmath.mpf("4.01")))),
+        ],
+        ids=["half_normal", "exponential", "half_normal_small_precision"],
+    )
+    def test_one_sided_closed_form_far_below_the_null(self, tmp_path, x, prior, expected):
+        # far below the null, exp(z^2/2) overflows a float, yet B is a
+        # finite number near 0.001 to 0.01
+        (tmp_path / "x.csv").write_text("x\n" + f"{x}\n" * 4)
+        text = ("problem.kind = one_sided_normal\nproblem.n = 4\nproblem.data = x.csv\n"
+                f"prior.kind = {prior}\nrun.alpha = 0.05\n")
+        out = str(tmp_path / "out")
+        assert main(["calibrate", "--config", write_config(tmp_path, "c.cfg", text), "--out", out]) == 0
+        row = read_csv(os.path.join(out, "calibration.csv"))[0]
+        b = float(row["bayes_factor"])
+        with mpmath.workdps(40):
+            reference = float(expected(4 * mpmath.mpf(x)))
+        assert math.isfinite(b) and abs(b - reference) <= 1e-12 * reference
+        assert row["reject"] == "0"
 
     def test_missing_data_file_exit_1(self, tmp_path):
         cfg = write_config(tmp_path, "c.cfg", ONE_SIDED + "problem.data = nope.csv\n")
@@ -421,7 +459,7 @@ def test_shipped_configs_are_accepted(tmp_path, monkeypatch, command, path):
     ],
     ids=COMMANDS[1:],
 )
-def test_out_that_cannot_be_made_fails_before_the_study(tmp_path, monkeypatch, command, text):
+def test_out_that_cannot_be_made_fails_before_the_study(tmp_path, monkeypatch, capsys, command, text):
     # --out names a file, so making the directory fails, and it fails
     # before the (stubbed) study would have run its draws
     def study(*args, **kwargs):
@@ -431,8 +469,50 @@ def test_out_that_cannot_be_made_fails_before_the_study(tmp_path, monkeypatch, c
         monkeypatch.setattr(cli, name, study)
     blocker = tmp_path / "file"
     blocker.write_text("")
-    with pytest.raises(FileExistsError):
-        main([command, "--config", write_config(tmp_path, "c.cfg", text), "--out", str(blocker)])
+    assert main([command, "--config", write_config(tmp_path, "c.cfg", text), "--out", str(blocker)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out: cannot make directory") and err.count("\n") == 1
+
+
+def test_run_out_that_cannot_be_made_names_its_line(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = write_config(tmp_path, "c.cfg", ONE_SIDED + f"run.out = {blocker}\n")
+    assert main(["calibrate", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}:7: run.out: cannot make directory")
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        (ONE_SIDED.replace("run.alpha = 0.05", "run.lambda = 1e30"), 2),
+        (ONE_SIDED.replace("one_sided_normal", "two_sided_normal").replace("1.0", "0.7"), 3),
+    ],
+    ids=["infeasible_lambda", "class_violation"],
+)
+def test_failed_calibration_leaves_no_output_directory(tmp_path, text, code):
+    out = tmp_path / "out"
+    assert main(["calibrate", "--config", write_config(tmp_path, "c.cfg", text), "--out", str(out)]) == code
+    assert not out.exists()
+
+
+def test_dominance_with_unequal_samples_exits_1(tmp_path, capsys):
+    text = SUBJECTIVE_MODEL.replace("problem.n2 = 10", "problem.n2 = 11") + "\nrun.seed = 1\n"
+    cfg, out = write_config(tmp_path, "c.cfg", text), tmp_path / "out"
+    assert main(["dominance", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}:3: problem.n2 must equal problem.n1")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["calibrate"], ["no-such-command"], ["props", "--seed", "x"], ["props", "--no-such-flag"]],
+    ids=["missing_config", "unknown_subcommand", "bad_seed", "unknown_flag"],
+)
+def test_usage_error_exits_1(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bfequiv") and err.count("\n") == 1
 
 
 def write_data(tmp_path, name, columns):

@@ -1,4 +1,4 @@
-"""Golden outputs: nine tiny CLI runs must write byte-identical files.
+"""Golden outputs: fourteen tiny CLI runs must write byte-identical files.
 
 The exit code of each run and the sha256 of every file it writes are
 pinned, so any drift in a verdict or in the CSV, text or SVG outputs
@@ -97,6 +97,69 @@ RUNS = {
         {
             "power.csv": "d3554859dcdd4c69b8d15c7fe22b5a1129f58dd2f908c38d6e7bfecfce0ffd6d",
             "power.svg": "f56ae725394edb313372aea18206005426b27fe532e6447c3b757072809c86dd",
+        },
+    ),
+    "power_t_test": (
+        # derived per block: the t statistic and B read the same (xbar, SS)
+        "power",
+        "problem.kind = t_test\nproblem.n = 10\nprior.kind = gaussian_scale\n"
+        "run.alpha = 0.05\nrun.seed = 12\nrun.n_sims = 2000\n",
+        {},
+        0,
+        {
+            "power.csv": "ec760325e23195a7a072eee2d32fcc1bc52c235cc54f846a0c2e45487982fca3",
+            "power.svg": "47fea9c82c6c91454eb7575e4fa35479d6b791d39362bf64224b32320e9657d6",
+        },
+    ),
+    "power_regression_unknown_var": (
+        "power",
+        "problem.kind = regression_unknown_var\nproblem.p = 2\nproblem.n = 12\n"
+        "prior.kind = gaussian_spherical\nprior.precision = 0.5\nrun.alpha = 0.05\n"
+        "run.seed = 13\nrun.n_sims = 2000\n",
+        {},
+        0,
+        {
+            "power.csv": "7cd2df1ba4b1c316c7837bc58c57bb323c9c4e9a9b7f87763559ca9c66e31949",
+            "power.svg": "55b2c3140edb29b3465f51eb87ef7454b49b094eb9792d1c3d88f3daafb26883",
+        },
+    ),
+    "calibrate_t_test_data": (
+        "calibrate",
+        "problem.kind = t_test\nproblem.n = 8\nproblem.data = x.csv\n"
+        "prior.kind = gaussian_scale\nrun.alpha = 0.05\n",
+        {"x.csv": "x\n0.42\n1.31\n-0.27\n0.88\n2.05\n0.16\n1.12\n-0.54\n"},
+        0,
+        {
+            "calibration.csv": "6138cd7eadba449ec21a68cd82bc7eb636ffc9599d063e5719c88c7f8c3e6ccf",
+        },
+    ),
+    "calibrate_regression_unknown_var_data": (
+        "calibrate",
+        "problem.kind = regression_unknown_var\nproblem.p = 2\nproblem.n = 8\n"
+        "problem.data = y.csv\nprior.kind = gaussian_spherical\nprior.precision = 0.5\n"
+        "run.alpha = 0.05\n",
+        {
+            "y.csv": "y,x1,x2\n1.2,1.0,0.3\n0.4,1.0,-1.1\n2.3,1.0,0.8\n-0.6,1.0,-0.2\n"
+            "1.7,1.0,1.5\n0.9,1.0,-0.7\n2.8,1.0,2.1\n0.1,1.0,-1.6\n",
+        },
+        0,
+        {
+            "calibration.csv": "cab452b52674259e35ae638ee5132311750979d832fdd2ef84bc54abd8dc4ae4",
+        },
+    ),
+    "calibrate_subjective_variance_data": (
+        # lambda through the F -> T map of B's statistic form, and B(Q, T)
+        # of the observed summary
+        "calibrate",
+        "problem.kind = subjective_variance\nproblem.n1 = 7\nproblem.n2 = 7\nproblem.b = 1.5\n"
+        "problem.data1 = x1.csv\nproblem.data2 = x2.csv\nprior.kind = gamma\nrun.alpha = 0.05\n",
+        {
+            "x1.csv": "x\n1.9\n-2.4\n0.7\n3.1\n-1.6\n2.2\n-0.4\n",
+            "x2.csv": "x\n0.3\n-0.8\n0.5\n1.1\n-0.2\n0.6\n-0.9\n",
+        },
+        0,
+        {
+            "calibration.csv": "9a2e13dd966e7661ea26f9ad1704c42cd2d99de47df6d7760ddd5c2302cf5edb",
         },
     ),
     "dominance": (

@@ -140,6 +140,10 @@ class TestPairing:
         paired = build_symmetric_class_member(
             0.0, base, lambda th: solve_pairing(g1, g2, th, n=1)
         )
-        total, _ = scipy_quad(lambda x: math.exp(paired.logpdf(x)), -np.inf, np.inf)
-        assert_allclose(total, 1.0, rtol=1e-6)
+        # the symmetric region pairs theta with -theta, so the mirrored
+        # half-line carries the same mass as the weight w on (0, inf)
+        thetas = np.linspace(0.05, 8.0, 50)
+        assert_allclose([paired.r(th) for th in thetas], -thetas, atol=1e-9)
+        upper, _ = scipy_quad(lambda x: math.exp(paired.half_weight_log(x)), 0.0, np.inf)
+        assert_allclose(2.0 * upper, 1.0, rtol=1e-6)
 
