@@ -6,7 +6,8 @@ Three evaluation styles, always as functions of the sufficient summary:
   and subset-selection constants kappa / kappa'); the Gaussian t-test and
   regression priors reduce to the subset-selection and known-variance
   conjugate forms, and the CLI evaluates them that way;
-* adaptive quadrature over the prior;
+* quadrature over the prior: adaptive, or for the variance ratio a
+  Gauss-Legendre rule certified at construction to meet a stated error;
 * power-series forms for the t-test and regression problems, built from
   the even moments of the damped prior density, with a direct
   nested-quadrature route alongside.  Both are test oracles for the
@@ -30,7 +31,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .integrate import gauss_legendre_nodes, log_quad, peak_bracket
+from .integrate import TINY, gauss_legendre_nodes, log_quad, peak_bracket
 from .priors import (
     PointMass,
     Prior,
@@ -512,27 +513,54 @@ class TwoSampleTBf:
 # Variance ratio (one-sided, theta > 1)
 
 
-# Draws per block in the batch route of VarianceRatioBf: one block of
-# 512 x 200 node float64 values (800 kB) is the only temporary.
+# The stated relative error of B on the density-prior route of
+# VarianceRatioBf: a node rule is certified when its log B agrees with the
+# next rung's within a tenth of it at every probe.
+VARIANCE_RATIO_RTOL = 1e-10
+# Gauss-Legendre node counts tried in turn; the last one is the cap
+_RUNGS = (32, 48, 64, 96, 128, 192, 256, 384, 512)
+# probes of the certificate: the limits F = 0 and F = inf, quarter decades
+# from 1e-3 to 1e8, and the classical critical values at these sizes
+_PROBE_F = np.concatenate(([0.0], 10.0 ** (np.arange(-12, 33) / 4.0), [np.inf]))
+_PROBE_ALPHA = (0.05, 0.01, 0.001)
+# c = theta - 1 at 20 points a decade: the crude rule the maps are fitted on
+_FIT_C = np.logspace(-6.0, 12.0, 361)
+# B must be a normal float; a term below e^_LOG_ZERO rounds to 0 at every F
+_LOG_MAX = math.log(np.finfo(float).max)
+_LOG_TINY = math.log(TINY)
+_LOG_ZERO = math.log(float(np.finfo(float).smallest_subnormal)) - 1.0
+# Draws per block in the batch route: one block of 512 x nodes float64
+# values is the only temporary.
 _ROW_BLOCK = 512
+
+
+def _log_sum_exp_rows(t):
+    """log of the sum of e^t along each row of t; nan where a row is all -inf.
+    (scipy.special.logsumexp gives the same at four times the cost a call.)"""
+    peak = t.max(axis=1)
+    with np.errstate(invalid="ignore"):
+        return peak + np.log(np.exp(t - peak[:, None]).sum(axis=1))
 
 
 class VarianceRatioBf:
     """B(F) = int_{theta>1} theta^{n2/2} ((F+1)/(F+theta))^{n/2} dpi.
 
     The constant in front of the integral is not identified under the
-    diffuse nuisance priors and is 1.  Batch evaluation uses fixed
-    Gauss-Legendre nodes on the transformed half-line, which keeps B
-    exactly monotone in F; the adaptive path is used for high-accuracy
-    single values.
+    diffuse nuisance priors and is 1.  With r = 1/(1+F) and
+    c_j = theta_j - 1, B is a sum over nodes,
+    B(F) = sum_j (a_j + b_j r)^(-n/2), a_j = exp(-2 l_j/n), b_j = c_j a_j,
+    where l_j is the node's log weight.  Each term is
+    e^{l_j} (1 + c_j r)^(-n/2) at its own scale, so no weight, base or term
+    leaves the float range unless B does, and every b_j >= 0 keeps each
+    term, and B, monotone in F.  A B outside the normal float range raises
+    NumericalIntegrityError.
 
-    With r = 1/(1+F) and c_j = theta_j - 1 the batch route is
-    B(F) = sum_j w'_j (1 + c_j r)^(-n/2), where the node weight
-    w'_j = w_j theta_j^{n2/2} pi(theta_j) / (1-u_j)^2 folds the
-    Gauss-Legendre weight, the Jacobian, theta^{n2/2} and the prior
-    density together.  Every base is >= 1, so each power lies in (0, 1].
-    A node weight past the float range (large n2) makes the batch route
-    raise NumericalIntegrityError when called.
+    A point mass is the one node theta1, l = (n2/2) log theta1: the closed
+    form.  A density prior goes through the Gauss-Legendre rule on a map
+    c = s (u/(1-u))^q, u in (0, 1), with the fewest nodes that meet
+    relative error VARIANCE_RATIO_RTOL (`_certified_rule`); l_j folds the
+    Gauss-Legendre weight, the Jacobian, theta_j^{n2/2} and the prior
+    density together.  `adaptive` is the single-value oracle.
     """
 
     def __init__(self, prior: Prior, n1: int, n2: int):
@@ -542,45 +570,127 @@ class VarianceRatioBf:
         if isinstance(prior, PointMass):
             if prior.theta1 < 1.0:
                 raise ValueError("prior must sit on theta >= 1")
-            self._nodes = None
+            c = np.array([prior.theta1 - 1.0])
+            log_w = np.array([(n2 / 2.0) * math.log(prior.theta1)])
         else:
-            lo, hi = prior.support
-            if lo < 1.0 - 1e-12:
+            if prior.support[0] < 1.0 - 1e-12:
                 raise ValueError("prior must be supported on theta > 1")
-            # theta = 1 + u/(1-u) maps (0,1) -> (1, inf)
-            u, w = gauss_legendre_nodes(200, 0.0, 1.0)
-            theta = 1.0 + u / (1.0 - u)
-            log_weight = (
-                np.log(w)
-                - 2.0 * np.log1p(-u)
-                + (n2 / 2.0) * np.log(theta)
-                + np.asarray(prior.logpdf(theta), dtype=float)
-            )
-            with np.errstate(over="ignore"):  # reported when called
-                self._nodes = (theta - 1.0, np.exp(log_weight))
+            c, log_w = self._certified_rule()
+        a = np.exp(log_w * (-2.0 / self.n))
+        self._nodes = (a, c * a)
 
-    def _integrand(self, f, theta):
-        return theta ** (self.n2 / 2.0) * ((f + 1.0) / (f + theta)) ** (self.n / 2.0)
+    def _log_terms(self, r, c, log_w):
+        """log of e^{l_j} (1 + c_j r)^(-n/2): rows r, columns the nodes."""
+        return log_w - (self.n / 2.0) * np.log1p(np.multiply.outer(r, c))
+
+    def _rule(self, size: int, s: float, q: int):
+        """(c_j, l_j) of the size-node rule on the map c = s (u/(1-u))^q,
+        without the nodes whose term rounds to 0 at every F."""
+        x, w = gauss_legendre_nodes(size, -1.0, 1.0)
+        # u = (1+x)/2, so u/(1-u) = z = (1+x)/(1-x) and dz/dx = 2/(1-x)^2
+        z = (1.0 + x) / (1.0 - x)
+        c = s * z**q
+        with np.errstate(divide="ignore"):
+            log_w = (
+                np.log(w)
+                + math.log(2.0 * q * s)
+                + (q - 1) * np.log(z)
+                - 2.0 * np.log(1.0 - x)
+                + (self.n2 / 2.0) * np.log1p(c)
+                + np.asarray(self.prior.logpdf(1.0 + c), dtype=float)
+            )
+        keep = log_w > _LOG_ZERO
+        return c[keep], log_w[keep]
+
+    def _fit_maps(self, r) -> list:
+        """Candidate maps (s, q), fitted to the integrand at each probe r
+        whose B, on a crude rule of 20 points a decade in c, is a normal
+        float (beyond it B raises anyway): s at the peak of the mass per
+        unit log c at the largest such F, with q = 1; and for q = 1 and 2,
+        the s at which the map's Gauss-Legendre node density per unit
+        log c, N sqrt(u(1-u))/(pi q), asks for the fewest nodes to put a
+        fixed count across every probe's peak."""
+        c, log_c = _FIT_C, np.log(_FIT_C)
+        step = log_c[1] - log_c[0]
+        with np.errstate(divide="ignore"):
+            log_w = (
+                log_c
+                + math.log(step)
+                + (self.n2 / 2.0) * np.log1p(c)
+                + np.asarray(self.prior.logpdf(1.0 + c), dtype=float)
+            )
+        t = self._log_terms(r, c, log_w)
+        log_b = _log_sum_exp_rows(t)
+        rows = np.flatnonzero((log_b > _LOG_TINY) & (log_b < _LOG_MAX))
+        if rows.size == 0:
+            rows = np.array([np.argmax(r)])
+        t = t[rows]
+        k = np.clip(np.argmax(t, axis=1), 1, c.size - 2)
+        i = np.arange(rows.size)
+        # each peak's width in log c, from the curvature of the log-integrand
+        curvature = (t[i, k + 1] - 2.0 * t[i, k] + t[i, k - 1]) / step**2
+        width = 1.0 / np.sqrt(np.maximum(-curvature, 1e-12))
+        maps = [(float(c[k[np.argmin(r[rows])]]), 1)]
+        # the best s lies between the peaks; |log(u/(1-u))| at each peak
+        # (columns) for each such s (rows)
+        s = np.arange(k.min(), k.max() + 1)
+        for q in (1, 2):
+            y = np.abs(log_c[k][None, :] - log_c[s][:, None]) / q
+            root_u_1mu = np.exp(-y / 2.0) / (1.0 + np.exp(-y))
+            need = (q / (width * root_u_1mu)).max(axis=1)
+            maps.append((float(c[s[np.argmin(need)]]), q))
+        return list(dict.fromkeys(maps))
+
+    def _certified_rule(self):
+        """(c_j, l_j) of the first rung in _RUNGS whose log B, on one of the
+        candidate maps, agrees with the next rung's on the same map within
+        VARIANCE_RATIO_RTOL / 10 at every probe where B is a normal float.
+        The maps climb the rungs together, in the order `_fit_maps` gives
+        them; NumericalIntegrityError at the cap."""
+        # the critical values of F = S1^2/S2^2 under the null,
+        # (n1-1)/(n2-1) times an F(n1-1, n2-1) variate
+        d1, d2 = self.n1 - 1, self.n2 - 1
+        gamma = special.fdtri(d1, d2, 1.0 - np.asarray(_PROBE_ALPHA)) * (d1 / d2)
+        r = 1.0 / (1.0 + np.concatenate((_PROBE_F, gamma)))
+        maps = self._fit_maps(r)
+        coarser = [None] * len(maps)
+        for size in _RUNGS:
+            for m, (s, q) in enumerate(maps):
+                rule = self._rule(size, s, q)
+                log_b = _log_sum_exp_rows(self._log_terms(r, *rule))
+                if coarser[m] is not None:
+                    coarse_rule, coarse_log_b = coarser[m]
+                    inside = (log_b > _LOG_TINY) & (log_b < _LOG_MAX)
+                    if np.all(np.abs(coarse_log_b - log_b)[inside] <= VARIANCE_RATIO_RTOL / 10):
+                        return coarse_rule
+                coarser[m] = rule, log_b
+        raise NumericalIntegrityError(
+            f"no Gauss-Legendre rule of up to {_RUNGS[-1]} nodes meets relative error "
+            f"{VARIANCE_RATIO_RTOL:g} for B at n1 = {self.n1}, n2 = {self.n2}"
+        )
 
     def __call__(self, f):
         f = np.asarray(f, dtype=float)
-        if isinstance(self.prior, PointMass):
-            return self._integrand(f, self.prior.theta1)
-        c, weight = self._nodes
-        if not np.all(np.isfinite(weight)):
-            raise NumericalIntegrityError("a node weight overflows a float; use `adaptive`")
+        a, b = self._nodes
         r = 1.0 / (1.0 + f.ravel())
         vals = np.empty(r.shape)
-        block = np.empty((min(_ROW_BLOCK, r.size), c.size))
+        block = np.empty((min(_ROW_BLOCK, r.size), a.size))
         for start in range(0, r.size, _ROW_BLOCK):
             rows = r[start : start + _ROW_BLOCK]
             x = block[: rows.size]
-            np.multiply(rows[:, None], c, out=x)
-            x += 1.0
-            np.power(x, -self.n / 2.0, out=x)
+            np.multiply(rows[:, None], b, out=x)
+            x += a
+            with np.errstate(over="ignore"):  # a B past the float range raises below
+                np.power(x, -self.n / 2.0, out=x)
             # einsum sums every row the same way wherever it sits (and
             # starts no BLAS threads), so B(F) does not depend on the block
-            np.einsum("ij,j->i", x, weight, out=vals[start : start + rows.size])
+            np.einsum("ij->i", x, out=vals[start : start + rows.size])
+        outside = ~((vals >= TINY) & (vals < math.inf))
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise NumericalIntegrityError(
+                f"B = {float(vals[i])!r} at F = {f.ravel()[i]:.6g} is outside the normal float range"
+            )
         return vals.reshape(f.shape) if f.shape else float(vals[0])
 
     def adaptive(self, f: float) -> float:

@@ -259,16 +259,32 @@ def _two_sample_t(problem, get):
     return BfPair(engine.from_t, lambda s: engine(s.d, s.pooled))
 
 
+def _with_remedy(remedy: str, call: Callable, *args):
+    """call(*args), with ``remedy`` added to a NumericalIntegrityError it raises."""
+    try:
+        return call(*args)
+    except bf.NumericalIntegrityError as exc:
+        raise bf.NumericalIntegrityError(f"{exc}; {remedy}") from None
+
+
+def _variance_ratio(problem, prior, remedy: str) -> BfPair:
+    """The pair of VarianceRatioBf; its errors, the node rule's cap and a B
+    past the float range, come with a large n2 and a prior far from
+    theta = 1, so they name the config keys that set those."""
+    engine = _with_remedy(remedy, bf.VarianceRatioBf, prior, problem.n1, problem.n2)
+    return _stat_pair(problem, lambda f: _with_remedy(remedy, engine, f))
+
+
 def _variance_ratio_point_mass(problem, get):
     prior = PointMass(get("prior.theta1"))
-    return _stat_pair(problem, bf.VarianceRatioBf(prior, problem.n1, problem.n2))
+    return _variance_ratio(problem, prior, "lower problem.n2 or prior.theta1")
 
 
 def _variance_ratio_shifted_exponential(problem, get):
     rate = get("prior.rate", default=1.0, bounds="> 0")
     # rate * exp(-rate (theta - 1)) integrates to 1 over (1, inf)
     prior = DensityPrior(lambda th: math.log(rate) - rate * (th - 1.0), (1.0, math.inf), log_z=0.0)
-    return _stat_pair(problem, bf.VarianceRatioBf(prior, problem.n1, problem.n2))
+    return _variance_ratio(problem, prior, "lower problem.n2 or raise prior.rate")
 
 
 def _subset_selection(problem, get):
@@ -402,7 +418,8 @@ _KIND_OF = {entry.problem: name for name, entry in KINDS.items()}
 
 
 def build_problem(cfg: RunConfig) -> prob.TestProblem:
-    """The problem that the config's problem.* keys declare."""
+    """The problem that the config's problem.* keys declare; every
+    subcommand that reads one needs n1 = n2 for subjective_variance."""
     kind = cfg.get("problem.kind", str)
     if kind not in KINDS:
         raise ConfigError(f"{cfg.where('problem.kind')} {kind!r} is not a known problem kind")
@@ -416,9 +433,13 @@ def build_problem(cfg: RunConfig) -> prob.TestProblem:
         for f in fields(entry.problem)
     }
     try:
-        return entry.problem(**args)
+        problem = entry.problem(**args)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{cfg.where('problem.kind')} {kind!r}: invalid parameters: {exc}") from exc
+    # {T > gamma} is the equal-tailed F test only for equal samples
+    if isinstance(problem, prob.SubjectiveVarianceEquality) and problem.n1 != problem.n2:
+        raise ConfigError(f"{cfg.where('problem.n2')} must equal problem.n1 for subjective_variance")
+    return problem
 
 
 def build_bf(problem: prob.TestProblem, cfg: RunConfig) -> BfPair:
@@ -654,8 +675,6 @@ def cmd_dominance(args) -> int:
     problem = build_problem(cfg)
     if not isinstance(problem, prob.SubjectiveVarianceEquality):
         raise ConfigError(f"{cfg.where('problem.kind')} must be subjective_variance for dominance")
-    if problem.n1 != problem.n2:  # else {T > gamma} is not the equal-tailed F test
-        raise ConfigError(f"{cfg.where('problem.n2')} must equal problem.n1 for dominance")
     # the study builds its own priors, which prior.kind = gamma names
     if cfg.get("prior.kind", str, "gamma") != "gamma":
         raise ConfigError(f"{cfg.where('prior.kind')} must be gamma for dominance")

@@ -1,12 +1,16 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from oracles import variance_ratio_point_mass_log_b, variance_ratio_shifted_exponential_log_b
 from scipy import stats
 from scipy.integrate import quad as scipy_quad
 
 from bfequiv import bayes_factors as bf
+from bfequiv.calibrate import calibrate
+from bfequiv.cli import RunConfig, build_bf, build_problem
 from bfequiv.priors import (
     DensityPrior,
     PointMass,
@@ -386,8 +390,8 @@ class TestVarianceRatioBf:
             engine.adaptive(1e6)
 
     def test_batch_overflow_is_typed(self):
-        # with n2 = 3000 some node weights pass the float range: the batch
-        # route raises instead of returning nan and inf
+        # with n2 = 3000, B is past the float range from about F = 0.7 on:
+        # the batch route raises instead of returning inf
         prior = DensityPrior(lambda th: -(th - 1.0), (1.0, np.inf))
         engine = bf.VarianceRatioBf(prior, 10, 3000)
         with pytest.raises(bf.NumericalIntegrityError):
@@ -407,6 +411,72 @@ class TestVarianceRatioBf:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+# F from 1e-3 to 1e8: half decades off the certificate's quarter-decade
+# probes, both ends, and F = 1e4, where 200 fixed nodes were 2e-4 off at
+# (5, 200, 1)
+SWEEP_F = np.unique(np.concatenate(([1e-3, 1e4, 1e8], 10.0 ** (np.arange(-3.0, 8.0, 0.5) + 0.125))))
+LOG_FLOAT_RANGE = (math.log(np.finfo(float).tiny), math.log(np.finfo(float).max))
+
+
+def _variance_ratio_pair(n1, n2, prior):
+    """The CLI's (problem, B) for variance_ratio with the given prior.* keys."""
+    cfg = RunConfig({"problem.kind": "variance_ratio", "problem.n1": n1, "problem.n2": n2, **prior})
+    problem = build_problem(cfg)
+    return problem, build_bf(problem, cfg)
+
+
+# the oracle of each variance-ratio pair, and the prior key it reads
+VARIANCE_RATIO_ORACLES = {
+    "shifted_exponential": ("prior.rate", variance_ratio_shifted_exponential_log_b),
+    "point_mass": ("prior.theta1", variance_ratio_point_mass_log_b),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, n1, n2, value",
+    [
+        ("shifted_exponential", *row)
+        for row in [(8, 10, 1.0), (8, 10, 0.05), (5, 200, 1.0), (200, 5, 1.0), (10, 600, 1.0), (10, 3000, 1.0)]
+    ]
+    + [
+        ("point_mass", *row)
+        for row in [(8, 10, 2.0), (8, 10, 20.0), (5, 200, 2.0), (200, 5, 2.0), (10, 600, 2.0), (10, 3000, 2.0)]
+    ],
+)
+def test_variance_ratio_matches_mpmath(kind, n1, n2, value):
+    # each B is within the stated error of the 30-digit oracle, or raises
+    # where B is not a normal float
+    key, oracle = VARIANCE_RATIO_ORACLES[kind]
+    _, pair = _variance_ratio_pair(n1, n2, {"prior.kind": kind, key: value})
+    for f in SWEEP_F:
+        log_b = oracle(n1, n2, value, f)
+        try:
+            b = float(pair.of_stat(f))
+        except bf.NumericalIntegrityError:
+            assert not LOG_FLOAT_RANGE[0] < log_b < LOG_FLOAT_RANGE[1], f"raised at F = {f}"
+            continue
+        assert abs(mpmath.mpf(b) / mpmath.exp(log_b) - 1) <= bf.VARIANCE_RATIO_RTOL, f"F = {f}"
+
+
+@pytest.mark.parametrize("n1, n2, rate", [(8, 10, 1.0), (5, 6, 1.5)], ids=["bench", "golden"])
+def test_variance_ratio_decision_boundary(n1, n2, rate):
+    # {B > lambda} and {F > gamma} may disagree only in a window of a few
+    # floats above gamma, where B(F) still rounds to lambda = B(gamma)
+    problem, pair = _variance_ratio_pair(n1, n2, {"prior.kind": "shifted_exponential", "prior.rate": rate})
+    rule = calibrate(problem, 0.05, pair.of_stat).rule
+    gamma = rule.region.upper
+    # the smallest float F with B(F) > lambda, by bisection on floats
+    below, above = gamma / 2.0, 2.0 * gamma
+    assert not pair.of_stat(below) > rule.lam and pair.of_stat(above) > rule.lam
+    while np.nextafter(below, above) < above:
+        mid = 0.5 * (below + above)
+        below, above = (below, mid) if pair.of_stat(mid) > rule.lam else (mid, above)
+    assert gamma <= above <= gamma + 4 * np.spacing(gamma)
+    # no second crossing
+    grid = np.geomspace(gamma / 1e3, gamma * 1e3, 10_000)
+    assert np.array_equal(rule.bayes(pair.of_stat(grid)), rule.classical(grid))
 
 
 class TestSubsetSelection:

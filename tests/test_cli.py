@@ -46,6 +46,10 @@ VARIANCE_RATIO_MODEL = (
     "prior.kind = shifted_exponential\nprior.rate = 1.5"
 )
 
+VARIANCE_RATIO_HUGE_N2 = (
+    "problem.kind = variance_ratio\nproblem.n1 = 10\nproblem.n2 = 1000000\nprior.kind = shifted_exponential\n"
+)
+
 SUBJECTIVE_MODEL = "problem.kind = subjective_variance\nproblem.n1 = 10\nproblem.n2 = 10\nprior.kind = gamma"
 
 COMMANDS = ("calibrate", "verify", "power", "dominance", "johnson", "props")
@@ -118,12 +122,12 @@ run.alpha = 0.05
     @pytest.mark.parametrize(
         "text, plant, message",
         [
-            # the 200 node weights of the batch route overflow at n2 = 3000
+            # at n2 = 1e6 rounding alone moves B by more than the stated
+            # error, so no rule up to the cap is certified
             (
-                "problem.kind = variance_ratio\nproblem.n1 = 10\nproblem.n2 = 3000\n"
-                "prior.kind = shifted_exponential\nrun.alpha = 0.05\n",
+                VARIANCE_RATIO_HUGE_N2 + "run.alpha = 0.05\n",
                 None,
-                "a node weight overflows a float",
+                "no Gauss-Legendre rule of up to 512 nodes",
             ),
             (
                 VARIANCE_RATIO_MODEL + "\nrun.alpha = 0.05\n",
@@ -143,6 +147,39 @@ run.alpha = 0.05
         assert main(["calibrate", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("power", VARIANCE_RATIO_HUGE_N2 + "run.alpha = 0.05\nrun.seed = 1\n", "no Gauss-Legendre rule"),
+            # draws at theta = 400 have F near 1, where B is about e^950
+            (
+                "verify",
+                "problem.kind = variance_ratio\nproblem.n1 = 10\nproblem.n2 = 3000\n"
+                "prior.kind = shifted_exponential\nrun.alpha = 0.05\nrun.seed = 1\nrun.n_sims = 50\n"
+                "run.theta_grid = 400\n",
+                "outside the normal float range",
+            ),
+        ],
+        ids=["rule_cap", "float_range"],
+    )
+    def test_variance_ratio_failure_names_config_keys(self, tmp_path, capsys, command, text, message):
+        cfg = write_config(tmp_path, "c.cfg", text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert "problem.n2" in err and "prior.rate" in err and "adaptive" not in err
+
+    def test_variance_ratio_lambda_at_large_n2(self, tmp_path):
+        # 1.69236355360243 is mpmath's B(gamma) at 30 digits
+        text = (
+            "problem.kind = variance_ratio\nproblem.n1 = 10\nproblem.n2 = 3000\n"
+            "prior.kind = shifted_exponential\nprior.rate = 1.0\nrun.alpha = 0.05\n"
+        )
+        out = str(tmp_path / "out")
+        assert main(["calibrate", "--config", write_config(tmp_path, "c.cfg", text), "--out", out]) == 0
+        lam = float(read_csv(os.path.join(out, "calibration.csv"))[0]["lambda"])
+        assert abs(lam / 1.69236355360243 - 1) <= bf.VARIANCE_RATIO_RTOL
 
     def test_observed_data_reported(self, tmp_path):
         data = tmp_path / "x.csv"
@@ -493,6 +530,15 @@ def test_run_out_that_cannot_be_made_names_its_line(tmp_path, capsys):
 def test_failed_calibration_leaves_no_output_directory(tmp_path, text, code):
     out = tmp_path / "out"
     assert main(["calibrate", "--config", write_config(tmp_path, "c.cfg", text), "--out", str(out)]) == code
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["calibrate", "verify", "power"])
+def test_subjective_variance_with_unequal_samples_exits_1(tmp_path, capsys, command):
+    text = SUBJECTIVE_MODEL.replace("problem.n2 = 10", "problem.n2 = 11") + "\nrun.alpha = 0.05\nrun.seed = 1\n"
+    cfg, out = write_config(tmp_path, "c.cfg", text), tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}:3: problem.n2 must equal problem.n1")
     assert not out.exists()
 
 
