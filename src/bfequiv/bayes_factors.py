@@ -452,10 +452,12 @@ def bf_t_test_quadrature(xbar: float, sum_sq: float, n: int, h: ScaledSymmetricP
 
 
 class TwoSampleKnownVarBf:
-    """B = kappa * exp(kappa' (xbar1 - xbar2)^2), known precisions.
+    """B = kappa * exp(kappa' d^2), known precisions, at d = xbar1 - xbar2.
 
     kappa = sqrt(c/(1+c)); kappa' = n1 tau1 n2 tau2 /
-    (2 (1+c) (n1 tau1 + n2 tau2)).
+    (2 (1+c) (n1 tau1 + n2 tau2)).  B reads d only through the decision
+    statistic T = d^2, so `__call__(d)` and `from_t(d**2)` are the same
+    float.
     """
 
     def __init__(self, n1: int, n2: int, tau1: float, tau2: float, c: float):
@@ -466,12 +468,11 @@ class TwoSampleKnownVarBf:
         self.kappa = math.sqrt(c / (1.0 + c))
         self.kappa_prime = a * b / (2.0 * (1.0 + c) * (a + b))
 
-    def __call__(self, xbar1, xbar2):
-        d2 = (np.asarray(xbar1, dtype=float) - np.asarray(xbar2, dtype=float)) ** 2
-        return self.kappa * np.exp(self.kappa_prime * d2)
+    def __call__(self, d):
+        return self.from_t(np.asarray(d, dtype=float) ** 2)
 
     def from_t(self, t):
-        """Evaluate from the decision statistic T = (xbar1 - xbar2)^2."""
+        """Evaluate from the decision statistic T = d^2."""
         return self.kappa * np.exp(self.kappa_prime * np.asarray(t, dtype=float))
 
 

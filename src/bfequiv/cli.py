@@ -10,7 +10,8 @@ seed give byte-identical CSV outputs.
 Every value is checked before any work starts, by one reader,
 `RunConfig.get`: numbers are finite, counts and seeds integers (100000,
 not 1e5), file names text; run.seed >= 0, run.n_sims and run.n_trials
->= 1, 0 < run.alpha < 1, prior precisions, rates and c > 0, and for
+>= 1, 0 < run.alpha < 1 with 1 - run.alpha (1 - run.alpha/2 when
+two-tailed) below 1, prior precisions, rates and c > 0, and for
 johnson run.lambda > 1 and problem.n >= 1.  A key that nothing reads is
 an error: after its reads, and before any calibration or draw, each
 subcommand calls `RunConfig.check_read`, which names the first key that
@@ -251,7 +252,7 @@ def _regression_known_var_gaussian(problem, get):
 def _two_sample_known_var(problem, get):
     c = get("prior.c", default=1.0, bounds="> 0")
     engine = bf.TwoSampleKnownVarBf(problem.n1, problem.n2, problem.tau1, problem.tau2, c)
-    return BfPair(engine.from_t, lambda s: engine(s.xbar1, s.xbar2))
+    return BfPair(engine.from_t, lambda s: engine(s.d))
 
 
 def _two_sample_t(problem, get):
@@ -525,6 +526,18 @@ def _theta_grid(cfg: RunConfig, default=None):
     return None if grid is None else np.asarray(grid, dtype=float)
 
 
+def _alpha(cfg: RunConfig, shape: str, default=None):
+    """run.alpha, else ``default``: 0 < alpha < 1, and large enough that
+    1 - alpha (1 - alpha/2 for a ``two_tail`` region) is below 1 in floating
+    point, so that the critical value is a quantile below 1."""
+    alpha = cfg.get("run.alpha", float, default, "> 0 and < 1")
+    two_tailed = shape == "two_tail"
+    if alpha is not None and 1.0 - (alpha / 2.0 if two_tailed else alpha) == 1.0:
+        tail = "alpha/2" if two_tailed else "alpha"
+        raise ConfigError(f"{cfg.where('run.alpha')} is too small: 1 - {tail} rounds to 1, got {alpha!r}")
+    return alpha
+
+
 def _setup(args):
     """Read the keys that calibrate, verify and power share, so one config
     serves all three: run = (seed, n_sims, thetas or None), where calibrate
@@ -541,7 +554,7 @@ def _setup(args):
     problem = build_problem(cfg)
     summary = load_observed_summary(problem, cfg)
     pair = build_bf(problem, cfg)
-    alpha = cfg.get("run.alpha", float, None, "> 0 and < 1")
+    alpha = _alpha(cfg, problem.region_shape)
     lam = cfg.get("run.lambda", float, None)
     if (alpha is None) == (lam is None):
         raise ConfigError(f"{cfg.where('run.lambda')}: set exactly one of run.alpha or run.lambda")
@@ -678,7 +691,7 @@ def cmd_dominance(args) -> int:
     # the study builds its own priors, which prior.kind = gamma names
     if cfg.get("prior.kind", str, "gamma") != "gamma":
         raise ConfigError(f"{cfg.where('prior.kind')} must be gamma for dominance")
-    alpha = cfg.get("run.alpha", float, 0.05, "> 0 and < 1")
+    alpha = _alpha(cfg, problem.region_shape, 0.05)
     n_sims = cfg.get("run.n_sims", int, 1_000_000, ">= 1")
     thetas = _theta_grid(cfg, default=[1.5, 2.0, 3.0, 5.0])
     cfg.check_read("dominance")
@@ -720,7 +733,7 @@ def cmd_johnson(args) -> int:
     # at lambda = 1 the threshold-minimizing point mass sits on the null
     lam = float(cfg.get("run.lambda", bounds="> 1"))
     n = cfg.get("problem.n", int, bounds=">= 1")
-    alpha = cfg.get("run.alpha", float, 0.05, "> 0 and < 1")
+    alpha = _alpha(cfg, prob.OneSidedNormal.region_shape, 0.05)
     n_sims = cfg.get("run.n_sims", int, 100_000, ">= 1")
     thetas = _theta_grid(cfg)
     if cfg.get("problem.kind", str) != "one_sided_normal":

@@ -324,7 +324,8 @@ class RegressionUnknownVar(TestProblem):
 class TwoSampleMeansKnownVar(TestProblem):
     """Two normal samples, known precisions tau1, tau2; H0: means equal.
 
-    Decision statistic T = (xbar1 - xbar2)^2, a scaled chi-square(1).
+    Summary d = xbar1 - xbar2, from which `derive` forms the decision
+    statistic T = d^2, a scaled chi-square(1).
     """
 
     n1: int = 1
@@ -343,19 +344,18 @@ class TwoSampleMeansKnownVar(TestProblem):
 
     def summarize(self, x1, x2):
         x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
-        xbar1, xbar2 = float(np.mean(x1)), float(np.mean(x2))
-        return SufficientSummary(xbar1=xbar1, xbar2=xbar2, t=(xbar1 - xbar2) ** 2)
+        return self.derive(SufficientSummary(d=float(np.mean(x1)) - float(np.mean(x2))))
+
+    def derive(self, summary):
+        return SufficientSummary(summary, t=summary.d**2)
 
     def alt_law(self, mean_diff):
         ncp = mean_diff**2 / self.diff_var
         return DistSpec.noncentral_chi_square(1.0, ncp, self.diff_var)
 
     def simulate_summary(self, rng, mean_diff, size):
-        g = rng.generator
-        d = g.normal(mean_diff, math.sqrt(self.diff_var), size=size)
-        xbar2 = g.normal(0.0, 1.0 / math.sqrt(self.n2 * self.tau2), size=size)
-        xbar1 = xbar2 + d
-        return SufficientSummary(xbar1=xbar1, xbar2=xbar2, t=d**2)
+        d = rng.generator.normal(mean_diff, math.sqrt(self.diff_var), size=size)
+        return SufficientSummary(d=d)
 
 
 @dataclass(frozen=True)
@@ -404,21 +404,11 @@ class TwoSampleMeansUnknownEqualVar(TestProblem):
         return special.nctdtr(self.n - 2, ncp, np.asarray(x, dtype=float) / self.stat_scale)
 
     def simulate_summary(self, rng, theta, size):
+        # d and pooled are independent, with exact laws N(theta, 1/n1 + 1/n2)
+        # and chi-square(n - 2): the two variates the decision reads
         g = rng.generator
-        xbar1 = g.normal(0.0, 1.0 / math.sqrt(self.n1), size=size)
-        d = g.normal(theta, 1.0 / math.sqrt(self.n2), size=size)
-        d -= xbar1
-        del xbar1
-        # (n_j - 1) S_j^2 is formed from S_j^2 = chi^2/(n_j - 1), as
-        # `summarize` forms it, so the division's rounding is kept
-        pooled = g.chisquare(self.n1 - 1, size=size)
-        pooled /= self.n1 - 1
-        pooled *= self.n1 - 1
-        s2_sq = g.chisquare(self.n2 - 1, size=size)
-        s2_sq /= self.n2 - 1
-        s2_sq *= self.n2 - 1
-        pooled += s2_sq
-        return SufficientSummary(d=d, pooled=pooled)
+        d = g.normal(theta, math.sqrt(1.0 / self.n1 + 1.0 / self.n2), size=size)
+        return SufficientSummary(d=d, pooled=g.chisquare(self.n - 2, size=size))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from bfequiv.priors import (
     half_normal_prior,
     standard_normal_log_h,
 )
+from bfequiv.problems import SufficientSummary
 from bfequiv.rng import RngStream
 
 
@@ -314,7 +315,7 @@ class TestTwoSample:
 
     def test_known_var_routes_agree(self):
         engine = bf.TwoSampleKnownVarBf(3, 2, 1.0, 2.0, c=1.0)
-        assert_allclose(engine(2.0, 0.5), engine.from_t((2.0 - 0.5) ** 2), rtol=1e-12)
+        assert_allclose(engine(2.0 - 0.5), engine.from_t((2.0 - 0.5) ** 2), rtol=1e-12)
 
     def test_t_routes_agree(self):
         engine = bf.TwoSampleTBf(5, 8, c=1.0)
@@ -420,9 +421,10 @@ SWEEP_F = np.unique(np.concatenate(([1e-3, 1e4, 1e8], 10.0 ** (np.arange(-3.0, 8
 LOG_FLOAT_RANGE = (math.log(np.finfo(float).tiny), math.log(np.finfo(float).max))
 
 
-def _variance_ratio_pair(n1, n2, prior):
-    """The CLI's (problem, B) for variance_ratio with the given prior.* keys."""
-    cfg = RunConfig({"problem.kind": "variance_ratio", "problem.n1": n1, "problem.n2": n2, **prior})
+def _cli_pair(kind, n1, n2, prior):
+    """The CLI's (problem, B) for a two-sample ``kind`` with the given
+    prior.* keys."""
+    cfg = RunConfig({"problem.kind": kind, "problem.n1": n1, "problem.n2": n2, **prior})
     problem = build_problem(cfg)
     return problem, build_bf(problem, cfg)
 
@@ -449,7 +451,7 @@ def test_variance_ratio_matches_mpmath(kind, n1, n2, value):
     # each B is within the stated error of the 30-digit oracle, or raises
     # where B is not a normal float
     key, oracle = VARIANCE_RATIO_ORACLES[kind]
-    _, pair = _variance_ratio_pair(n1, n2, {"prior.kind": kind, key: value})
+    _, pair = _cli_pair("variance_ratio", n1, n2, {"prior.kind": kind, key: value})
     for f in SWEEP_F:
         log_b = oracle(n1, n2, value, f)
         try:
@@ -464,7 +466,7 @@ def test_variance_ratio_matches_mpmath(kind, n1, n2, value):
 def test_variance_ratio_decision_boundary(n1, n2, rate):
     # {B > lambda} and {F > gamma} may disagree only in a window of a few
     # floats above gamma, where B(F) still rounds to lambda = B(gamma)
-    problem, pair = _variance_ratio_pair(n1, n2, {"prior.kind": "shifted_exponential", "prior.rate": rate})
+    problem, pair = _cli_pair("variance_ratio", n1, n2, {"prior.kind": "shifted_exponential", "prior.rate": rate})
     rule = calibrate(problem, 0.05, pair.of_stat).rule
     gamma = rule.region.upper
     # the smallest float F with B(F) > lambda, by bisection on floats
@@ -477,6 +479,52 @@ def test_variance_ratio_decision_boundary(n1, n2, rate):
     # no second crossing
     grid = np.geomspace(gamma / 1e3, gamma * 1e3, 10_000)
     assert np.array_equal(rule.bayes(pair.of_stat(grid)), rule.classical(grid))
+
+
+def _first_float(pred, hi: float) -> int:
+    """The bit pattern of the smallest positive float x <= hi with pred(x),
+    by bisection over the bit patterns of positive floats; pred is false at
+    0 and true at hi.  Adjacent floats have adjacent patterns, so two
+    results differ by their distance in ulp."""
+    assert pred(hi) and not pred(0.0)
+    below, above = 0, int(np.float64(hi).view(np.int64))
+    while above - below > 1:
+        mid = (below + above) // 2
+        below, above = (below, mid) if pred(float(np.int64(mid).view(np.float64))) else (mid, above)
+    return above
+
+
+@pytest.mark.parametrize("n1, n2, c", [(12, 15, 1.0), (6, 8, 2.0), (2, 2, 1.0)], ids=["bench", "golden", "smallest"])
+def test_two_sample_t_decision_boundary(n1, n2, c):
+    # at each pooled and in each tail, the first |d| where B(d, pooled) > lambda
+    # lies within 16 floats of the first where derive's T enters the region
+    problem, pair = _cli_pair("two_sample_t", n1, n2, {"prior.kind": "conjugate", "prior.c": c})
+    rule = calibrate(problem, 0.05, pair.of_stat).rule
+
+    def decisions(d, pooled):
+        s = problem.derive(SufficientSummary(d=d, pooled=np.full_like(d, pooled)))
+        return rule.classical(problem.decision_stat(s)), rule.bayes(pair.of_summary(s))
+
+    for pooled in (0.3, 1.0, 7.0, 25.0, 1e3, 1e5):
+        edge = rule.region.upper * math.sqrt(pooled)
+        for sign in (1.0, -1.0):
+            classical_first, bayes_first = (
+                _first_float(lambda x: decisions(np.array([sign * x]), pooled)[i][0], 4.0 * edge) for i in (0, 1)
+            )
+            assert abs(classical_first - bayes_first) <= 16, f"pooled = {pooled}, sign = {sign}"
+        # no second crossing: both rules agree over six decades of |d|
+        grid = edge * np.geomspace(1e-3, 1e3, 5_000)
+        classical, bayes = decisions(np.concatenate([-grid[::-1], grid]), pooled)
+        assert np.array_equal(classical, bayes) and np.count_nonzero(np.diff(bayes)) == 2
+
+
+def test_two_sample_known_var_summary_and_statistic_routes_are_one_float():
+    problem, pair = _cli_pair("two_sample_known_var", 12, 15, {"prior.kind": "conjugate", "prior.c": 1.0})
+    d = RngStream(31).generator.normal(0.0, 3.0 * math.sqrt(problem.diff_var), 10_000)
+    engine = bf.TwoSampleKnownVarBf(12, 15, 1.0, 1.0, 1.0)
+    assert np.array_equal(engine(d), engine.from_t(d**2))
+    s = problem.derive(SufficientSummary(d=d))
+    assert np.array_equal(pair.of_summary(s), pair.of_stat(problem.decision_stat(s)))
 
 
 class TestSubsetSelection:

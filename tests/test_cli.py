@@ -51,6 +51,8 @@ VARIANCE_RATIO_HUGE_N2 = (
 )
 
 SUBJECTIVE_MODEL = "problem.kind = subjective_variance\nproblem.n1 = 10\nproblem.n2 = 10\nprior.kind = gamma"
+TWO_SAMPLE_T_MODEL = "problem.kind = two_sample_t\nproblem.n1 = 12\nproblem.n2 = 15\nprior.kind = conjugate"
+JOHNSON_MODEL = "problem.kind = one_sided_normal\nproblem.n = 10\nrun.lambda = 10"
 
 COMMANDS = ("calibrate", "verify", "power", "dominance", "johnson", "props")
 
@@ -531,6 +533,34 @@ def test_failed_calibration_leaves_no_output_directory(tmp_path, text, code):
     out = tmp_path / "out"
     assert main(["calibrate", "--config", write_config(tmp_path, "c.cfg", text), "--out", str(out)]) == code
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, model, alpha",
+    [
+        ("calibrate", TWO_SAMPLE_T_MODEL, "1e-300"),
+        ("verify", TWO_SAMPLE_T_MODEL, "1e-17"),
+        # two-tailed, so 1 - alpha/2 rounds to 1 although 1 - alpha does not
+        ("power", TWO_SAMPLE_T_MODEL, "1.1e-16"),
+        ("calibrate", ONE_SIDED_MODEL, "1e-17"),
+        ("dominance", SUBJECTIVE_MODEL, "1e-300"),
+        ("johnson", JOHNSON_MODEL, "1e-17"),
+    ],
+    ids=["calibrate", "verify", "power", "calibrate_one_sided", "dominance", "johnson"],
+)
+def test_alpha_whose_quantile_rounds_to_one_exits_1(tmp_path, capsys, command, model, alpha):
+    cfg, out = write_config(tmp_path, "c.cfg", f"{model}\nrun.alpha = {alpha}\nrun.seed = 1\n"), tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}:{model.count(chr(10)) + 2}: run.alpha is too small")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+def test_one_sided_alpha_at_its_floor_calibrates(tmp_path):
+    # 1 - 1.1e-16 rounds to the largest float below 1, while 1 - 1.1e-16/2
+    # rounds to 1: an upper region needs no alpha/2
+    cfg = write_config(tmp_path, "c.cfg", f"{ONE_SIDED_MODEL}\nrun.alpha = 1.1e-16\n")
+    assert main(["calibrate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("command", ["calibrate", "verify", "power"])

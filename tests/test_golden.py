@@ -55,8 +55,8 @@ RUNS = {
         {},
         0,
         {
-            "power.csv": "6563bdcbc3902368e7b81d557eab03f172cb9aa496732cb47a7b922e8b059d7a",
-            "power.svg": "ac884c6f88b00747276d9001202abd719d565c375ec64dc66b2f8a22215dc7a5",
+            "power.csv": "5bb81f02f419de190631961f1f9b80aeeb994b1c1bf0b85ffea033c39d0a07a3",
+            "power.svg": "222c4fe8544285b03d0cc170d19c8bddb177677381c683ae29c4b50abe1f8072",
         },
     ),
     "power_subset_selection": (

@@ -7,6 +7,9 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from bfequiv import distributions as dist
+from bfequiv.calibrate import calibrate
+from bfequiv.cli import RunConfig, _default_grid, build_bf, build_problem
+from bfequiv.power import exact_power, mc_power
 from bfequiv.problems import (
     DegenerateDataError,
     GaussianMeanUnknownVar,
@@ -132,13 +135,44 @@ class TestTwoSample:
     def test_known_var_stat(self):
         p = TwoSampleMeansKnownVar(n1=3, n2=2, tau1=1.0, tau2=2.0)
         s = p.summarize([1.0, 2.0, 3.0], [0.0, 1.0])
-        assert_allclose(s.t, (2.0 - 0.5) ** 2)
+        assert s.d == 2.0 - 0.5 and s.t == (2.0 - 0.5) ** 2
 
     def test_t_statistic_scaled_student_null(self):
         p = TwoSampleMeansUnknownEqualVar(n1=5, n2=7)
         s = p.derive(p.simulate_summary(RngStream(7), 0.0, 100_000))
         law = p.null_law()
         assert stats.kstest(s.t, lambda v: dist.cdf(law, v)).statistic < 0.006
+
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    def test_draws_have_the_laws_of_d_and_pooled(self, theta):
+        # d ~ N(theta, 1/n1 + 1/n2) and pooled ~ chi-square(n - 2): the first
+        # two moments of the draws lie within 5 se of the exact ones
+        p, size = TwoSampleMeansUnknownEqualVar(n1=12, n2=15), 200_000
+        s = p.simulate_summary(RngStream(21), theta, size)
+        v, k = 1 / 12 + 1 / 15, p.n - 2
+        moments = [
+            (np.mean(s.d), theta, math.sqrt(v / size)),
+            (np.var(s.d, ddof=1), v, v * math.sqrt(2 / (size - 1))),
+            (np.mean(s.pooled), k, math.sqrt(2 * k / size)),
+            # the fourth central moment of chi-square(k) is 12 k^2 + 48 k
+            (np.var(s.pooled, ddof=1), 2 * k, math.sqrt((8 * k**2 + 48 * k) / size)),
+        ]
+        for got, exact, se in moments:
+            assert abs(got - exact) < 5 * se, (got, exact, se)
+
+    @pytest.mark.parametrize("kind", ["two_sample_t", "two_sample_known_var"])
+    def test_mc_power_matches_exact_power(self, kind):
+        # on the CLI's default 21-point grid, the Monte Carlo power of the
+        # classical rule lies within 5 se of the exact power
+        cfg = RunConfig({"problem.kind": kind, "problem.n1": 12, "problem.n2": 15, "prior.kind": "conjugate"})
+        problem = build_problem(cfg)
+        pair, n_sims = build_bf(problem, cfg), 20_000
+        rule = calibrate(problem, 0.05, pair.of_stat).rule
+        thetas = _default_grid(problem, rule.region, 0.05)
+        classical, _, identical = mc_power(problem, rule, RngStream(22), thetas, n_sims, pair.of_summary)
+        exact = exact_power(problem, rule.region, thetas).power
+        assert identical
+        assert np.all(np.abs(classical.power - exact) < 5 * np.sqrt(exact * (1 - exact) / n_sims))
 
     def test_t_statistic_two_ways(self):
         # T relates to the standard two-sample t statistic by a constant
