@@ -17,7 +17,7 @@ import numpy as np
 from . import distributions as dist
 from .integrate import brentq
 from .problems import SufficientSummary, TestProblem
-from .rng import RngStream, tally
+from .rng import RngStream, sweep
 
 __all__ = [
     "ClassViolationError",
@@ -28,7 +28,7 @@ __all__ = [
     "lambda_from_gamma",
     "gamma_from_lambda",
     "EquivalenceReport",
-    "decide_chunk",
+    "decide_block",
     "verify_equivalence",
 ]
 
@@ -186,23 +186,21 @@ class EquivalenceReport:
         return 1.0 - self.n_mismatch / self.n_total if self.n_total else float("nan")
 
 
-def decide_chunk(problem: TestProblem, rule: DecisionRule, bf_of_summary, summary) -> tuple:
+def decide_block(problem: TestProblem, rule: DecisionRule, bf_of_summary, summary) -> tuple:
     """(classical rejections, Bayes rejections, disagreements, statistics of
-    the first MAX_EXAMPLES disagreeing draws) on one simulated chunk, taken
-    ROW_BLOCK draws at a time, each block derived (`TestProblem.derive`)
-    before it is read."""
-    n_classical = n_bayes = n_mismatch = 0
-    examples = []
-    for block in map(problem.derive, summary.blocks()):
-        stat = np.asarray(problem.decision_stat(block), dtype=float)
-        classical = rule.classical(stat)
-        bayes = rule.bayes(bf_of_summary(block))
-        n_classical += int(np.count_nonzero(classical))
-        n_bayes += int(np.count_nonzero(bayes))
-        bad = classical != bayes
-        n_mismatch += int(np.count_nonzero(bad))
-        examples += [float(x) for x in stat[bad][: MAX_EXAMPLES - len(examples)]]
-    return n_classical, n_bayes, n_mismatch, examples
+    the first MAX_EXAMPLES disagreeing draws) on one block of simulated
+    summaries, derived (`TestProblem.derive`) before it is read."""
+    block = problem.derive(summary)
+    stat = np.asarray(problem.decision_stat(block), dtype=float)
+    classical = rule.classical(stat)
+    bayes = rule.bayes(bf_of_summary(block))
+    bad = classical != bayes
+    return (
+        int(np.count_nonzero(classical)),
+        int(np.count_nonzero(bayes)),
+        int(np.count_nonzero(bad)),
+        [float(x) for x in stat[bad][:MAX_EXAMPLES]],
+    )
 
 
 def verify_equivalence(
@@ -216,19 +214,19 @@ def verify_equivalence(
 ) -> EquivalenceReport:
     """Draw summaries, apply both rules, count disagreements.
 
-    thetas entries of None mean the null.  Work is split over numbered
-    substreams, one per chunk, so results are reproducible for a fixed
-    (seed, chunk_size) pair; the chunks run on up to two threads.
+    thetas entries of None mean the null.  Every theta reads the same
+    draws (`rng.sweep`): chunks of them from numbered substreams, run on up
+    to two threads, so results are reproducible for a fixed (seed,
+    chunk_size) pair.
     """
     null_theta = getattr(problem, "theta0", 0.0)
     thetas = [null_theta if theta is None else theta for theta in thetas]
 
-    def count(j, stream, size):
-        summary = problem.simulate_summary(stream, thetas[j], size)
-        n_reject, _, n_mismatch, stats = decide_chunk(problem, rule, bf_of_summary, summary)
+    def count(j, base):
+        n_reject, _, n_mismatch, stats = decide_block(problem, rule, bf_of_summary, problem.at(base, thetas[j]))
         return n_reject, n_mismatch, [{"theta": thetas[j], "stat": x} for x in stats]
 
-    sums = tally(count, [rng.substream(j) for j in range(len(thetas))], n_sims, chunk_size)
+    sums = sweep(problem.draw_base, count, len(thetas), rng, n_sims, chunk_size)
     return EquivalenceReport(
         problem=type(problem).__name__,
         n_total=n_sims * len(thetas),

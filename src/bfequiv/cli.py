@@ -20,7 +20,9 @@ no `get` looked up.  calibrate, verify and power read the same keys
 
 Exit codes: calibrate returns 0 on success, 2 when the requested Bayes
 threshold cannot be inverted to a critical region, 3 when the prior
-violates the calibrated two-sided class; malformed configs exit 1 with a
+violates the calibrated two-sided class (1, naming run.alpha, when a
+two-tailed run.alpha is too small for its two critical values to be
+mirror images; see `_calibrate`); malformed configs exit 1 with a
 message that starts with the path:line of the offending key (the path
 alone when a required key is absent); other subcommands exit nonzero iff
 their verdict fails; bad or missing data files, usage errors and an
@@ -45,6 +47,7 @@ from scipy import special
 from . import bayes_factors as bf
 from . import problems as prob
 from .calibrate import (
+    TWO_SIDED_MATCH_RTOL,
     ClassViolationError,
     DecisionRule,
     calibrate,
@@ -538,15 +541,42 @@ def _alpha(cfg: RunConfig, shape: str, default=None):
     return alpha
 
 
-def _setup(args):
+def _mirror_error(alpha: float) -> float:
+    """Relative error of the upper tail 1 - fl(1 - alpha/2) of a two-tailed
+    region as alpha/2, the lower tail: how far the upper critical value is
+    from the mirror image of the lower one in probability."""
+    half = alpha / 2.0
+    return abs((1.0 - (1.0 - half)) - half) / half
+
+
+def _calibrate(cfg: RunConfig, problem, alpha: float, of_stat: Callable):
+    """`calibrate`, except that a two-tailed region whose rounded
+    1 - alpha/2 breaks the mirror of the lower quantile by more than the
+    class check's tolerance is blamed on run.alpha, not on the prior.  The
+    test runs only once the class check has failed, so every alpha that
+    calibrates gives the same rule."""
+    try:
+        return calibrate(problem, alpha, of_stat)
+    except ClassViolationError as exc:
+        if problem.region_shape == "two_tail" and _mirror_error(alpha) > TWO_SIDED_MATCH_RTOL:
+            raise ConfigError(
+                f"{cfg.where('run.alpha')} is too small: 1 - alpha/2 rounds to {1.0 - alpha / 2.0!r}, "
+                f"whose upper tail {1.0 - (1.0 - alpha / 2.0)!r} is not alpha/2 = {alpha / 2.0!r}, "
+                "so the two critical values are not mirror images"
+            ) from exc
+        raise
+
+
+def _setup(args, default_grid: bool = False):
     """Read the keys that calibrate, verify and power share, so one config
     serves all three: run = (seed, n_sims, thetas or None), where calibrate
     needs no seed; the problem and the summary of its data files (None
     without any); B; and run.alpha or run.lambda.  Then check that every
-    key was read, and only then calibrate the decision rule; the output
-    directory is made last, so a run that fails to calibrate leaves none
-    behind.  Returns (output directory, problem, B, rule, size, run,
-    summary)."""
+    key was read, and only then calibrate the decision rule.  With
+    default_grid, a run without run.theta_grid gets `_default_grid`.  The
+    output directory is made last, so a run that fails to calibrate or to
+    build its grid leaves none behind.  Returns (output directory,
+    problem, B, rule, size, run, summary)."""
     cfg = parse_config(args.config)
     out = _out_dir(args, cfg)
     seed = _seed(args, cfg, None if args.command == "calibrate" else _REQUIRED)
@@ -565,7 +595,7 @@ def _setup(args):
         )
     cfg.check_read(args.command)
     if alpha is not None:
-        result = calibrate(problem, alpha, pair.of_stat)
+        result = _calibrate(cfg, problem, alpha, pair.of_stat)
         rule, size = result.rule, result.alpha
     else:
         region, size = gamma_from_lambda(problem, pair.of_stat, lam)
@@ -576,6 +606,8 @@ def _setup(args):
                 else f"lambda = {lam} is exceeded by B everywhere"
             )
         rule = DecisionRule(region, lam)
+    if default_grid and run[2] is None:
+        run = seed, run[1], _default_grid(problem, rule.region, size)
     _make_dir(out, args, cfg)
     return out, problem, pair, rule, size, run, summary
 
@@ -654,9 +686,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_power(args) -> int:
-    out, problem, pair, rule, alpha, (seed, n_sims, thetas), _ = _setup(args)
-    if thetas is None:
-        thetas = _default_grid(problem, rule.region, alpha)
+    out, problem, pair, rule, alpha, (seed, n_sims, thetas), _ = _setup(args, default_grid=True)
     classical, bayes, identical = mc_power(
         problem, rule, RngStream(seed), thetas, n_sims, bf_of_summary=pair.of_summary
     )

@@ -19,11 +19,11 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import special
 
-from .bayes_factors import bf_subjective_variance, johnson_umpbt_threshold
-from .calibrate import CriticalRegion, DecisionRule, decide_chunk, gamma_from_alpha
+from .bayes_factors import NumericalIntegrityError, bf_subjective_variance, johnson_umpbt_threshold
+from .calibrate import CriticalRegion, DecisionRule, decide_block, gamma_from_alpha
 from .problems import (OneSidedNormal, SubjectiveVarianceEquality, TestProblem, normal_log_ratio,
                        subjective_t)
-from .rng import RngStream, map_jobs, tally
+from .rng import RngStream, sweep
 
 __all__ = [
     "PowerCurve",
@@ -41,7 +41,11 @@ __all__ = [
 class PowerCurve:
     thetas: np.ndarray
     power: np.ndarray
-    se: np.ndarray  # zeros for exact curves
+    # zeros for exact curves; a Monte Carlo point's own binomial se.  The
+    # points of one curve share their draws, so their errors are
+    # positively correlated: neighbouring points err together, and the
+    # curve is smoother than independent points would make it
+    se: np.ndarray
 
 
 def _curve(thetas, power, n_sims):
@@ -58,6 +62,8 @@ def exact_power(problem: TestProblem, region: CriticalRegion, thetas) -> PowerCu
     out = np.empty(thetas.shape)
     for i, th in enumerate(thetas):
         out[i] = region.mass(lambda x: problem.alt_cdf(th, x))
+        if not math.isfinite(out[i]):
+            raise NumericalIntegrityError(f"the exact power at theta = {th!r} is not a number")
     return _curve(thetas, out, 0)
 
 
@@ -75,17 +81,18 @@ def mc_power(
 
     Returns (classical_curve, bayes_curve, identical) where
     identical reports whether the two decision vectors matched draw for
-    draw at every theta.  Theta i draws from rng.substream(i), in chunks
-    that run on up to two threads.
+    draw at every theta.  Every theta maps the same standard draws
+    (`rng.sweep`: chunk i from rng.substream(i), on up to two threads), so
+    each point keeps its exact marginal law and its own binomial se, while
+    the points of the curve are positively correlated.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
 
-    def count(i, stream, size):
-        summary = problem.simulate_summary(stream, thetas[i], size)
-        return decide_chunk(problem, rule, bf_of_summary, summary)[:3]
+    def count(i, base):
+        return decide_block(problem, rule, bf_of_summary, problem.at(base, thetas[i]))[:3]
 
     # per theta: classical rejections, Bayes rejections, disagreements
-    hits = np.array(tally(count, [rng.substream(i) for i in range(thetas.size)], n_sims, chunk_size))
+    hits = np.array(sweep(problem.draw_base, count, thetas.size, rng, n_sims, chunk_size))
     return (
         _curve(thetas, hits[:, 0] / n_sims, n_sims),
         _curve(thetas, hits[:, 1] / n_sims, n_sims),
@@ -203,9 +210,9 @@ def dominance_study(
     The verdict is PASS when the bridge identity holds to BRIDGE_TOL, the
     two monotonicity hypotheses hold, the limiting size is within
     LIMIT_SIZE_TOL of alpha, and the subset relation holds draw by draw on
-    every run.  The runs (unit-scale size,
-    limiting size, one per theta) draw from rng.substream(0), (1) and
-    (i + 2), in chunks that run on up to two threads.
+    every run.  The runs (unit-scale size, limiting size, one per theta)
+    map the same standard draws (`rng.sweep`: chunk i from
+    rng.substream(i), on up to two threads).
     """
     if problem.n1 != problem.n2:
         raise ValueError("the T-coordinate region is equal-tailed only for n1 == n2")
@@ -221,18 +228,17 @@ def dominance_study(
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     runs = [(1.0, 1.0), (1.0, LIMIT_SCALE)] + [(th, 1.0) for th in thetas]  # (theta, scale2)
 
-    def count(k, stream, size):
-        summary = problem.simulate_summary(stream, runs[k][0], size, scale2=runs[k][1])
-        hits_p = hits_c = proper_only = 0
-        for block in map(problem.derive, summary.blocks()):
-            proper = _proper_rejects(block, lam)
-            classical = block.t_sub > gamma_t
-            hits_p += int(np.count_nonzero(proper))
-            hits_c += int(np.count_nonzero(classical))
-            proper_only += int(np.count_nonzero(proper > classical))
-        return hits_p, hits_c, proper_only
+    def count(k, base):
+        block = problem.derive(problem.at(base, runs[k][0], scale2=runs[k][1]))
+        proper = _proper_rejects(block, lam)
+        classical = block.t_sub > gamma_t
+        return (
+            int(np.count_nonzero(proper)),
+            int(np.count_nonzero(classical)),
+            int(np.count_nonzero(proper > classical)),
+        )
 
-    hits = np.array(tally(count, [rng.substream(k) for k in range(len(runs))], n_sims, chunk_size))
+    hits = np.array(sweep(problem.draw_base, count, len(runs), rng, n_sims, chunk_size))
     rates = hits[:, :2] / n_sims
     size_slice, size_limit = float(rates[0, 0]), float(rates[1, 0])
     power_subjective, power_classical = rates[2:, 0], rates[2:, 1]
@@ -293,8 +299,10 @@ class JohnsonComparison:
     verdict: str  # PASS when n_disagree == 0
     n_disagree: int  # draws on which the two rules decided differently
     # theta points where power_point_mass is more than 3 standard errors
-    # from power_exact: a check on the sampler, expected 0 but for about
-    # one run in twenty over 21 points, so it does not gate the verdict
+    # from power_exact: a check on the sampler that does not gate the
+    # verdict.  Each point has probability 0.0027 to count, so over 21
+    # points at most about one run in twenty counts any; the points share
+    # their draws, so such runs tend to count several neighbours at once
     sampler_points_beyond_3se: int
 
 
@@ -316,8 +324,9 @@ def johnson_comparison(
     datasets.  The Monte Carlo comparison evaluates both rules on common
     random numbers, the point-mass rule through its own Bayes factor, and
     passes only when no draw is decided differently.  thetas None means 21
-    points from 0 to where the classical power reaches 0.99.  Theta i draws
-    from rng.substream(i); the thetas run on up to two threads.
+    points from 0 to where the classical power reaches 0.99.  Every theta
+    maps the same standard draws (`rng.sweep`: chunk i from
+    rng.substream(i), on up to two threads).
     """
     problem = OneSidedNormal(n)
     theta_star, g_min, _ = johnson_umpbt_threshold(lam, n)
@@ -332,14 +341,14 @@ def johnson_comparison(
     # Bayes factor in log space; lam_matched = B(gamma_matched)
     rule = DecisionRule(region, normal_log_ratio(region.upper, theta_star, 0.0, n))
 
-    def count(theta, stream):
+    def count(i, base):
         # both rules see the same draws, so a match is pathwise, not
         # merely statistical
-        summary = problem.simulate_summary(stream, theta, n_sims)
-        return decide_chunk(problem, rule, lambda s: normal_log_ratio(s.t, theta_star, 0.0, n), summary)[:3]
+        summary = problem.at(base, thetas[i])
+        return decide_block(problem, rule, lambda s: normal_log_ratio(s.t, theta_star, 0.0, n), summary)[:3]
 
     # per theta: classical rejections, point-mass rejections, disagreements
-    hits = np.array(map_jobs(count, [(th, rng.substream(i)) for i, th in enumerate(thetas)]))
+    hits = np.array(sweep(problem.draw_base, count, thetas.size, rng, n_sims, chunk_size=200_000))
     power_classical, power_point_mass = hits[:, 0] / n_sims, hits[:, 1] / n_sims
     n_disagree = int(hits[:, 2].sum())
     se = np.sqrt(

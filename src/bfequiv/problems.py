@@ -2,11 +2,14 @@
 
 Each problem exposes: the sufficient summary computed from raw data, the
 decision statistic and the shape of its critical region, the exact null
-law of that statistic, the exact alternative CDF where one exists, and
-fast samplers for the sufficient summary (used by the Monte Carlo
-studies; they draw the summary directly from its exact sampling
-distribution rather than the raw observations).  A simulated summary
-holds only its draws and their exact in-place reductions; `derive` forms
+law of that statistic, the exact alternative CDF where one exists, and a
+fast sampler for the sufficient summary (used by the Monte Carlo
+studies; it draws the summary from its exact sampling distribution
+rather than the raw observations).  The sampler has two halves:
+`draw_base` draws the standard variates, which do not depend on theta,
+and `at` maps them to the summary at any theta through an exact law
+identity, so one block of draws serves a whole theta grid.  A simulated
+summary holds only its draws and their exact reductions; `derive` forms
 the fields built from them, per block of ROW_BLOCK draws where a Monte
 Carlo loop reads them, and for observed data in `summarize`.
 """
@@ -42,7 +45,8 @@ __all__ = [
 ]
 
 
-# draws per block when one simulated chunk is decided block by block
+# draws per block: a Monte Carlo job draws one block of base variates at a
+# time and decides it at every theta before it draws the next
 ROW_BLOCK = 16_384
 
 
@@ -54,13 +58,6 @@ class SufficientSummary(dict):
             return self[name]
         except KeyError as exc:
             raise AttributeError(name) from exc
-
-    def blocks(self):
-        """Views of ROW_BLOCK draws each of a simulated summary, whose every
-        field is an array with one value per draw."""
-        size = len(next(iter(self.values())))
-        for start in range(0, size, ROW_BLOCK):
-            yield SufficientSummary((k, v[start : start + ROW_BLOCK]) for k, v in self.items())
 
 
 class DegenerateDataError(ValueError):
@@ -129,11 +126,44 @@ class TestProblem:
     def alt_law(self, theta) -> DistSpec:
         raise NotImplementedError
 
-    def simulate_summary(self, rng, theta, size: int) -> SufficientSummary:
-        """`size` datasets at theta: the reductions that `derive` turns into
-        the decision statistic and the Bayes factor's inputs, built in
-        place where possible."""
+    def draw_base(self, rng, size: int) -> SufficientSummary:
+        """The standard variates of `size` datasets, free of theta."""
         raise NotImplementedError
+
+    def at(self, base: SufficientSummary, theta, **kw) -> SufficientSummary:
+        """The simulated summary at theta of the datasets whose standard
+        variates are `base`: the reductions that `derive` turns into the
+        decision statistic and the Bayes factor's inputs.  `base` is read,
+        never written, so the same draws serve every theta."""
+        raise NotImplementedError
+
+
+def _draw_chi_square_parts(g, df: int, size: int) -> dict:
+    """z ~ N(0, 1) and, for df > 1, rest ~ chi-square(df - 1): the parts
+    of a noncentral chi-square(df, ncp) = (z + sqrt(ncp))^2 + rest."""
+    parts = {"z": g.standard_normal(size)}
+    if df > 1:
+        parts["rest"] = g.chisquare(df - 1, size)
+    return parts
+
+
+def _noncentral_chi_square(base, ncp):
+    """(z + sqrt(ncp))^2 + rest from the parts `_draw_chi_square_parts`
+    drew; ncp = 0 gives a central chi-square(df)."""
+    out = base.z + math.sqrt(ncp)
+    np.square(out, out=out)
+    if "rest" in base:
+        out += base.rest
+    return out
+
+
+def _noncentral_t_cdf(df, ncp, x):
+    """scipy's noncentral t CDF, which returns nan deep in a tail of some
+    laws (nctdtr(25, 5.16, -5.0)); there the CDF is within 1e-17 of its
+    limit, 0 below ncp and 1 above it, and the limit is returned."""
+    x = np.asarray(x, dtype=float)
+    p = special.nctdtr(df, ncp, x)
+    return np.where(np.isnan(p) & ~np.isnan(x), np.where(x < ncp, 0.0, 1.0), p)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +199,13 @@ class OneSidedNormal(TestProblem):
     def alt_law(self, theta):
         return DistSpec.normal(self.n * theta, math.sqrt(self.n))
 
-    def simulate_summary(self, rng, theta, size):
-        t = rng.generator.normal(self.n * theta, math.sqrt(self.n), size=size)
+    def draw_base(self, rng, size):
+        return SufficientSummary(z=rng.generator.standard_normal(size))
+
+    def at(self, base, theta):
+        # t = n theta + sqrt(n) z ~ N(n theta, n)
+        t = base.z * math.sqrt(self.n)
+        t += self.n * theta
         return SufficientSummary(t=t)
 
 
@@ -218,13 +253,18 @@ class GaussianMeanUnknownVar(TestProblem):
         return DistSpec.student_t(self.n - 1)
 
     def alt_cdf(self, theta, x):
-        ncp = math.sqrt(self.n) * theta
-        return special.nctdtr(self.n - 1, ncp, np.asarray(x, dtype=float))
+        return _noncentral_t_cdf(self.n - 1, math.sqrt(self.n) * theta, x)
 
-    def simulate_summary(self, rng, theta, size):
+    def draw_base(self, rng, size):
         g = rng.generator
-        xbar = g.normal(theta, 1.0 / math.sqrt(self.n), size=size)
-        ss_centered = g.chisquare(self.n - 1, size=size)
+        return SufficientSummary(z=g.standard_normal(size), ss_centered=g.chisquare(self.n - 1, size))
+
+    def at(self, base, theta):
+        # xbar = theta + z / sqrt(n) ~ N(theta, 1/n); SS ~ chi-square(n - 1)
+        # is free of theta and shared
+        xbar = base.z * (1.0 / math.sqrt(self.n))
+        xbar += theta
+        ss_centered = base.ss_centered
         return SufficientSummary(
             xbar=xbar, ss_centered=ss_centered, sum_sq=ss_centered + self.n * xbar**2
         )
@@ -261,13 +301,11 @@ class RegressionKnownVar(TestProblem):
     def alt_law(self, delta_norm_sq):
         return DistSpec.noncentral_chi_square(self.p, delta_norm_sq)
 
-    def simulate_summary(self, rng, delta_norm_sq, size):
-        g = rng.generator
-        if delta_norm_sq == 0:
-            t_abs = g.chisquare(self.p, size=size)
-        else:
-            t_abs = g.noncentral_chisquare(self.p, delta_norm_sq, size=size)
-        return SufficientSummary(t_abs=t_abs)
+    def draw_base(self, rng, size):
+        return SufficientSummary(_draw_chi_square_parts(rng.generator, self.p, size))
+
+    def at(self, base, delta_norm_sq):
+        return SufficientSummary(t_abs=_noncentral_chi_square(base, delta_norm_sq))
 
 
 @dataclass(frozen=True)
@@ -306,14 +344,16 @@ class RegressionUnknownVar(TestProblem):
     def alt_law(self, delta_norm_sq):
         return DistSpec.noncentral_f(self.p, self.n - self.p, delta_norm_sq)
 
-    def simulate_summary(self, rng, delta_norm_sq, size):
+    def draw_base(self, rng, size):
         g = rng.generator
-        if delta_norm_sq == 0:
-            yHy = g.chisquare(self.p, size=size)
-        else:
-            yHy = g.noncentral_chisquare(self.p, delta_norm_sq, size=size)
-        rss2 = g.chisquare(self.n - self.p, size=size)
-        return SufficientSummary(yHy=yHy, yy=yHy + rss2, rss2=rss2)
+        base = SufficientSummary(_draw_chi_square_parts(g, self.p, size))
+        base["rss2"] = g.chisquare(self.n - self.p, size)
+        return base
+
+    def at(self, base, delta_norm_sq):
+        # the residual sum of squares rss2 ~ chi-square(n - p) is shared
+        yHy = _noncentral_chi_square(base, delta_norm_sq)
+        return SufficientSummary(yHy=yHy, yy=yHy + base.rss2, rss2=base.rss2)
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +393,13 @@ class TwoSampleMeansKnownVar(TestProblem):
         ncp = mean_diff**2 / self.diff_var
         return DistSpec.noncentral_chi_square(1.0, ncp, self.diff_var)
 
-    def simulate_summary(self, rng, mean_diff, size):
-        d = rng.generator.normal(mean_diff, math.sqrt(self.diff_var), size=size)
+    def draw_base(self, rng, size):
+        return SufficientSummary(z=rng.generator.standard_normal(size))
+
+    def at(self, base, mean_diff):
+        # d = mean_diff + sigma z ~ N(mean_diff, diff_var)
+        d = base.z * math.sqrt(self.diff_var)
+        d += mean_diff
         return SufficientSummary(d=d)
 
 
@@ -401,14 +446,19 @@ class TwoSampleMeansUnknownEqualVar(TestProblem):
 
     def alt_cdf(self, theta, x):
         ncp = theta / math.sqrt(1.0 / self.n1 + 1.0 / self.n2)
-        return special.nctdtr(self.n - 2, ncp, np.asarray(x, dtype=float) / self.stat_scale)
+        return _noncentral_t_cdf(self.n - 2, ncp, np.asarray(x, dtype=float) / self.stat_scale)
 
-    def simulate_summary(self, rng, theta, size):
-        # d and pooled are independent, with exact laws N(theta, 1/n1 + 1/n2)
-        # and chi-square(n - 2): the two variates the decision reads
+    def draw_base(self, rng, size):
+        # d = theta + sigma z and pooled ~ chi-square(n - 2) are independent:
+        # two variates per dataset are all the decision reads
         g = rng.generator
-        d = g.normal(theta, math.sqrt(1.0 / self.n1 + 1.0 / self.n2), size=size)
-        return SufficientSummary(d=d, pooled=g.chisquare(self.n - 2, size=size))
+        return SufficientSummary(z=g.standard_normal(size), pooled=g.chisquare(self.n - 2, size))
+
+    def at(self, base, theta):
+        # d = theta + sigma z; pooled is free of theta and shared
+        d = base.z * math.sqrt(1.0 / self.n1 + 1.0 / self.n2)
+        d += theta
+        return SufficientSummary(d=d, pooled=base.pooled)
 
 
 @dataclass(frozen=True)
@@ -446,12 +496,15 @@ class VarianceRatio(TestProblem):
         scale = theta * (self.n1 - 1) / (self.n2 - 1)
         return DistSpec.fisher_f(self.n1 - 1, self.n2 - 1, scale)
 
-    def simulate_summary(self, rng, theta, size):
+    def draw_base(self, rng, size):
+        # F at theta = 1: chi-square(n1 - 1) / chi-square(n2 - 1)
         g = rng.generator
-        f = g.chisquare(self.n1 - 1, size=size)
-        f *= theta
-        f /= g.chisquare(self.n2 - 1, size=size)
-        return SufficientSummary(f=f)
+        ratio = g.chisquare(self.n1 - 1, size)
+        ratio /= g.chisquare(self.n2 - 1, size)
+        return SufficientSummary(ratio=ratio)
+
+    def at(self, base, theta):
+        return SufficientSummary(f=base.ratio * theta)
 
 
 @dataclass(frozen=True)
@@ -493,13 +546,17 @@ class SubsetSelection(TestProblem):
         scale = self.p2 / self.resid_df
         return DistSpec.noncentral_f(self.p2, self.resid_df, ncp, scale)
 
-    def simulate_summary(self, rng, ncp, size):
+    def draw_base(self, rng, size):
         g = rng.generator
-        if ncp == 0:
-            f = g.chisquare(self.p2, size=size)
-        else:
-            f = g.noncentral_chisquare(self.p2, ncp, size=size)
-        f /= g.chisquare(self.resid_df, size=size)
+        base = SufficientSummary(_draw_chi_square_parts(g, self.p2, size))
+        base["resid"] = g.chisquare(self.resid_df, size)
+        return base
+
+    def at(self, base, ncp):
+        # F = chi-square(p2, ncp) / chi-square(n - p1 - p2), the denominator
+        # shared
+        f = _noncentral_chi_square(base, ncp)
+        f /= base.resid
         return SufficientSummary(f=f)
 
 
@@ -541,14 +598,13 @@ class SubjectiveVarianceEquality(TestProblem):
         scale = theta * self.n1 / self.n2
         return DistSpec.fisher_f(self.n1, self.n2, scale)
 
-    def simulate_summary(self, rng, theta, size, scale2: float = 1.0):
-        # theta = var1/var2; scale2 = var2 (the nuisance slice held fixed)
+    def draw_base(self, rng, size):
         g = rng.generator
-        s1_sq = g.chisquare(self.n1, size=size)
-        s1_sq *= theta * scale2
-        s2_sq = g.chisquare(self.n2, size=size)
-        s2_sq *= scale2
-        return SufficientSummary(s1_sq=s1_sq, s2_sq=s2_sq)
+        return SufficientSummary(c1=g.chisquare(self.n1, size), c2=g.chisquare(self.n2, size))
+
+    def at(self, base, theta, scale2: float = 1.0):
+        # theta = var1/var2; scale2 = var2 (the nuisance slice held fixed)
+        return SufficientSummary(s1_sq=base.c1 * (theta * scale2), s2_sq=base.c2 * scale2)
 
 
 def subjective_t(f):

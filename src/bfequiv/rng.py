@@ -3,7 +3,8 @@
 Every Monte Carlo routine in the package takes an :class:`RngStream`.
 Identical (seed, path) pairs reproduce identical draws bit-for-bit, and
 distinct paths give statistically independent streams, so work can be
-chunked across numbered substreams with a deterministic aggregate.
+chunked across numbered substreams with a deterministic aggregate
+(`sweep`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["RngStream", "map_jobs", "tally"]
+from .problems import ROW_BLOCK
+
+__all__ = ["RngStream", "map_jobs", "sweep"]
 
 # threads that run Monte Carlo jobs; numpy's Generator releases the GIL
 # while it fills an array
@@ -46,22 +49,39 @@ class RngStream:
         return RngStream(self.seed, self.path + (stream_id,))
 
 
-def tally(count: Callable, streams: Sequence[RngStream], n_sims: int, chunk_size: int) -> list:
-    """For each stream k, the term-by-term sums of count(k, substream, size)
-    over its chunks, added in chunk order (a list term concatenates).
+def _add(sums, terms):
+    """Term-by-term sum of two tuples (a list term concatenates)."""
+    return terms if sums is None else tuple(a + b for a, b in zip(sums, terms))
 
-    Chunk i holds at most chunk_size of the n_sims draws, from
-    streams[k].substream(i); the chunks run through `map_jobs`.
+
+def sweep(draw: Callable, count: Callable, n_keys: int, rng: RngStream, n_sims: int, chunk_size: int) -> list:
+    """For each key k < n_keys, the term-by-term sums of count(k, base) over
+    n_sims draws, added in draw order (a list term concatenates).
+
+    The draws form max(2, ceil(n_sims / chunk_size)) chunks of near-equal
+    size (one if n_sims is 1), so that two threads always have work; the
+    layout depends on n_sims and chunk_size alone, never on WORKERS.
+    Chunk i draws from rng.substream(i) and is one job of `map_jobs`.
+    Inside a job, base = draw(stream, size) is drawn ROW_BLOCK rows at a
+    time, and every key counts a block before the next is drawn: all keys
+    see the same draws, and a job holds one block of them.
     """
-    jobs = [
-        (k, stream.substream(i), min(chunk_size, n_sims - done))
-        for k, stream in enumerate(streams)
-        for i, done in enumerate(range(0, n_sims, chunk_size))
-    ]
-    sums = [None] * len(streams)
-    for (k, _, _), terms in zip(jobs, map_jobs(count, jobs)):
-        sums[k] = terms if sums[k] is None else tuple(a + b for a, b in zip(sums[k], terms))
-    return sums
+    n_chunks = max(min(2, n_sims), -(-n_sims // chunk_size))
+    edges = [n_sims * i // n_chunks for i in range(n_chunks + 1)]
+
+    def job(stream, size):
+        sums = [None] * n_keys
+        for done in range(0, size, ROW_BLOCK):
+            base = draw(stream, min(ROW_BLOCK, size - done))
+            for k in range(n_keys):
+                sums[k] = _add(sums[k], count(k, base))
+        return sums
+
+    jobs = [(rng.substream(i), edges[i + 1] - edges[i]) for i in range(n_chunks)]
+    totals = [None] * n_keys
+    for sums in map_jobs(job, jobs):
+        totals = [_add(total, terms) for total, terms in zip(totals, sums)]
+    return totals
 
 
 def map_jobs(reduce: Callable, jobs: Sequence[tuple]) -> list:

@@ -518,6 +518,62 @@ def test_two_sample_t_decision_boundary(n1, n2, c):
         assert np.array_equal(classical, bayes) and np.count_nonzero(np.diff(bayes)) == 2
 
 
+# (problem.kind, problem keys, prior keys) of the closed-form routes whose
+# Monte Carlo draws are mapped across theta: the bench config and one more
+CLOSED_FORM_BOUNDARIES = {
+    "subset_selection_bench": ("subset_selection", {"problem.n": 40, "problem.p1": 2, "problem.p2": 3},
+                               {"prior.kind": "conjugate", "prior.c": 1.0}),
+    "subset_selection_golden": ("subset_selection", {"problem.n": 20, "problem.p1": 2, "problem.p2": 3},
+                                {"prior.kind": "conjugate", "prior.c": 0.5}),
+    "subset_selection_smallest": ("subset_selection", {"problem.n": 2, "problem.p1": 0, "problem.p2": 1},
+                                  {"prior.kind": "conjugate", "prior.c": 2.0}),
+    "half_normal_bench": ("one_sided_normal", {"problem.n": 4}, {"prior.kind": "half_normal", "prior.precision": 2.0}),
+    "half_normal_diffuse": ("one_sided_normal", {"problem.n": 25}, {"prior.kind": "half_normal", "prior.precision": 0.05}),
+    "two_sided_conjugate_bench": ("two_sided_normal", {"problem.n": 4}, {"prior.kind": "normal", "prior.precision": 2.0}),
+    "two_sided_conjugate_diffuse": ("two_sided_normal", {"problem.n": 25}, {"prior.kind": "normal", "prior.precision": 0.05}),
+}
+
+
+@pytest.mark.parametrize("config", sorted(CLOSED_FORM_BOUNDARIES))
+def test_closed_form_decision_boundary(config):
+    # in each tail of the region, the rules may disagree only between the
+    # first float statistic that enters the region and the first where
+    # B(summary) > lambda, and B moves across that window by at most 32
+    # eps: the window is B's own rounding (the power n/2 of the conjugate
+    # forms scales the rounding of F/(1+F) by up to 20 at n = 40), not a
+    # misplaced lambda.  The window is measured in B because B can be
+    # nearly flat at gamma: 82 floats of F move B by one ulp at
+    # (n, p1, p2) = (2, 0, 1), where gamma = 161
+    kind, keys, prior = CLOSED_FORM_BOUNDARIES[config]
+    cfg = RunConfig({"problem.kind": kind, **keys, **prior})
+    problem = build_problem(cfg)
+    pair = build_bf(problem, cfg)
+    rule = calibrate(problem, 0.05, pair.of_stat).rule
+
+    def decisions(stat):
+        s = problem.derive(SufficientSummary({problem.stat: np.asarray(stat, dtype=float)}))
+        return rule.classical(problem.decision_stat(s)), rule.bayes(pair.of_summary(s))
+
+    edges = [(1.0, rule.region.upper)]
+    if rule.region.shape == "two_tail":
+        edges.append((-1.0, -rule.region.lower))
+    for sign, edge in edges:
+        b_classical, b_bayes = (
+            float(pair.of_stat(sign * float(np.int64(bits).view(np.float64))))
+            for bits in (_first_float(lambda x: decisions([sign * x])[i][0], 4.0 * edge) for i in (0, 1))
+        )
+        assert abs(b_bayes / b_classical - 1.0) <= 32 * np.finfo(float).eps, f"sign = {sign}"
+    # no second crossing: both rules agree over three decades of the
+    # statistic around the region's edge (the conjugate B overflows to inf
+    # not far beyond)
+    upper = rule.region.upper
+    grid = upper * np.geomspace(1e-2, 1e1, 5_000)
+    if rule.region.shape == "two_tail":
+        grid = np.concatenate([-grid[::-1], grid])
+    classical, bayes = decisions(grid)
+    assert np.array_equal(classical, bayes) and np.count_nonzero(np.diff(bayes)) == len(edges)
+
+
 def test_two_sample_known_var_summary_and_statistic_routes_are_one_float():
     problem, pair = _cli_pair("two_sample_known_var", 12, 15, {"prior.kind": "conjugate", "prior.c": 1.0})
     d = RngStream(31).generator.normal(0.0, 3.0 * math.sqrt(problem.diff_var), 10_000)

@@ -563,6 +563,50 @@ def test_one_sided_alpha_at_its_floor_calibrates(tmp_path):
     assert main(["calibrate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("alpha", ["1.2e-16", "2.3e-16", "1e-9"])
+@pytest.mark.parametrize("command", ["calibrate", "power"])
+def test_two_tailed_alpha_that_breaks_the_mirror_exits_1(tmp_path, capsys, command, alpha):
+    # 1 - alpha/2 is below 1 but rounds far enough that the upper tail is
+    # not alpha/2, so B differs at the two critical values: the error
+    # names run.alpha, not the prior
+    cfg, out = write_config(tmp_path, "c.cfg", f"{TWO_SAMPLE_T_MODEL}\nrun.alpha = {alpha}\nrun.seed = 1\n"), tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}:5: run.alpha is too small: 1 - alpha/2 rounds to")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+def test_two_tailed_alpha_with_an_exact_mirror_calibrates(tmp_path):
+    # alpha/2 = 2**-53: 1 - alpha/2 is a float, so the mirror is exact
+    cfg = write_config(tmp_path, "c.cfg", f"{TWO_SAMPLE_T_MODEL}\nrun.alpha = 2.220446049250313e-16\n")
+    assert main(["calibrate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("alpha", ["2.220446049250313e-16", "1e-3"])
+def test_power_far_below_the_null_exits_0(tmp_path, alpha):
+    # the default grid reads the noncentral t CDF where scipy's nctdtr is
+    # nan (nctdtr(25, 5.16, -5.0)); its limit 0 there gives a finite curve
+    text = f"{TWO_SAMPLE_T_MODEL}\nrun.alpha = {alpha}\nrun.seed = 1\nrun.n_sims = 200\n"
+    out = tmp_path / "out"
+    assert main(["power", "--config", write_config(tmp_path, "c.cfg", text), "--out", str(out)]) == 0
+    rows = read_csv(out / "power.csv")
+    assert len(rows) == 63 and all(math.isfinite(float(r["power"])) for r in rows)
+
+
+def test_nan_exact_power_exits_4_before_the_output_directory(tmp_path, capsys, monkeypatch):
+    # the default grid is built before the output directory is made, and
+    # a power that is not a number is one error line with exit 4
+    from bfequiv.problems import TwoSampleMeansUnknownEqualVar
+
+    monkeypatch.setattr(TwoSampleMeansUnknownEqualVar, "alt_cdf", lambda self, theta, x: np.nan)
+    text = f"{TWO_SAMPLE_T_MODEL}\nrun.alpha = 0.05\nrun.seed = 1\n"
+    out = tmp_path / "out"
+    assert main(["power", "--config", write_config(tmp_path, "c.cfg", text), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: the exact power at theta = ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["calibrate", "verify", "power"])
 def test_subjective_variance_with_unequal_samples_exits_1(tmp_path, capsys, command):
     text = SUBJECTIVE_MODEL.replace("problem.n2 = 10", "problem.n2 = 11") + "\nrun.alpha = 0.05\nrun.seed = 1\n"

@@ -44,7 +44,7 @@ RUNS = {
         {},
         0,
         {
-            "verify.csv": "467755e4a3bfe543ac681a6fec60c942f48f2a44bd556dc82f3e2b5789a16964",
+            "verify.csv": "5579af6707b3a7db24f084db11b516017ad0e8b8b75ef8052e262c8d0fa2dcd6",
         },
     ),
     "power_two_sample_t": (
@@ -55,8 +55,8 @@ RUNS = {
         {},
         0,
         {
-            "power.csv": "5bb81f02f419de190631961f1f9b80aeeb994b1c1bf0b85ffea033c39d0a07a3",
-            "power.svg": "222c4fe8544285b03d0cc170d19c8bddb177677381c683ae29c4b50abe1f8072",
+            "power.csv": "6358eda6ba6416d222c2da535105b0c6268e33ba36ccd10445c71d7c774b4bd5",
+            "power.svg": "d660fe30e869b25028044738267d364b19c1a7132ff66658b78f68f5094a25a2",
         },
     ),
     "power_subset_selection": (
@@ -67,8 +67,8 @@ RUNS = {
         {},
         0,
         {
-            "power.csv": "fb7126eaa1914516ce5e645352a1626d19ba8b3e35243f68a47a3191b6375e1c",
-            "power.svg": "f0c22307fba0e6b801e88e77d151114eb349fde14ec5011434e2f13ae6b81eb2",
+            "power.csv": "216dd68327bdbd6950407c8088432576f2693528557a79308fba03b3ed5f1747",
+            "power.svg": "78f8b7117f0f356746fe9b30b1d7fc713e653ab0af034c34b51ebd25ddc5b3e7",
         },
     ),
     "calibrate_two_sample_t_data": (
@@ -87,7 +87,8 @@ RUNS = {
         },
     ),
     "power_variance_ratio": (
-        # the batch route of B: each theta's 1 500 draws span three row blocks
+        # the batch route of B: the 1 500 draws are two chunks of 750, and
+        # each chunk's block spans two of B's 512-row blocks
         "power",
         "problem.kind = variance_ratio\nproblem.n1 = 8\nproblem.n2 = 10\n"
         "prior.kind = shifted_exponential\nprior.rate = 1.0\nrun.alpha = 0.05\n"
@@ -95,8 +96,8 @@ RUNS = {
         {},
         0,
         {
-            "power.csv": "d3554859dcdd4c69b8d15c7fe22b5a1129f58dd2f908c38d6e7bfecfce0ffd6d",
-            "power.svg": "f56ae725394edb313372aea18206005426b27fe532e6447c3b757072809c86dd",
+            "power.csv": "b2c643f302aed699794ee4b35de0dc41763f3714eb6c0e681301d23be7845ba3",
+            "power.svg": "882b6ee663de4dd7d0d6a8cf033fdde50c33b283f9ad7f1ad8cfb4e1828e94d5",
         },
     ),
     "power_t_test": (
@@ -107,8 +108,8 @@ RUNS = {
         {},
         0,
         {
-            "power.csv": "ec760325e23195a7a072eee2d32fcc1bc52c235cc54f846a0c2e45487982fca3",
-            "power.svg": "47fea9c82c6c91454eb7575e4fa35479d6b791d39362bf64224b32320e9657d6",
+            "power.csv": "504b1b67a41189f6f70ae4332612d12358d3d7996cd5174824c0f78c83d43ba8",
+            "power.svg": "ec4672336c59d9acc13c903fe3fa3ec4a58950c7f22fe3b95c1f9cc1f120b5b9",
         },
     ),
     "power_regression_unknown_var": (
@@ -119,8 +120,8 @@ RUNS = {
         {},
         0,
         {
-            "power.csv": "7cd2df1ba4b1c316c7837bc58c57bb323c9c4e9a9b7f87763559ca9c66e31949",
-            "power.svg": "55b2c3140edb29b3465f51eb87ef7454b49b094eb9792d1c3d88f3daafb26883",
+            "power.csv": "1ee85aebcecba5b45bfca4fddaf46e3bd894c4ed7c03cd701d3566bc106c1913",
+            "power.svg": "cd89849d06259597564872873b930cb1a53916a7758ba2960f08f35d063a1376",
         },
     ),
     "calibrate_t_test_data": (
@@ -170,9 +171,9 @@ RUNS = {
         # 3 000 draws cannot hold the limiting size within 1.3e-3 of alpha
         1,
         {
-            "dominance.csv": "f3ac56ce48300625a38b39610f0912033a591a8b9fc5cde061786d45b595b016",
-            "dominance.svg": "dec0de36b5eb7ec84b413fe0add2859ae319adf609df97d302f02b53366c6509",
-            "dominance.txt": "f757d8504af54edd737832e97b791a5d72be0770012702d47f38e10f987c41c1",
+            "dominance.csv": "a3d2abaa7c8c4725d98949314a3559dd3fb1514a25b5baa4132efd78cfa8510a",
+            "dominance.svg": "a0b44f46f3b32eeb0fd8bb75fa918a5b37b222eece7782d8a196707d16b5b7aa",
+            "dominance.txt": "ad8c8226b37ddc583a8c970d5a28d70a5ec64de14f2ab61d389246c647dcc9ed",
         },
     ),
     "props": (
@@ -192,7 +193,7 @@ RUNS = {
         {},
         0,
         {
-            "johnson.csv": "0a28a8d14652420b04aa8656209076b53c549af874d912dc3649f26b5e9c8636",
+            "johnson.csv": "c60e3d45facdccadfd55f01de564a2d8b6adf0e960a72b336311710c588e6b1b",
             "johnson.txt": "ca366c25f8d36f3c931cbea1be615f6d074ba7a1b936d5f707a27448d8da70bf",
         },
     ),

@@ -1,9 +1,11 @@
 """The Monte Carlo loops run on threads and match a plain sequential loop.
 
-Each test forces three worker threads (more than the two the package
-uses, and than the cores of a small machine) with a short switch
-interval, then compares the threaded result with a loop over the same
-substreams written here, one chunk after another.
+Each study runs with one, two and three worker threads (three is more
+than the two the package uses, and than the cores of a small machine),
+with a short switch interval, and its result must equal a loop written
+here over the same layout: chunk after chunk from numbered substreams,
+ROW_BLOCK base draws at a time, every theta (or run) mapped from a block
+before the next block is drawn.
 """
 
 import sys
@@ -19,29 +21,36 @@ from bfequiv import rng as rng_module
 from bfequiv.calibrate import DecisionRule, calibrate, verify_equivalence
 from bfequiv.power import LIMIT_SCALE, dominance_study, johnson_comparison, mc_power
 from bfequiv.problems import (
+    ROW_BLOCK,
     OneSidedNormal,
     SubjectiveVarianceEquality,
     TwoSampleMeansUnknownEqualVar,
     normal_log_ratio,
 )
-from bfequiv.rng import RngStream, map_jobs
+from bfequiv.rng import RngStream, map_jobs, sweep
 
 
-@pytest.fixture
-def threads(monkeypatch):
-    monkeypatch.setattr(rng_module, "WORKERS", 3)
+@pytest.fixture(params=[1, 2, 3], ids=lambda w: f"{w}_threads")
+def threads(request, monkeypatch):
+    monkeypatch.setattr(rng_module, "WORKERS", request.param)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        yield
+        yield request.param
     finally:
         sys.setswitchinterval(interval)
 
 
-def sequential_chunks(problem, stream, theta, n_sims, chunk_size, **kw):
-    for piece, done in enumerate(range(0, n_sims, chunk_size)):
-        size = min(chunk_size, n_sims - done)
-        yield problem.simulate_summary(stream.substream(piece), theta, size, **kw)
+def sequential_blocks(problem, rng, n_sims, chunk_size):
+    """The base draws of a study, block after block in the package's
+    order: at least two chunks of near-equal size (one for a single draw),
+    chunk i from rng.substream(i), each drawn ROW_BLOCK rows at a time."""
+    n_chunks = max(min(2, n_sims), -(-n_sims // chunk_size))
+    for i in range(n_chunks):
+        stream = rng.substream(i)
+        size = n_sims * (i + 1) // n_chunks - n_sims * i // n_chunks
+        for done in range(0, size, ROW_BLOCK):
+            yield problem.draw_base(stream, min(ROW_BLOCK, size - done))
 
 
 def two_sample_t():
@@ -69,6 +78,27 @@ class TestMapJobs:
         assert len(started) < 200
 
 
+@pytest.mark.parametrize(
+    "n_sims, chunks",
+    [(1, 1), (2, 2), (1_000, 2), (200_000, 2), (200_001, 2), (400_001, 3), (450_000, 3)],
+)
+def test_sweep_layout(threads, n_sims, chunks):
+    # at least two chunks whatever the thread count, so two threads have
+    # work; blocks of at most ROW_BLOCK rows, every key counting each block
+    drawn = []
+
+    def draw(stream, size):
+        drawn.append((stream.path, size))
+        return size
+
+    sums = sweep(draw, lambda k, size: (size, 1), 3, RngStream(60), n_sims, 200_000)
+    assert sorted({path for path, _ in drawn}) == [(i,) for i in range(chunks)]
+    sizes = [sum(size for path, size in drawn if path == (i,)) for i in range(chunks)]
+    assert sum(sizes) == n_sims and max(sizes) - min(sizes) <= 1
+    assert max(size for _, size in drawn) <= ROW_BLOCK
+    assert sums == [(n_sims, len(drawn))] * 3
+
+
 class TestThreadedEqualsSequential:
     def test_mc_power(self, threads):
         problem, rule, of_summary = two_sample_t()
@@ -77,9 +107,9 @@ class TestThreadedEqualsSequential:
             problem, rule, RngStream(61), thetas, n_sims, of_summary, chunk_size=chunk
         )
         counts = np.zeros((len(thetas), 2), dtype=np.int64)
-        for i, th in enumerate(thetas):
-            for s in sequential_chunks(problem, RngStream(61).substream(i), th, n_sims, chunk):
-                s = problem.derive(s)
+        for base in sequential_blocks(problem, RngStream(61), n_sims, chunk):
+            for i, th in enumerate(thetas):
+                s = problem.derive(problem.at(base, th))
                 counts[i] += [
                     np.count_nonzero(rule.classical(problem.decision_stat(s))),
                     np.count_nonzero(rule.bayes(of_summary(s))),
@@ -94,38 +124,36 @@ class TestThreadedEqualsSequential:
         g = lambda t: bf.bf_one_sided_normal_halfnormal(np.asarray(t), 4, 1.0)
         rule = calibrate(p, 0.05, g).rule
         bad = DecisionRule(rule.region, rule.lam * 1.002)
-        thetas, n_sims, chunk = (None, 0.5, 1.0), 40_000, 10_000
+        thetas, n_sims, chunk = (0.0, 0.5, 1.0), 40_000, 10_000
         report = verify_equivalence(
-            p, lambda s: g(s.t), bad, RngStream(62), n_sims, thetas=thetas, chunk_size=chunk
+            p, lambda s: g(s.t), bad, RngStream(62), n_sims, thetas=(None,) + thetas[1:], chunk_size=chunk
         )
         n_reject = n_mismatch = 0
-        examples, sources = [], []
-        for j, th in enumerate(thetas):
-            th = p.theta0 if th is None else th
-            chunks = sequential_chunks(p, RngStream(62).substream(j), th, n_sims, chunk)
-            for piece, s in enumerate(chunks):
-                classical, bayes = bad.classical(s.t), bad.bayes(g(s.t))
+        examples = [[] for _ in thetas]
+        for b, base in enumerate(sequential_blocks(p, RngStream(62), n_sims, chunk)):
+            for j, th in enumerate(thetas):
+                t = p.at(base, th).t
+                classical, bayes = bad.classical(t), bad.bayes(g(t))
                 n_reject += np.count_nonzero(classical)
                 n_mismatch += np.count_nonzero(classical != bayes)
-                examples += [{"theta": th, "stat": float(x)} for x in s.t[classical != bayes]]
-                sources += [(j, piece)] * int(np.count_nonzero(classical != bayes))
+                examples[j] += [({"theta": th, "stat": float(x)}, b) for x in t[classical != bayes]]
+        # the examples run theta by theta, each in draw order
+        first = [e for per_theta in examples for e in per_theta][:5]
         assert (report.n_reject, report.n_mismatch) == (n_reject, n_mismatch)
         assert report.n_total == n_sims * len(thetas)
-        assert report.examples == examples[:5]
-        assert len(set(sources[:5])) > 1  # the five examples span chunks
+        assert report.examples == [e for e, _ in first]
+        assert len({b for _, b in first}) > 1  # the five examples span blocks
 
     def test_dominance_study(self, threads):
         p = SubjectiveVarianceEquality(n1=10, n2=10, b=2.0)
         thetas, n_sims, chunk = [1.5, 3.0], 60_000, 25_000
         rep = dominance_study(p, 0.05, thetas, RngStream(63), n_sims, chunk_size=chunk)
-        root = RngStream(63)
-        runs = [(1.0, 1.0, root.substream(0)), (1.0, LIMIT_SCALE, root.substream(1))]
-        runs += [(th, 1.0, root.substream(i + 2)) for i, th in enumerate(thetas)]
+        runs = [(1.0, 1.0), (1.0, LIMIT_SCALE)] + [(th, 1.0) for th in thetas]
         hits = np.zeros((len(runs), 2), dtype=np.int64)
         proper_only = 0
-        for k, (th, scale2, stream) in enumerate(runs):
-            for s in sequential_chunks(p, stream, th, n_sims, chunk, scale2=scale2):
-                s = p.derive(s)
+        for base in sequential_blocks(p, RngStream(63), n_sims, chunk):
+            for k, (th, scale2) in enumerate(runs):
+                s = p.derive(p.at(base, th, scale2=scale2))
                 proper = s.t_sub > (s.q + 0.5) ** 2 * (1.0 - 1.0 / rep.lam**2)
                 classical = s.t_sub > rep.gamma_t
                 hits[k] += [np.count_nonzero(proper), np.count_nonzero(classical)]
@@ -137,33 +165,37 @@ class TestThreadedEqualsSequential:
         assert rep.n_proper_only == proper_only == 0
 
     def test_johnson_comparison(self, threads):
-        thetas, n, n_sims = np.linspace(0.0, 1.2, 5), 10, 30_000
+        # 30 000 draws: two chunks of 15 000, one block each
+        thetas, n, n_sims, chunk = np.linspace(0.0, 1.2, 5), 10, 30_000, 200_000
         comp = johnson_comparison(10.0, n, thetas, rng=RngStream(64), n_sims=n_sims)
         log_lam = normal_log_ratio(comp.gamma_matched, comp.theta_star, 0.0, n)
+        p = OneSidedNormal(n)
         hits = np.zeros((len(thetas), 2), dtype=np.int64)
-        for i, th in enumerate(thetas):
-            t = RngStream(64).substream(i).generator.normal(n * th, np.sqrt(n), size=n_sims)
-            hits[i] = [
-                np.count_nonzero(normal_log_ratio(t, comp.theta_star, 0.0, n) > log_lam),
-                np.count_nonzero(t > comp.gamma_matched),
-            ]
+        for base in sequential_blocks(p, RngStream(64), n_sims, chunk):
+            for i, th in enumerate(thetas):
+                # t = n theta + sqrt(n) z, the law N(n theta, n)
+                t = base.z * np.sqrt(n) + n * th
+                hits[i] += [
+                    np.count_nonzero(normal_log_ratio(t, comp.theta_star, 0.0, n) > log_lam),
+                    np.count_nonzero(t > comp.gamma_matched),
+                ]
         assert_array_equal(comp.power_point_mass, hits[:, 0] / n_sims)
         assert_array_equal(comp.power_classical, hits[:, 1] / n_sims)
         assert comp.n_disagree == 0
 
 
 def traced_peak(monkeypatch, problem_cls, study):
-    """(tracemalloc peak of study(), number of threads that drew a chunk),
+    """(tracemalloc peak of study(), number of threads that drew a block),
     with the package's two worker threads."""
     monkeypatch.setattr(rng_module, "WORKERS", 2)
     callers = set()
-    simulate = problem_cls.simulate_summary
+    draw_base = problem_cls.draw_base
 
     def counted(self, *args, **kwargs):
         callers.add(threading.get_ident())
-        return simulate(self, *args, **kwargs)
+        return draw_base(self, *args, **kwargs)
 
-    monkeypatch.setattr(problem_cls, "simulate_summary", counted)
+    monkeypatch.setattr(problem_cls, "draw_base", counted)
     tracemalloc.start()
     try:
         study()
@@ -172,10 +204,16 @@ def traced_peak(monkeypatch, problem_cls, study):
         tracemalloc.stop()
 
 
-def test_each_thread_holds_under_two_summaries(monkeypatch):
-    # 2 theta x 400 000 two-sample draws in chunks of 200 000: a chunk holds
-    # d and pooled, drawn from their laws, plus about half an array of
-    # per-block temporaries: T and B are formed per block of ROW_BLOCK draws
+# bytes of one float array of ROW_BLOCK draws; a job measures about 9 of
+# them (base, derived fields and B's temporaries), and one float array of
+# a 200 000-draw chunk would alone be 12
+BLOCK_BYTES = ROW_BLOCK * 8
+
+
+def test_each_two_sample_job_holds_one_block(monkeypatch):
+    # 2 theta x 400 000 two-sample draws in two chunks of 200 000: a job
+    # holds one block of base draws (z, pooled) and one derived block (d,
+    # T, B and their temporaries), whatever the chunk size
     problem = TwoSampleMeansUnknownEqualVar(n1=12, n2=15)
     engine = bf.TwoSampleTBf(12, 15, 1.0)
     rule = calibrate(problem, 0.05, engine.from_t).rule
@@ -187,18 +225,16 @@ def test_each_thread_holds_under_two_summaries(monkeypatch):
             bf_of_summary=lambda s: engine(s.d, s.pooled),
         ),
     )
-    array_bytes = 200_000 * 8
-    assert peak < 3.0 * array_bytes * callers
+    assert peak < 11 * BLOCK_BYTES * callers
 
 
-def test_each_dominance_thread_holds_two_draws(monkeypatch):
-    # 4 runs x 1 000 000 draws in chunks of 500 000: a chunk holds the
-    # scaled S1^2 and S2^2; F, Q and T are formed per block
+def test_each_dominance_job_holds_one_block(monkeypatch):
+    # 4 runs x 1 000 000 draws in chunks of 500 000: a job holds one block
+    # of chi-square pairs and one derived block (S1^2, S2^2, F, Q, T)
     problem = SubjectiveVarianceEquality(n1=10, n2=10, b=2.0)
     peak, callers = traced_peak(
         monkeypatch,
         SubjectiveVarianceEquality,
         lambda: dominance_study(problem, 0.05, [1.5, 3.0], RngStream(66), 1_000_000, chunk_size=500_000),
     )
-    array_bytes = 500_000 * 8
-    assert peak < 2.5 * array_bytes * callers
+    assert peak < 11 * BLOCK_BYTES * callers

@@ -27,6 +27,12 @@ from bfequiv.problems import (
 from bfequiv.rng import RngStream
 
 
+def simulate(problem, seed, theta, size, **kw):
+    """`size` simulated summaries at theta: the standard draws of one
+    seeded stream mapped to theta."""
+    return problem.at(problem.draw_base(RngStream(seed), size), theta, **kw)
+
+
 class TestOrthonormalize:
     def test_postconditions(self):
         g = RngStream(1).generator
@@ -63,7 +69,7 @@ class TestOneSidedNormal:
 
     def test_simulated_stat_matches_law(self):
         p = OneSidedNormal(n=4, theta0=0.5)
-        s = p.simulate_summary(RngStream(3), 1.0, 100_000)
+        s = simulate(p, 3, 1.0, 100_000)
         law = p.alt_law(1.0)
         assert stats.kstest(s.t, lambda v: dist.cdf(law, v)).statistic < 0.006
 
@@ -84,7 +90,7 @@ class TestGaussianMeanUnknownVar:
 
     def test_simulated_t_is_student(self):
         p = GaussianMeanUnknownVar(n=6)
-        s = p.derive(p.simulate_summary(RngStream(4), 0.0, 100_000))
+        s = p.derive(simulate(p, 4, 0.0, 100_000))
         assert stats.kstest(s.t, lambda v: stats.t.cdf(v, 5)).statistic < 0.006
 
     def test_alt_cdf_is_noncentral_t(self):
@@ -139,7 +145,7 @@ class TestTwoSample:
 
     def test_t_statistic_scaled_student_null(self):
         p = TwoSampleMeansUnknownEqualVar(n1=5, n2=7)
-        s = p.derive(p.simulate_summary(RngStream(7), 0.0, 100_000))
+        s = p.derive(simulate(p, 7, 0.0, 100_000))
         law = p.null_law()
         assert stats.kstest(s.t, lambda v: dist.cdf(law, v)).statistic < 0.006
 
@@ -148,7 +154,7 @@ class TestTwoSample:
         # d ~ N(theta, 1/n1 + 1/n2) and pooled ~ chi-square(n - 2): the first
         # two moments of the draws lie within 5 se of the exact ones
         p, size = TwoSampleMeansUnknownEqualVar(n1=12, n2=15), 200_000
-        s = p.simulate_summary(RngStream(21), theta, size)
+        s = simulate(p, 21, theta, size)
         v, k = 1 / 12 + 1 / 15, p.n - 2
         moments = [
             (np.mean(s.d), theta, math.sqrt(v / size)),
@@ -159,20 +165,6 @@ class TestTwoSample:
         ]
         for got, exact, se in moments:
             assert abs(got - exact) < 5 * se, (got, exact, se)
-
-    @pytest.mark.parametrize("kind", ["two_sample_t", "two_sample_known_var"])
-    def test_mc_power_matches_exact_power(self, kind):
-        # on the CLI's default 21-point grid, the Monte Carlo power of the
-        # classical rule lies within 5 se of the exact power
-        cfg = RunConfig({"problem.kind": kind, "problem.n1": 12, "problem.n2": 15, "prior.kind": "conjugate"})
-        problem = build_problem(cfg)
-        pair, n_sims = build_bf(problem, cfg), 20_000
-        rule = calibrate(problem, 0.05, pair.of_stat).rule
-        thetas = _default_grid(problem, rule.region, 0.05)
-        classical, _, identical = mc_power(problem, rule, RngStream(22), thetas, n_sims, pair.of_summary)
-        exact = exact_power(problem, rule.region, thetas).power
-        assert identical
-        assert np.all(np.abs(classical.power - exact) < 5 * np.sqrt(exact * (1 - exact) / n_sims))
 
     def test_t_statistic_two_ways(self):
         # T relates to the standard two-sample t statistic by a constant
@@ -187,7 +179,7 @@ class TestTwoSample:
 class TestVarianceRatio:
     def test_null_is_scaled_f(self):
         p = VarianceRatio(n1=6, n2=11)
-        s = p.simulate_summary(RngStream(9), 1.0, 100_000)
+        s = simulate(p, 9, 1.0, 100_000)
         # F = S1^2/S2^2 ~ (5/10) F(5, 10)
         assert (
             stats.kstest(s.f * 10 / 5, lambda v: stats.f.cdf(v, 5, 10)).statistic
@@ -234,7 +226,7 @@ class TestSubsetSelection:
 
     def test_null_law_is_scaled_f(self):
         p = SubsetSelection(n=10, p1=2, p2=3)
-        s = p.simulate_summary(RngStream(10), 0.0, 100_000)
+        s = simulate(p, 10, 0.0, 100_000)
         law = p.null_law()
         assert stats.kstest(s.f, lambda v: dist.cdf(law, v)).statistic < 0.006
 
@@ -249,7 +241,7 @@ class TestSubjectiveVariance:
 
     def test_t_invariant_under_reciprocal_f(self):
         p = SubjectiveVarianceEquality(n1=5, n2=5)
-        s = p.derive(p.simulate_summary(RngStream(11), 1.0, 1000))
+        s = p.derive(simulate(p, 11, 1.0, 1000))
         t_flip = 0.25 - (1.0 / s.f) / (1.0 + 1.0 / s.f) ** 2
         assert_allclose(s.t_sub, t_flip, atol=1e-12)
 
@@ -268,3 +260,118 @@ class TestRegionShapes:
         assert RegressionUnknownVar(p=1, n=5).region_shape == "upper"
         assert VarianceRatio().region_shape == "upper"
         assert SubjectiveVarianceEquality().region_shape == "two_tail"
+
+
+# (problem, theta, keywords of `at`): theta0 and two alternatives of every
+# problem, with p = 1 (no chi-square term) and delta = 0 among them
+LAW_CASES = [
+    (p, theta, kw)
+    for p, thetas, kw in [
+        (OneSidedNormal(n=4), (0.0, 0.5, 1.5), {}),
+        (TwoSidedNormal(n=4), (0.0, -0.7, 1.2), {}),
+        (GaussianMeanUnknownVar(n=6), (0.0, 0.4, -1.0), {}),
+        (RegressionKnownVar(p=1, n=5), (0.0, 2.0, 9.0), {}),
+        (RegressionKnownVar(p=3, n=12), (0.0, 2.0, 9.0), {}),
+        (RegressionUnknownVar(p=1, n=6), (0.0, 2.0, 9.0), {}),
+        (RegressionUnknownVar(p=2, n=12), (0.0, 3.0, 12.0), {}),
+        (TwoSampleMeansKnownVar(n1=8, n2=12, tau1=1.0, tau2=2.0), (0.0, 0.5, -1.0), {}),
+        (TwoSampleMeansUnknownEqualVar(n1=12, n2=15), (0.0, 0.7, -1.5), {}),
+        (VarianceRatio(n1=6, n2=11), (1.0, 2.0, 5.0), {}),
+        (SubsetSelection(n=10, p1=2, p2=1), (0.0, 2.0, 8.0), {}),
+        (SubsetSelection(n=10, p1=2, p2=3), (0.0, 3.0, 10.0), {}),
+        (SubjectiveVarianceEquality(n1=7, n2=7), (1.0, 2.0, 0.5), {}),
+        (SubjectiveVarianceEquality(n1=7, n2=7), (1.0, 3.0), {"scale2": 1e8}),
+    ]
+    for theta in thetas
+]
+
+
+@pytest.mark.parametrize(
+    "problem, theta, kw", LAW_CASES, ids=[f"{p!r}-{th}" + (f"-{kw}" if kw else "") for p, th, kw in LAW_CASES]
+)
+def test_at_of_draw_base_has_the_exact_law(problem, theta, kw):
+    # the decision statistic of 100 000 mapped draws against the exact
+    # alternative law at theta (Kolmogorov-Smirnov)
+    s = problem.derive(problem.at(problem.draw_base(RngStream(23), 100_000), theta, **kw))
+    stat = np.asarray(problem.decision_stat(s))
+    assert stats.kstest(stat, lambda x: problem.alt_cdf(theta, x)).pvalue > 1e-4
+
+
+def test_at_leaves_the_base_unchanged():
+    # every theta reads the same base, so `at` must not write to it
+    for problem, theta, kw in LAW_CASES:
+        base = problem.draw_base(RngStream(24), 1000)
+        before = {k: v.copy() for k, v in base.items()}
+        problem.derive(problem.at(base, theta, **kw))
+        assert all(np.array_equal(base[k], before[k]) for k in before)
+
+
+# one CLI config per problem kind: (problem keys, prior keys)
+CLI_PROBLEMS = {
+    "one_sided_normal": ({"problem.n": 4}, {"prior.kind": "half_normal", "prior.precision": 2.0}),
+    "two_sided_normal": ({"problem.n": 4}, {"prior.kind": "normal", "prior.precision": 2.0}),
+    "t_test": ({"problem.n": 10}, {"prior.kind": "gaussian_scale"}),
+    "regression_known_var": ({"problem.p": 3, "problem.n": 12}, {"prior.kind": "gaussian_spherical", "prior.precision": 0.5}),
+    "regression_unknown_var": ({"problem.p": 2, "problem.n": 12}, {"prior.kind": "gaussian_spherical", "prior.precision": 0.5}),
+    "two_sample_known_var": ({"problem.n1": 12, "problem.n2": 15}, {"prior.kind": "conjugate"}),
+    "two_sample_t": ({"problem.n1": 12, "problem.n2": 15}, {"prior.kind": "conjugate"}),
+    "variance_ratio": ({"problem.n1": 8, "problem.n2": 10}, {"prior.kind": "shifted_exponential", "prior.rate": 1.0}),
+    "subset_selection": ({"problem.n": 40, "problem.p1": 2, "problem.p2": 3}, {"prior.kind": "conjugate"}),
+    "subjective_variance": ({"problem.n1": 10, "problem.n2": 10}, {"prior.kind": "gamma"}),
+}
+
+
+def cli_rule(kind):
+    """The CLI's problem, B and size-0.05 rule for `kind`."""
+    keys, prior = CLI_PROBLEMS[kind]
+    cfg = RunConfig({"problem.kind": kind, **keys, **prior})
+    problem = build_problem(cfg)
+    pair = build_bf(problem, cfg)
+    return problem, pair, calibrate(problem, 0.05, pair.of_stat).rule
+
+
+@pytest.mark.parametrize("kind", sorted(CLI_PROBLEMS))
+def test_mc_power_matches_exact_power(kind):
+    # on the CLI's default 21-point grid, the Monte Carlo power of the
+    # classical rule lies within 5 se of the exact power at every point,
+    # and the Bayes rule decides every draw the same way (but for the
+    # proper-prior subjective rule, which `dominance_study` shows is not)
+    problem, pair, rule = cli_rule(kind)
+    thetas, n_sims = _default_grid(problem, rule.region, 0.05), 20_000
+    classical, _, identical = mc_power(problem, rule, RngStream(22), thetas, n_sims, pair.of_summary)
+    exact = exact_power(problem, rule.region, thetas).power
+    assert identical == (kind != "subjective_variance")
+    assert np.all(np.abs(classical.power - exact) < 5 * np.sqrt(exact * (1 - exact) / n_sims))
+
+
+@pytest.mark.parametrize("kind", ["one_sided_normal", "variance_ratio"])
+def test_rejections_never_fall_as_theta_rises(kind):
+    # each draw's statistic is increasing in theta (t = n theta + sqrt(n) z,
+    # F = theta chi-square ratio) and every theta maps the same draws, so
+    # on a fine grid no rejection count falls, not even by noise
+    problem, pair, rule = cli_rule(kind)
+    thetas = problem.theta0 + np.linspace(0.0, 0.3, 61)
+    n_sims = 20_000
+    classical, bayes, identical = mc_power(problem, rule, RngStream(25), thetas, n_sims, pair.of_summary)
+    assert identical
+    for curve in (classical, bayes):
+        hits = np.rint(curve.power * n_sims)
+        assert np.all(np.diff(hits) >= 0) and hits[-1] > hits[0]
+
+
+@pytest.mark.parametrize(
+    "problem, theta",
+    [(TwoSampleMeansUnknownEqualVar(n1=12, n2=15), 2.0), (TwoSampleMeansUnknownEqualVar(n1=12, n2=15), -2.0),
+     (GaussianMeanUnknownVar(n=10), 2.0), (GaussianMeanUnknownVar(n=10), -2.0)],
+)
+def test_noncentral_t_alt_cdf_is_a_cdf_in_both_tails(problem, theta):
+    # scipy's nctdtr is nan at many points deep in a tail (nctdtr(25, 5.16,
+    # -5.0), which the two-sample problem reads at theta = 2); alt_cdf
+    # gives its limit there, so the CDF is finite and non-decreasing
+    x = np.linspace(-40.0, 40.0, 801)
+    cdf = problem.alt_cdf(theta, x)
+    assert np.all((cdf >= 0) & (cdf <= 1)) and np.all(np.diff(cdf) >= -1e-15)
+    # the point named above, whose CDF is about 1e-20
+    if isinstance(problem, TwoSampleMeansUnknownEqualVar) and theta > 0:
+        assert problem.alt_cdf(theta, -5.0 * problem.stat_scale) < 1e-15
+
