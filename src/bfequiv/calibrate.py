@@ -57,11 +57,6 @@ class CriticalRegion:
             if self.lower is None or not self.lower < self.upper:
                 raise ValueError("two-tailed region needs lower < upper")
 
-    @property
-    def gamma(self) -> float:
-        """The (upper) critical value."""
-        return self.upper
-
     def contains(self, stat):
         stat = np.asarray(stat, dtype=float)
         if self.shape == "upper":
@@ -210,23 +205,21 @@ def verify_equivalence(
     rng: RngStream,
     n_sims: int,
     thetas: Sequence = (None,),
-    chunk_size: int = 100_000,
 ) -> EquivalenceReport:
     """Draw summaries, apply both rules, count disagreements.
 
     thetas entries of None mean the null.  Every theta reads the same
-    draws (`rng.sweep`): chunks of them from numbered substreams, run on up
-    to two threads, so results are reproducible for a fixed (seed,
-    chunk_size) pair.
+    draws (`rng.sweep`: blocks of them from numbered substreams, run on up
+    to two threads), so results are reproducible for a fixed seed and
+    n_sims.
     """
-    null_theta = getattr(problem, "theta0", 0.0)
-    thetas = [null_theta if theta is None else theta for theta in thetas]
+    thetas = [problem.theta0 if theta is None else theta for theta in thetas]
 
     def count(j, base):
         n_reject, _, n_mismatch, stats = decide_block(problem, rule, bf_of_summary, problem.at(base, thetas[j]))
         return n_reject, n_mismatch, [{"theta": thetas[j], "stat": x} for x in stats]
 
-    sums = sweep(problem.draw_base, count, len(thetas), rng, n_sims, chunk_size)
+    sums = sweep(problem.draw_base, count, len(thetas), rng, n_sims)
     return EquivalenceReport(
         problem=type(problem).__name__,
         n_total=n_sims * len(thetas),

@@ -572,7 +572,8 @@ def _setup(args, default_grid: bool = False):
     serves all three: run = (seed, n_sims, thetas or None), where calibrate
     needs no seed; the problem and the summary of its data files (None
     without any); B; and run.alpha or run.lambda.  Then check that every
-    key was read, and only then calibrate the decision rule.  With
+    key was read, and only then calibrate the decision rule.  verify and
+    power refuse subjective_variance, whose study is dominance.  With
     default_grid, a run without run.theta_grid gets `_default_grid`.  The
     output directory is made last, so a run that fails to calibrate or to
     build its grid leaves none behind.  Returns (output directory,
@@ -582,6 +583,13 @@ def _setup(args, default_grid: bool = False):
     seed = _seed(args, cfg, None if args.command == "calibrate" else _REQUIRED)
     run = seed, cfg.get("run.n_sims", int, 100_000, ">= 1"), _theta_grid(cfg)
     problem = build_problem(cfg)
+    # the proper nuisance prior rejects on a strict subset of {T > gamma},
+    # so the two rules cannot agree draw by draw
+    if args.command in ("verify", "power") and isinstance(problem, prob.SubjectiveVarianceEquality):
+        raise ConfigError(
+            f"{cfg.where('problem.kind')} subjective_variance cannot pass {args.command}: its proper "
+            "nuisance prior rejects on a strict subset of {T > gamma}; run dominance instead"
+        )
     summary = load_observed_summary(problem, cfg)
     pair = build_bf(problem, cfg)
     alpha = _alpha(cfg, problem.region_shape)
@@ -827,12 +835,13 @@ def cmd_reproduce_sec6(args) -> int:
     out = _out_dir(args, cfg)
     _make_dir(out, args, cfg)
     # one-sample normal mean, n*xbar^2 = 10, standard-normal-slab prior with
-    # precision tau; exact marginal-ratio value vs the large-n/(n+tau)
-    # simplification that keeps only the sqrt prefactor
+    # precision tau; exact conjugate value (n = 1, t = sqrt(10), tau =
+    # 1/ratio) vs the large-n/(n+tau) simplification that keeps only the
+    # sqrt prefactor
     reference = {10_000.0: 1.5, 100.0: 14.8}
     rows = []
     for ratio in (100.0, 10_000.0):
-        b_exact = (1.0 + ratio) ** -0.5 * math.exp(5.0 * ratio / (1.0 + ratio))
+        b_exact = float(bf.bf_one_sided_normal_conjugate(math.sqrt(10.0), 1, 1.0 / ratio))
         b_approx = (1.0 + ratio) ** -0.5 * math.exp(5.0)
         rows.append([ratio, b_exact, b_approx, reference[ratio]])
     write_csv(

@@ -74,7 +74,6 @@ def mc_power(
     thetas,
     n_sims: int,
     bf_of_summary: Callable,
-    chunk_size: int = 200_000,
 ):
     """Monte Carlo power for the classical rule and the Bayes rule,
     evaluated on the same simulated summaries.
@@ -82,7 +81,7 @@ def mc_power(
     Returns (classical_curve, bayes_curve, identical) where
     identical reports whether the two decision vectors matched draw for
     draw at every theta.  Every theta maps the same standard draws
-    (`rng.sweep`: chunk i from rng.substream(i), on up to two threads), so
+    (`rng.sweep`: block i from rng.substream(i), on up to two threads), so
     each point keeps its exact marginal law and its own binomial se, while
     the points of the curve are positively correlated.
     """
@@ -92,7 +91,7 @@ def mc_power(
         return decide_block(problem, rule, bf_of_summary, problem.at(base, thetas[i]))[:3]
 
     # per theta: classical rejections, Bayes rejections, disagreements
-    hits = np.array(sweep(problem.draw_base, count, thetas.size, rng, n_sims, chunk_size))
+    hits = np.array(sweep(problem.draw_base, count, thetas.size, rng, n_sims))
     return (
         _curve(thetas, hits[:, 0] / n_sims, n_sims),
         _curve(thetas, hits[:, 1] / n_sims, n_sims),
@@ -195,7 +194,6 @@ def dominance_study(
     thetas: Sequence[float],
     rng: RngStream,
     n_sims: int,
-    chunk_size: int = 250_000,
 ) -> DominanceReport:
     """Size-matched power comparison on the variance-equality problem.
 
@@ -211,7 +209,7 @@ def dominance_study(
     two monotonicity hypotheses hold, the limiting size is within
     LIMIT_SIZE_TOL of alpha, and the subset relation holds draw by draw on
     every run.  The runs (unit-scale size, limiting size, one per theta)
-    map the same standard draws (`rng.sweep`: chunk i from
+    map the same standard draws (`rng.sweep`: block i from
     rng.substream(i), on up to two threads).
     """
     if problem.n1 != problem.n2:
@@ -238,7 +236,7 @@ def dominance_study(
             int(np.count_nonzero(proper > classical)),
         )
 
-    hits = np.array(sweep(problem.draw_base, count, len(runs), rng, n_sims, chunk_size))
+    hits = np.array(sweep(problem.draw_base, count, len(runs), rng, n_sims))
     rates = hits[:, :2] / n_sims
     size_slice, size_limit = float(rates[0, 0]), float(rates[1, 0])
     power_subjective, power_classical = rates[2:, 0], rates[2:, 1]
@@ -325,7 +323,7 @@ def johnson_comparison(
     random numbers, the point-mass rule through its own Bayes factor, and
     passes only when no draw is decided differently.  thetas None means 21
     points from 0 to where the classical power reaches 0.99.  Every theta
-    maps the same standard draws (`rng.sweep`: chunk i from
+    maps the same standard draws (`rng.sweep`: block i from
     rng.substream(i), on up to two threads).
     """
     problem = OneSidedNormal(n)
@@ -348,7 +346,7 @@ def johnson_comparison(
         return decide_block(problem, rule, lambda s: normal_log_ratio(s.t, theta_star, 0.0, n), summary)[:3]
 
     # per theta: classical rejections, point-mass rejections, disagreements
-    hits = np.array(sweep(problem.draw_base, count, thetas.size, rng, n_sims, chunk_size=200_000))
+    hits = np.array(sweep(problem.draw_base, count, thetas.size, rng, n_sims))
     power_classical, power_point_mass = hits[:, 0] / n_sims, hits[:, 1] / n_sims
     n_disagree = int(hits[:, 2].sum())
     se = np.sqrt(

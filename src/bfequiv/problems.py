@@ -10,8 +10,8 @@ rather than the raw observations).  The sampler has two halves:
 and `at` maps them to the summary at any theta through an exact law
 identity, so one block of draws serves a whole theta grid.  A simulated
 summary holds only its draws and their exact reductions; `derive` forms
-the fields built from them, per block of ROW_BLOCK draws where a Monte
-Carlo loop reads them, and for observed data in `summarize`.
+the fields built from them, per block of draws (`rng.ROW_BLOCK`) where a
+Monte Carlo loop reads them, and for observed data in `summarize`.
 """
 
 from __future__ import annotations
@@ -43,11 +43,6 @@ __all__ = [
     "SubjectiveVarianceEquality",
     "subjective_t",
 ]
-
-
-# draws per block: a Monte Carlo job draws one block of base variates at a
-# time and decides it at every theta before it draws the next
-ROW_BLOCK = 16_384
 
 
 class SufficientSummary(dict):

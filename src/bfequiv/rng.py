@@ -2,9 +2,10 @@
 
 Every Monte Carlo routine in the package takes an :class:`RngStream`.
 Identical (seed, path) pairs reproduce identical draws bit-for-bit, and
-distinct paths give statistically independent streams, so work can be
-chunked across numbered substreams with a deterministic aggregate
-(`sweep`).
+distinct paths give statistically independent streams.  `sweep` is the
+package's one Monte Carlo layout: it splits a study's draws into blocks
+of at most ROW_BLOCK rows, block i from substream i, so every result
+depends on the seed and the number of draws alone.
 """
 
 from __future__ import annotations
@@ -13,13 +14,15 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
-from .problems import ROW_BLOCK
-
 __all__ = ["RngStream", "map_jobs", "sweep"]
+
+# draws per block: one Monte Carlo job draws one block of base variates and
+# decides it at every key before it returns
+ROW_BLOCK = 16_384
 
 # threads that run Monte Carlo jobs; numpy's Generator releases the GIL
 # while it fills an array
@@ -54,47 +57,40 @@ def _add(sums, terms):
     return terms if sums is None else tuple(a + b for a, b in zip(sums, terms))
 
 
-def sweep(draw: Callable, count: Callable, n_keys: int, rng: RngStream, n_sims: int, chunk_size: int) -> list:
+def sweep(draw: Callable, count: Callable, n_keys: int, rng: RngStream, n_sims: int) -> list:
     """For each key k < n_keys, the term-by-term sums of count(k, base) over
     n_sims draws, added in draw order (a list term concatenates).
 
-    The draws form max(2, ceil(n_sims / chunk_size)) chunks of near-equal
+    The draws form max(2, ceil(n_sims / ROW_BLOCK)) blocks of near-equal
     size (one if n_sims is 1), so that two threads always have work; the
-    layout depends on n_sims and chunk_size alone, never on WORKERS.
-    Chunk i draws from rng.substream(i) and is one job of `map_jobs`.
-    Inside a job, base = draw(stream, size) is drawn ROW_BLOCK rows at a
-    time, and every key counts a block before the next is drawn: all keys
-    see the same draws, and a job holds one block of them.
+    layout depends on n_sims alone, never on WORKERS.  Block i is
+    base = draw(rng.substream(i), size), one job of `map_jobs` in which
+    every key counts it: all keys see the same draws, and a job holds one
+    block of them.
     """
-    n_chunks = max(min(2, n_sims), -(-n_sims // chunk_size))
-    edges = [n_sims * i // n_chunks for i in range(n_chunks + 1)]
+    n_blocks = max(min(2, n_sims), -(-n_sims // ROW_BLOCK))
 
-    def job(stream, size):
-        sums = [None] * n_keys
-        for done in range(0, size, ROW_BLOCK):
-            base = draw(stream, min(ROW_BLOCK, size - done))
-            for k in range(n_keys):
-                sums[k] = _add(sums[k], count(k, base))
-        return sums
+    def job(i):
+        base = draw(rng.substream(i), n_sims * (i + 1) // n_blocks - n_sims * i // n_blocks)
+        return [count(k, base) for k in range(n_keys)]
 
-    jobs = [(rng.substream(i), edges[i + 1] - edges[i]) for i in range(n_chunks)]
     totals = [None] * n_keys
-    for sums in map_jobs(job, jobs):
+    for sums in map_jobs(job, n_blocks):
         totals = [_add(total, terms) for total, terms in zip(totals, sums)]
     return totals
 
 
-def map_jobs(reduce: Callable, jobs: Sequence[tuple]) -> list:
-    """[reduce(*job) for job in jobs] on the calling thread and WORKERS - 1
+def map_jobs(job: Callable, n_jobs: int) -> list:
+    """[job(i) for i in range(n_jobs)] on the calling thread and WORKERS - 1
     helpers, each taking the next job in turn; results keep job order.
 
-    reduce shares no mutable state and returns a small result, so at most
-    WORKERS chunks are alive at once.  After a job raises, none starts.
+    job shares no mutable state and returns a small result, so at most
+    WORKERS blocks are alive at once.  After a job raises, none starts.
     """
-    if WORKERS < 2 or len(jobs) < 2:
-        return [reduce(*job) for job in jobs]
-    results = [None] * len(jobs)
-    pending = iter(range(len(jobs)))
+    if WORKERS < 2 or n_jobs < 2:
+        return [job(i) for i in range(n_jobs)]
+    results = [None] * n_jobs
+    pending = iter(range(n_jobs))
     lock = threading.Lock()
 
     def take():
@@ -104,7 +100,7 @@ def map_jobs(reduce: Callable, jobs: Sequence[tuple]) -> list:
     def work():
         try:
             while (k := take()) is not None:
-                results[k] = reduce(*jobs[k])
+                results[k] = job(k)
         except BaseException:
             with lock:
                 for _ in pending:  # no job starts after a failure

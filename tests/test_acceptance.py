@@ -149,7 +149,7 @@ class TestPriorIndependence:
         for g in engines:
             lam = calibrate(problem, 0.05, g).rule.lam
             region, implied = gamma_from_lambda(problem, g, lam)
-            gammas.append(region.gamma)
+            gammas.append(region.upper)
             assert abs(implied - 0.05) < 1e-9
         for gamma in gammas:
             assert abs(gamma - 3.289707) < 1e-6

@@ -624,6 +624,19 @@ def test_dominance_with_unequal_samples_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "power"])
+def test_subjective_variance_verify_and_power_point_to_dominance(tmp_path, capsys, command):
+    # the proper nuisance prior rejects on a strict subset of {T > gamma},
+    # so these two subcommands could never pass on this kind
+    text = SUBJECTIVE_MODEL + "\nrun.alpha = 0.05\nrun.seed = 3\nrun.n_sims = 2000\n"
+    cfg, out = write_config(tmp_path, "c.cfg", text), tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}:1: problem.kind subjective_variance cannot pass {command}")
+    assert "run dominance instead" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [["calibrate"], ["no-such-command"], ["props", "--seed", "x"], ["props", "--no-such-flag"]],

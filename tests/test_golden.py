@@ -87,8 +87,8 @@ RUNS = {
         },
     ),
     "power_variance_ratio": (
-        # the batch route of B: the 1 500 draws are two chunks of 750, and
-        # each chunk's block spans two of B's 512-row blocks
+        # the batch route of B: the 1 500 draws are two blocks of 750, and
+        # each spans two of B's 512-row blocks
         "power",
         "problem.kind = variance_ratio\nproblem.n1 = 8\nproblem.n2 = 10\n"
         "prior.kind = shifted_exponential\nprior.rate = 1.0\nrun.alpha = 0.05\n"

@@ -1,5 +1,4 @@
 import glob
-import importlib
 import math
 import os
 import random
@@ -9,7 +8,7 @@ import pytest
 from scipy import integrate as scipy_integrate
 from scipy import optimize as scipy_optimize
 
-from bfequiv import cli, integrate, priors
+from bfequiv import calibrate, cli, integrate, priors
 from bfequiv.integrate import LIMIT, QuadratureError, brentq, log_quad, minimize_bounded, quad
 from bfequiv.priors import (
     DensityPrior,
@@ -20,7 +19,6 @@ from bfequiv.priors import (
     solve_pairing,
 )
 
-calibrate = importlib.import_module("bfequiv.calibrate")  # the package exports a function of that name
 BENCH_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "configs")
 
 

@@ -3,8 +3,8 @@
 Each study runs with one, two and three worker threads (three is more
 than the two the package uses, and than the cores of a small machine),
 with a short switch interval, and its result must equal a loop written
-here over the same layout: chunk after chunk from numbered substreams,
-ROW_BLOCK base draws at a time, every theta (or run) mapped from a block
+here over the same layout: block after block of at most ROW_BLOCK base
+draws, block i from substream i, every theta (or run) mapped from a block
 before the next block is drawn.
 """
 
@@ -21,13 +21,12 @@ from bfequiv import rng as rng_module
 from bfequiv.calibrate import DecisionRule, calibrate, verify_equivalence
 from bfequiv.power import LIMIT_SCALE, dominance_study, johnson_comparison, mc_power
 from bfequiv.problems import (
-    ROW_BLOCK,
     OneSidedNormal,
     SubjectiveVarianceEquality,
     TwoSampleMeansUnknownEqualVar,
     normal_log_ratio,
 )
-from bfequiv.rng import RngStream, map_jobs, sweep
+from bfequiv.rng import ROW_BLOCK, RngStream, map_jobs, sweep
 
 
 @pytest.fixture(params=[1, 2, 3], ids=lambda w: f"{w}_threads")
@@ -41,16 +40,14 @@ def threads(request, monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def sequential_blocks(problem, rng, n_sims, chunk_size):
+def sequential_blocks(problem, rng, n_sims):
     """The base draws of a study, block after block in the package's
-    order: at least two chunks of near-equal size (one for a single draw),
-    chunk i from rng.substream(i), each drawn ROW_BLOCK rows at a time."""
-    n_chunks = max(min(2, n_sims), -(-n_sims // chunk_size))
-    for i in range(n_chunks):
-        stream = rng.substream(i)
-        size = n_sims * (i + 1) // n_chunks - n_sims * i // n_chunks
-        for done in range(0, size, ROW_BLOCK):
-            yield problem.draw_base(stream, min(ROW_BLOCK, size - done))
+    order: at least two blocks of near-equal size (one for a single draw)
+    and at most rng.ROW_BLOCK rows each, block i from rng.substream(i)."""
+    n_blocks = max(min(2, n_sims), -(-n_sims // rng_module.ROW_BLOCK))
+    for i in range(n_blocks):
+        size = n_sims * (i + 1) // n_blocks - n_sims * i // n_blocks
+        yield problem.draw_base(rng.substream(i), size)
 
 
 def two_sample_t():
@@ -62,7 +59,7 @@ def two_sample_t():
 
 class TestMapJobs:
     def test_results_in_job_order(self, threads):
-        assert map_jobs(lambda k: k * k, [(k,) for k in range(50)]) == [k * k for k in range(50)]
+        assert map_jobs(lambda k: k * k, 50) == [k * k for k in range(50)]
 
     def test_error_is_raised_and_stops_new_jobs(self, threads):
         started = []
@@ -74,40 +71,38 @@ class TestMapJobs:
             return k
 
         with pytest.raises(ZeroDivisionError, match="job 3"):
-            map_jobs(job, [(k,) for k in range(200)])
+            map_jobs(job, 200)
         assert len(started) < 200
 
 
 @pytest.mark.parametrize(
-    "n_sims, chunks",
-    [(1, 1), (2, 2), (1_000, 2), (200_000, 2), (200_001, 2), (400_001, 3), (450_000, 3)],
+    "n_sims, blocks",
+    [(1, 1), (2, 2), (1_000, 2), (2 * ROW_BLOCK, 2), (2 * ROW_BLOCK + 1, 3), (100_000, 7), (1_000_000, 62)],
 )
-def test_sweep_layout(threads, n_sims, chunks):
-    # at least two chunks whatever the thread count, so two threads have
-    # work; blocks of at most ROW_BLOCK rows, every key counting each block
+def test_sweep_layout(threads, n_sims, blocks):
+    # at least two blocks whatever the thread count, so two threads have
+    # work; block i is one draw from substream i of at most ROW_BLOCK rows,
+    # and every key counts every block, the list terms in block order
     drawn = []
 
     def draw(stream, size):
         drawn.append((stream.path, size))
-        return size
+        return stream.path[0], size
 
-    sums = sweep(draw, lambda k, size: (size, 1), 3, RngStream(60), n_sims, 200_000)
-    assert sorted({path for path, _ in drawn}) == [(i,) for i in range(chunks)]
-    sizes = [sum(size for path, size in drawn if path == (i,)) for i in range(chunks)]
-    assert sum(sizes) == n_sims and max(sizes) - min(sizes) <= 1
-    assert max(size for _, size in drawn) <= ROW_BLOCK
-    assert sums == [(n_sims, len(drawn))] * 3
+    sums = sweep(draw, lambda k, base: (base[1], 1, [base[0]]), 3, RngStream(60), n_sims)
+    assert sorted(path for path, _ in drawn) == [(i,) for i in range(blocks)]
+    sizes = [size for _, size in drawn]
+    assert sum(sizes) == n_sims and max(sizes) - min(sizes) <= 1 and max(sizes) <= ROW_BLOCK
+    assert sums == [(n_sims, blocks, list(range(blocks)))] * 3
 
 
 class TestThreadedEqualsSequential:
     def test_mc_power(self, threads):
         problem, rule, of_summary = two_sample_t()
-        thetas, n_sims, chunk = [0.0, 0.4, 1.2], 50_000, 20_000
-        classical, bayes, identical = mc_power(
-            problem, rule, RngStream(61), thetas, n_sims, of_summary, chunk_size=chunk
-        )
+        thetas, n_sims = [0.0, 0.4, 1.2], 50_000
+        classical, bayes, identical = mc_power(problem, rule, RngStream(61), thetas, n_sims, of_summary)
         counts = np.zeros((len(thetas), 2), dtype=np.int64)
-        for base in sequential_blocks(problem, RngStream(61), n_sims, chunk):
+        for base in sequential_blocks(problem, RngStream(61), n_sims):
             for i, th in enumerate(thetas):
                 s = problem.derive(problem.at(base, th))
                 counts[i] += [
@@ -118,19 +113,18 @@ class TestThreadedEqualsSequential:
         assert_array_equal(bayes.power, counts[:, 1] / n_sims)
         assert identical
 
-    def test_verify_examples_and_their_order(self, threads):
-        # a threshold 0.2 % high: a few disagreeing draws in most chunks
+    def test_verify_examples_and_their_order(self, threads, monkeypatch):
+        # a threshold 0.2 % high: a few disagreeing draws in most blocks
+        monkeypatch.setattr(rng_module, "ROW_BLOCK", 10_000)
         p = OneSidedNormal(n=4)
         g = lambda t: bf.bf_one_sided_normal_halfnormal(np.asarray(t), 4, 1.0)
         rule = calibrate(p, 0.05, g).rule
         bad = DecisionRule(rule.region, rule.lam * 1.002)
-        thetas, n_sims, chunk = (0.0, 0.5, 1.0), 40_000, 10_000
-        report = verify_equivalence(
-            p, lambda s: g(s.t), bad, RngStream(62), n_sims, thetas=(None,) + thetas[1:], chunk_size=chunk
-        )
+        thetas, n_sims = (0.0, 0.5, 1.0), 40_000
+        report = verify_equivalence(p, lambda s: g(s.t), bad, RngStream(62), n_sims, thetas=(None,) + thetas[1:])
         n_reject = n_mismatch = 0
         examples = [[] for _ in thetas]
-        for b, base in enumerate(sequential_blocks(p, RngStream(62), n_sims, chunk)):
+        for b, base in enumerate(sequential_blocks(p, RngStream(62), n_sims)):
             for j, th in enumerate(thetas):
                 t = p.at(base, th).t
                 classical, bayes = bad.classical(t), bad.bayes(g(t))
@@ -146,12 +140,12 @@ class TestThreadedEqualsSequential:
 
     def test_dominance_study(self, threads):
         p = SubjectiveVarianceEquality(n1=10, n2=10, b=2.0)
-        thetas, n_sims, chunk = [1.5, 3.0], 60_000, 25_000
-        rep = dominance_study(p, 0.05, thetas, RngStream(63), n_sims, chunk_size=chunk)
+        thetas, n_sims = [1.5, 3.0], 60_000
+        rep = dominance_study(p, 0.05, thetas, RngStream(63), n_sims)
         runs = [(1.0, 1.0), (1.0, LIMIT_SCALE)] + [(th, 1.0) for th in thetas]
         hits = np.zeros((len(runs), 2), dtype=np.int64)
         proper_only = 0
-        for base in sequential_blocks(p, RngStream(63), n_sims, chunk):
+        for base in sequential_blocks(p, RngStream(63), n_sims):
             for k, (th, scale2) in enumerate(runs):
                 s = p.derive(p.at(base, th, scale2=scale2))
                 proper = s.t_sub > (s.q + 0.5) ** 2 * (1.0 - 1.0 / rep.lam**2)
@@ -165,13 +159,13 @@ class TestThreadedEqualsSequential:
         assert rep.n_proper_only == proper_only == 0
 
     def test_johnson_comparison(self, threads):
-        # 30 000 draws: two chunks of 15 000, one block each
-        thetas, n, n_sims, chunk = np.linspace(0.0, 1.2, 5), 10, 30_000, 200_000
+        # 30 000 draws: two blocks of 15 000
+        thetas, n, n_sims = np.linspace(0.0, 1.2, 5), 10, 30_000
         comp = johnson_comparison(10.0, n, thetas, rng=RngStream(64), n_sims=n_sims)
         log_lam = normal_log_ratio(comp.gamma_matched, comp.theta_star, 0.0, n)
         p = OneSidedNormal(n)
         hits = np.zeros((len(thetas), 2), dtype=np.int64)
-        for base in sequential_blocks(p, RngStream(64), n_sims, chunk):
+        for base in sequential_blocks(p, RngStream(64), n_sims):
             for i, th in enumerate(thetas):
                 # t = n theta + sqrt(n) z, the law N(n theta, n)
                 t = base.z * np.sqrt(n) + n * th
@@ -205,15 +199,14 @@ def traced_peak(monkeypatch, problem_cls, study):
 
 
 # bytes of one float array of ROW_BLOCK draws; a job measures about 9 of
-# them (base, derived fields and B's temporaries), and one float array of
-# a 200 000-draw chunk would alone be 12
+# them (base, derived fields and B's temporaries)
 BLOCK_BYTES = ROW_BLOCK * 8
 
 
 def test_each_two_sample_job_holds_one_block(monkeypatch):
-    # 2 theta x 400 000 two-sample draws in two chunks of 200 000: a job
-    # holds one block of base draws (z, pooled) and one derived block (d,
-    # T, B and their temporaries), whatever the chunk size
+    # 2 theta x 400 000 two-sample draws in 25 blocks: a job holds one
+    # block of base draws (z, pooled) and one derived block (d, T, B and
+    # their temporaries), whatever the number of draws
     problem = TwoSampleMeansUnknownEqualVar(n1=12, n2=15)
     engine = bf.TwoSampleTBf(12, 15, 1.0)
     rule = calibrate(problem, 0.05, engine.from_t).rule
@@ -229,12 +222,24 @@ def test_each_two_sample_job_holds_one_block(monkeypatch):
 
 
 def test_each_dominance_job_holds_one_block(monkeypatch):
-    # 4 runs x 1 000 000 draws in chunks of 500 000: a job holds one block
-    # of chi-square pairs and one derived block (S1^2, S2^2, F, Q, T)
+    # 4 runs x 1 000 000 draws in 62 blocks: a job holds one block of
+    # chi-square pairs and one derived block (S1^2, S2^2, F, Q, T)
     problem = SubjectiveVarianceEquality(n1=10, n2=10, b=2.0)
     peak, callers = traced_peak(
         monkeypatch,
         SubjectiveVarianceEquality,
-        lambda: dominance_study(problem, 0.05, [1.5, 3.0], RngStream(66), 1_000_000, chunk_size=500_000),
+        lambda: dominance_study(problem, 0.05, [1.5, 3.0], RngStream(66), 1_000_000),
     )
     assert peak < 11 * BLOCK_BYTES * callers
+
+
+def test_studies_count_the_same_classical_rejections():
+    # the layout depends on the seed and n_sims alone, so three studies of
+    # the same problem, theta and draws count the same classical rejections
+    p, theta, n_sims = OneSidedNormal(n=4), 0.3, 250_000
+    g = lambda t: bf.bf_one_sided_normal_halfnormal(np.asarray(t), 4, 1.0)
+    rule = calibrate(p, 0.05, g).rule
+    report = verify_equivalence(p, lambda s: g(s.t), rule, RngStream(8), n_sims, thetas=(theta,))
+    classical, _, _ = mc_power(p, rule, RngStream(8), [theta], n_sims, lambda s: g(s.t))
+    comp = johnson_comparison(10.0, 4, [theta], rng=RngStream(8), n_sims=n_sims)
+    assert report.n_reject == classical.power[0] * n_sims == comp.power_classical[0] * n_sims == 37_155
