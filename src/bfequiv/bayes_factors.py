@@ -72,13 +72,6 @@ def _exp_b(log_b: float) -> float:
         raise NumericalIntegrityError(f"B = e^{log_b:.6g} overflows a float") from None
 
 
-def _exp_each(log_b: Callable, t):
-    """`_exp_b(log_b(t_i))` at each float t_i of t, shaped like t (0-d: a float)."""
-    t = np.asarray(t, dtype=float)
-    out = np.array([_exp_b(log_b(ti)) for ti in t.ravel().tolist()])
-    return out.reshape(t.shape) if t.shape else float(out[0])
-
-
 _LOG_2 = math.log(2.0)
 
 
@@ -95,27 +88,11 @@ def _logaddexp(x: float, y: float) -> float:
 # One-sided normal-mean Bayes factors (n unit-variance draws, t = sum(x_i))
 
 
-def bf_one_sided(prior: Prior, t, n: int, theta0: float = 0.0):
-    """B(t) = integral of the likelihood ratio against theta0 over the prior.
-
-    Monotone increasing in t for priors supported above theta0.
-    Point masses use the closed form; any other prior, whose support
-    must start at a finite point, goes through log-space quadrature,
-    which raises NumericalIntegrityError where B overflows a float.
-    """
-    if isinstance(prior, PointMass):
-        return np.exp(normal_log_ratio(t, prior.theta1, theta0, n))
-    lo, hi = prior.support
-    if not math.isfinite(lo):
-        raise ValueError("the prior's support must have a finite lower end")
-
-    def log_b(ti):
-        def log_f(th):
-            return float(normal_log_ratio(ti, th, theta0, n)) + float(prior.logpdf(th))
-
-        return log_quad(log_f, lo, hi, peak_bracket(log_f, lo, hi))
-
-    return _exp_each(log_b, t)
+def bf_one_sided(prior: PointMass, t, n: int, theta0: float = 0.0):
+    """B(t) = g(t, theta1) / g(t, theta0) for the point mass at theta1, in
+    closed form; increasing in t when theta1 > theta0.  The half-normal and
+    exponential priors have their own closed forms below."""
+    return np.exp(normal_log_ratio(t, prior.theta1, theta0, n))
 
 
 def bf_one_sided_normal_conjugate(t, n: int, tau: float):
@@ -180,7 +157,10 @@ def bf_two_sided(prior: SymmetricPaired, t, n: int):
 
         return log_quad(log_f, lo, hi, peak_bracket(log_f, lo, hi))
 
-    return _exp_each(log_b, t)
+    # B at each float of t, shaped like t (0-d: a float)
+    t = np.asarray(t, dtype=float)
+    out = np.array([_exp_b(log_b(ti)) for ti in t.ravel().tolist()])
+    return out.reshape(t.shape) if t.shape else float(out[0])
 
 
 def bf_two_sided_normal_conjugate(t, n: int, tau: float):

@@ -27,11 +27,13 @@ message that starts with the path:line of the offending key (the path
 alone when a required key is absent); other subcommands exit nonzero iff
 their verdict fails; bad or missing data files, usage errors and an
 output directory that cannot be made exit 1; a numerical failure exits 4.
+A run that fails before it writes leaves behind no directory it made.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import operator
@@ -505,12 +507,19 @@ def _out_dir(args, cfg: RunConfig) -> str:
 
 def _make_dir(out: str, args, cfg: RunConfig) -> None:
     """Make the output directory ``out``; one that cannot be made is a
-    ConfigError that names --out or the path:line of run.out."""
+    ConfigError that names --out or the path:line of run.out.  The
+    directories it makes are kept in ``args.made_dirs``, deepest first, so
+    that `main` can take them out again if the run writes nothing."""
+    made, path = [], os.path.abspath(out)
+    while not os.path.exists(path):
+        made.append(path)
+        path = os.path.dirname(path)
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
         source = "--out" if args.out else cfg.where("run.out")
         raise ConfigError(f"{source}: cannot make directory {out!r}: {exc.strerror}") from exc
+    args.made_dirs = made
 
 
 def _seed(args, cfg: RunConfig, default=_REQUIRED) -> int:
@@ -690,6 +699,9 @@ def cmd_verify(args) -> int:
         f"agreement {report.n_total - report.n_mismatch}/{report.n_total}"
         + ("" if ok else f"  ({report.n_mismatch} mismatches)")
     )
+    # the first disagreeing draws (at most MAX_EXAMPLES), theta by theta
+    for e in report.examples:
+        print(f"  mismatch at theta = {format_float(e['theta'])}: statistic {format_float(e['stat'])}")
     return EXIT_OK if ok else EXIT_ERROR
 
 
@@ -937,12 +949,19 @@ _EXIT_CODES = {
 
 
 def main(argv=None) -> int:
+    args = None
     try:
         args = build_parser().parse_args(argv)
         return args.handler(args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+    finally:
+        # a run that wrote nothing takes out the directories it made; rmdir
+        # fails on the first that is not empty, and one that existed is not listed
+        with contextlib.suppress(OSError):
+            for path in getattr(args, "made_dirs", ()):
+                os.rmdir(path)
 
 
 if __name__ == "__main__":

@@ -64,23 +64,16 @@ class PointMass(Prior):
 class DensityPrior(Prior):
     """Prior given by an unnormalized log-density on an interval.
 
-    ``log_z`` is the log of the density's integral over the support when
-    it is known; otherwise it is computed at construction by adaptive
-    quadrature, and construction fails if the density is not integrable.
+    ``log_z`` is the log of the density's integral over the support.
     ``log_density`` is also called on arrays, so it must be elementwise.
     """
 
-    def __init__(self, log_density: Callable, support: Tuple[float, float], log_z: float | None = None):
+    def __init__(self, log_density: Callable, support: Tuple[float, float], log_z: float):
         a, b = support
         if not a < b:
             raise ValueError("support must be a nonempty interval")
         self._log_density = log_density
         self.support = (a, b)
-        if log_z is None:
-            z, _ = quad(lambda x: math.exp(log_density(x)), a, b, tol=MASS_TOL)
-            if not np.isfinite(z) or z <= 0:
-                raise ValueError("density is not integrable over its support")
-            log_z = math.log(z)
         self._log_z = log_z
 
     def logpdf(self, theta):
@@ -106,14 +99,15 @@ def half_normal_prior(theta0: float, precision: float) -> DensityPrior:
     def logd(x):
         return -0.5 * precision * (x - theta0) ** 2
 
-    return DensityPrior(logd, (theta0, np.inf))
+    # half of the N(theta0, 1/precision) normaliser sqrt(2 pi / precision)
+    return DensityPrior(logd, (theta0, np.inf), log_z=0.5 * math.log(math.pi / (2.0 * precision)))
 
 
 def exponential_prior(theta0: float, rate: float) -> DensityPrior:
     """Exponential(rate) shifted to start at theta0."""
     if rate <= 0:
         raise ValueError("rate must be > 0")
-    return DensityPrior(lambda x: -rate * (x - theta0), (theta0, np.inf))
+    return DensityPrior(lambda x: -rate * (x - theta0), (theta0, np.inf), log_z=-math.log(rate))
 
 
 # ---------------------------------------------------------------------------

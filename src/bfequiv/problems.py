@@ -475,10 +475,6 @@ class VarianceRatio(TestProblem):
         if self.n1 < 2 or self.n2 < 2:
             raise ValueError("need n1, n2 >= 2")
 
-    @property
-    def n(self):
-        return self.n1 + self.n2
-
     def summarize(self, x1, x2):
         x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
         s1_sq = float(np.sum((x1 - np.mean(x1)) ** 2))

@@ -5,9 +5,9 @@ threshold identities.
 Each property draws random instances from a seeded stream, so a given
 seed yields a byte-identical transcript.  A property fails when its check
 returns a message or raises; the counterexample is then shrunk toward a
-baseline instance before reporting.  Every property on a (problem, prior)
-pair that the CLI offers gets its Bayes factor from `cli.build_bf`, so the
-catalogue certifies the route the CLI decides with.
+baseline instance before reporting.  Every property that evaluates a
+Bayes factor gets it from `cli.build_bf`, so the catalogue certifies only
+the routes the CLI decides with.
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import priors
 from . import problems as prob
-from .bayes_factors import bf_two_sided
 from .calibrate import gamma_from_alpha, gamma_from_lambda, lambda_from_gamma
 from .problems import SufficientSummary
 from .rng import RngStream
@@ -170,25 +168,6 @@ def _p02_convex_test(c):
     chord = w * f(t1) + (1 - w) * f(t2)
     if mid > chord * (1 + 1e-12):
         return f"B at interpolant {mid} exceeds chord {chord}"
-    return None
-
-
-def _p03_pair_equal_draw(rng):
-    return {
-        "tau": _u(rng, 0.3, 4.0),
-        "n": int(rng.generator.integers(1, 15)),
-        "gamma": _u(rng, 0.5, 4.0),
-    }
-
-
-def _p03_pair_equal_test(c):
-    # no CLI kind offers a paired prior, so this checks bf_two_sided itself
-    base = priors.half_normal_prior(0.0, c["tau"])
-    sym = priors.build_symmetric_class_member(0.0, base, lambda th: -th)
-    b_hi = float(bf_two_sided(sym, c["gamma"], c["n"]))
-    b_lo = float(bf_two_sided(sym, -c["gamma"], c["n"]))
-    if abs(b_hi - b_lo) > 1e-8 * max(b_hi, b_lo):
-        return f"B({c['gamma']}) = {b_hi} vs B({-c['gamma']}) = {b_lo}"
     return None
 
 
@@ -345,24 +324,6 @@ def _p11_bstar_test(c):
     return _increasing(lambda x: b_star(q, x), t, min(c["dt"], 0.2499999 - t))
 
 
-def _p12_pairing_draw(rng):
-    return {
-        "gamma": _u(rng, 0.5, 4.0),
-        "theta": _u(rng, 0.05, 4.0),
-        "n": int(rng.generator.integers(1, 10)),
-    }
-
-
-def _p12_pairing_test(c):
-    g2, th, n = c["gamma"], c["theta"], c["n"]
-    r = priors.solve_pairing(-g2, g2, th, 0.0, n)
-    # the pair's two likelihood ratios against 0, summed, at -g2 and at g2
-    lhs, rhs = (float(np.exp(prob.normal_log_ratio(t, np.array([th, r]), 0.0, n)).sum()) for t in (-g2, g2))
-    if abs(r + th) > 1e-9 * max(1.0, th) or abs(lhs - rhs) > 1e-9:
-        return f"mirror of {th} came out {r}, expected {-th}; pairing residual {lhs - rhs}"
-    return None
-
-
 def _p13_roundtrip_draw(rng):
     return {
         "n": int(rng.generator.integers(1, 20)),
@@ -458,12 +419,6 @@ def catalogue() -> list:
             {"dt": 0.1},
         ),
         PropertySpec(
-            "two_sided_equal_at_pair",
-            "paired symmetric priors give equal B at both critical values",
-            _p03_pair_equal_draw,
-            _p03_pair_equal_test,
-        ),
-        PropertySpec(
             "t_test_statistic_function",
             "the t-test Bayes factor depends on data only through t^2",
             _p04_tsq_draw,
@@ -514,12 +469,6 @@ def catalogue() -> list:
             "B*(Q,T) never exceeds its diffuse limit B*(0,T) and increases in T",
             _p11_bstar_draw,
             _p11_bstar_test,
-        ),
-        PropertySpec(
-            "pairing_solver_exact",
-            "the pairing solver returns the negation for symmetric normal pairs",
-            _p12_pairing_draw,
-            _p12_pairing_test,
         ),
         PropertySpec(
             "calibration_round_trip",

@@ -10,9 +10,19 @@ Variance ratio (`VarianceRatioBf`, F = S1^2/S2^2, n = n1 + n2):
     B(F) = int_{theta>1} theta^{n2/2} ((F+1)/(F+theta))^{n/2} dpi(theta)
 
 * point mass at theta1: the integrand at theta1;
-* shifted exponential, rate * exp(-rate (theta - 1)) on theta > 1: a
-  tanh-sinh quadrature split at the integrand's peak and at multiples of
-  its width there, so no panel steps over the peak.
+* shifted exponential, rate * exp(-rate (theta - 1)) on theta > 1:
+  `_log_quad_at_peak`.
+
+One-sided normal mean (n unit-variance draws, t = sum(x_i), theta0 = 0):
+
+    B(t) = int_{theta>0} exp(t theta - n theta^2/2) dpi(theta)
+
+* half-normal, the positive half of N(0, 1/precision), and
+  Exponential(rate): `_log_quad_at_peak`.
+
+`_log_quad_at_peak` is a tanh-sinh quadrature split at the integrand's
+peak and at multiples of its width there, so no panel steps over the
+peak.
 """
 
 import mpmath as mp
@@ -41,6 +51,37 @@ def variance_ratio_shifted_exponential_log_b(n1, n2, rate, f):
         peak = max(mp.mpf(1), (-b + mp.sqrt(b * b + 8 * rate * n2 * f)) / (4 * rate))
         curvature = half_n2 / peak**2 - half_n / (f + peak) ** 2
         width = 1 / mp.sqrt(curvature) if curvature > 0 else 1 / (rate + half_n / (f + 1))
-        points = sorted({mp.mpf(1), peak} | {peak + s * k * width for k in _SPLITS for s in (-1, 1) if peak + s * k * width > 1})
-        top = log_g(peak)
-        return top + mp.log(mp.quad(lambda th: mp.exp(log_g(th) - top), points + [mp.inf]))
+        return _log_quad_at_peak(log_g, mp.mpf(1), peak, width)
+
+
+def one_sided_half_normal_log_b(n, precision, t):
+    with mp.workdps(DPS):
+        s, t, precision = mp.mpf(n + precision), mp.mpf(t), mp.mpf(precision)
+        log_c = mp.log(2) + (mp.log(precision) - mp.log(2 * mp.pi)) / 2
+
+        def log_g(th):
+            return t * th - s * th * th / 2 + log_c
+
+        # log_g is a parabola: its peak, or its slope at theta = 0 if the
+        # peak lies below, sets the width
+        peak = max(mp.mpf(0), t / s)
+        return _log_quad_at_peak(log_g, mp.mpf(0), peak, 1 / (abs(t - s * peak) + mp.sqrt(s)))
+
+
+def one_sided_exponential_log_b(n, rate, t):
+    with mp.workdps(DPS):
+        n, t, rate = mp.mpf(n), mp.mpf(t), mp.mpf(rate)
+
+        def log_g(th):
+            return (t - rate) * th - n * th * th / 2 + mp.log(rate)
+
+        peak = max(mp.mpf(0), (t - rate) / n)
+        return _log_quad_at_peak(log_g, mp.mpf(0), peak, 1 / (abs(t - rate - n * peak) + mp.sqrt(n)))
+
+
+def _log_quad_at_peak(log_g, lo, peak, width):
+    """log int_lo^inf exp(log_g), split at the peak and at `_SPLITS`
+    multiples of the width on each side of it, and scaled by the peak."""
+    points = sorted({lo, peak} | {peak + s * k * width for k in _SPLITS for s in (-1, 1) if peak + s * k * width > lo})
+    top = log_g(peak)
+    return top + mp.log(mp.quad(lambda th: mp.exp(log_g(th) - top), points + [mp.inf]))

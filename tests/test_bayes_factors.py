@@ -4,7 +4,12 @@ import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from oracles import variance_ratio_point_mass_log_b, variance_ratio_shifted_exponential_log_b
+from oracles import (
+    one_sided_exponential_log_b,
+    one_sided_half_normal_log_b,
+    variance_ratio_point_mass_log_b,
+    variance_ratio_shifted_exponential_log_b,
+)
 from scipy import stats
 from scipy.integrate import quad as scipy_quad
 
@@ -66,22 +71,23 @@ class TestOneSidedClosedForms:
         )
         assert_allclose(closed, oracle, rtol=1e-9)
 
-    def test_generic_quadrature_path_agrees(self):
-        prior = half_normal_prior(0.0, 1.5)
-        t = np.array([0.5, 2.2, 4.0])
-        generic = bf.bf_one_sided(prior, t, n=4)
-        closed = bf.bf_one_sided_normal_halfnormal(t, 4, 1.5)
-        assert_allclose(generic, closed, rtol=1e-8)
-
-    def test_generic_path_at_strong_evidence(self):
-        # B = 1.4e142: the log-space route keeps the closed form's digits
-        generic = bf.bf_one_sided(half_normal_prior(0.0, 1.5), 60.0, n=4)
-        assert_allclose(generic, bf.bf_one_sided_normal_halfnormal(60.0, 4, 1.5), rtol=1e-10)
-
-    def test_generic_path_overflow_is_typed(self):
-        # log B = 363 636: no float holds B, and the error says so
-        with pytest.raises(bf.NumericalIntegrityError):
-            bf.bf_one_sided(half_normal_prior(0.0, 1.5), 2000.0, n=4)
+    @pytest.mark.parametrize(
+        "closed, oracle, hyper",
+        [
+            (bf.bf_one_sided_normal_halfnormal, one_sided_half_normal_log_b, 1.5),
+            (bf.bf_one_sided_normal_exponential, one_sided_exponential_log_b, 1.2),
+        ],
+        ids=["half_normal", "exponential"],
+    )
+    def test_closed_form_matches_mpmath(self, closed, oracle, hyper):
+        # at n = 4, t = -100 puts z below -37.6, the erfcx fallback of both
+        # forms, and t = 60 is strong evidence (B = 1.4e142, half-normal)
+        t = np.array([-100.0, -40.0, -5.0, 0.0, 2.2, 10.0, 60.0])
+        for n in (4, 12):
+            values = closed(t, n, hyper)
+            for ti, b in zip(t.tolist(), values.tolist()):
+                log_b = oracle(n, hyper, ti)
+                assert abs(mpmath.mpf(b) / mpmath.exp(log_b) - 1) <= 1e-10, f"n = {n}, t = {ti}"
 
     def test_monotone_in_t(self):
         t = np.linspace(-3, 6, 200)
@@ -340,13 +346,13 @@ class TestVarianceRatioBf:
         assert_allclose(engine(f), expected, rtol=1e-12)
 
     def test_density_prior_fixed_nodes_vs_adaptive(self):
-        prior = DensityPrior(lambda th: -(th - 1.0), (1.0, np.inf))
+        prior = DensityPrior(lambda th: -(th - 1.0), (1.0, np.inf), log_z=0.0)
         engine = bf.VarianceRatioBf(prior, 5, 5)
         for f in [0.5, 1.0, 4.0]:
             assert_allclose(engine(f), engine.adaptive(f), rtol=1e-9)
 
     def test_monotone_in_f(self):
-        prior = DensityPrior(lambda th: -(th - 1.0), (1.0, np.inf))
+        prior = DensityPrior(lambda th: -(th - 1.0), (1.0, np.inf), log_z=0.0)
         engine = bf.VarianceRatioBf(prior, 5, 7)
         f = np.linspace(0.05, 30.0, 200)
         vals = engine(f)
@@ -354,7 +360,7 @@ class TestVarianceRatioBf:
 
     def test_blocks_match_single_values(self):
         # 1 500 values span three row blocks of 512
-        prior = DensityPrior(lambda th: -(th - 1.0), (1.0, np.inf))
+        prior = DensityPrior(lambda th: -(th - 1.0), (1.0, np.inf), log_z=0.0)
         engine = bf.VarianceRatioBf(prior, 8, 10)
         f = np.linspace(0.01, 20.0, 1500)
         vals = engine(f)
@@ -378,14 +384,14 @@ class TestVarianceRatioBf:
 
     @pytest.mark.parametrize("n1, n2", [(8, 10), (5, 6), (61, 60)])
     def test_batch_matches_adaptive(self, n1, n2):
-        prior = DensityPrior(lambda th: -(th - 1.0), (1.0, np.inf))
+        prior = DensityPrior(lambda th: -(th - 1.0), (1.0, np.inf), log_z=0.0)
         engine = bf.VarianceRatioBf(prior, n1, n2)
         f = np.array([0.2, 0.9, 1.0, 1.7, 3.5])
         assert_allclose(engine(f), [engine.adaptive(x) for x in f], rtol=1e-12)
 
     def test_adaptive_overflow_is_typed(self):
         # log B is about 9 500 at F = 1e6 with n2 = 3000
-        prior = DensityPrior(lambda th: -(th - 1.0), (1.0, np.inf))
+        prior = DensityPrior(lambda th: -(th - 1.0), (1.0, np.inf), log_z=0.0)
         engine = bf.VarianceRatioBf(prior, 10, 3000)
         with pytest.raises(bf.NumericalIntegrityError):
             engine.adaptive(1e6)
@@ -393,7 +399,7 @@ class TestVarianceRatioBf:
     def test_batch_overflow_is_typed(self):
         # with n2 = 3000, B is past the float range from about F = 0.7 on:
         # the batch route raises instead of returning inf
-        prior = DensityPrior(lambda th: -(th - 1.0), (1.0, np.inf))
+        prior = DensityPrior(lambda th: -(th - 1.0), (1.0, np.inf), log_z=0.0)
         engine = bf.VarianceRatioBf(prior, 10, 3000)
         with pytest.raises(bf.NumericalIntegrityError):
             engine(np.array([1.0, 1e6]))
@@ -402,7 +408,7 @@ class TestVarianceRatioBf:
         # one 20 000 x 200 float64 matrix alone would be 32 MB
         import tracemalloc
 
-        prior = DensityPrior(lambda th: -(th - 1.0), (1.0, np.inf))
+        prior = DensityPrior(lambda th: -(th - 1.0), (1.0, np.inf), log_z=0.0)
         engine = bf.VarianceRatioBf(prior, 30, 30)
         f = RngStream(7).generator.f(30, 30, size=20_000)
         tracemalloc.start()

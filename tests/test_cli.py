@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 import bfequiv
 from bfequiv import bayes_factors as bf
 from bfequiv import cli, integrate
-from bfequiv.calibrate import DecisionRule
+from bfequiv.calibrate import MAX_EXAMPLES, DecisionRule
 from bfequiv.cli import RunConfig, build_bf, main
 from bfequiv.priors import ScaledSymmetricPrior, SphericalPrior, standard_normal_log_h
 from bfequiv.problems import (
@@ -769,6 +769,37 @@ run.n_sims = 20000
         cfg = write_config(tmp_path, "v.cfg", ONE_SIDED)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
 
+    def test_mismatches_name_their_draws(self, tmp_path, monkeypatch, capsys):
+        # lambda 1 % above B(gamma): draws just past gamma reject only classically
+        planted, calibrate_rule = [], cli._calibrate
+
+        def high_lambda(cfg, problem, alpha, of_stat):
+            result = calibrate_rule(cfg, problem, alpha, of_stat)
+            rule = DecisionRule(result.rule.region, 1.01 * result.rule.lam)
+            planted.append((rule, of_stat))
+            return dataclasses.replace(result, rule=rule)
+
+        monkeypatch.setattr(cli, "_calibrate", high_lambda)
+        cfg = write_config(
+            tmp_path,
+            "v.cfg",
+            "problem.kind = t_test\nproblem.n = 12\nprior.kind = gaussian_scale\n"
+            "run.alpha = 0.05\nrun.seed = 5\nrun.n_sims = 20000\n",
+        )
+        out = str(tmp_path / "out")
+        assert main(["verify", "--config", cfg, "--out", out]) == 1
+        (row,) = read_csv(os.path.join(out, "verify.csv"))
+        lines = capsys.readouterr().out.splitlines()
+        n_mismatch = int(row["n_mismatch"])
+        assert lines[0] == f"agreement {20000 - n_mismatch}/20000  ({n_mismatch} mismatches)"
+        assert len(lines) == 1 + min(n_mismatch, MAX_EXAMPLES) > 1
+        ((rule, of_stat),) = planted
+        for line in lines[1:]:
+            head, stat = line.split(": statistic ")
+            assert head == "  mismatch at theta = 0"
+            x = float(stat)
+            assert rule.classical(x) and not rule.bayes(of_stat(x)), line
+
     @pytest.mark.parametrize("command", ["verify", "power"])
     def test_zero_draws_exit_1(self, tmp_path, command, capsys):
         cfg = write_config(
@@ -776,6 +807,31 @@ run.n_sims = 20000
         )
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "run.n_sims" in capsys.readouterr().err
+
+
+# draws at theta = 30000 put B past the float range: power exits 4 after
+# it has made its output directory
+VARIANCE_RATIO_OVERFLOW = (
+    "problem.kind = variance_ratio\nproblem.n1 = 10\nproblem.n2 = 3000\nprior.kind = shifted_exponential\n"
+    "prior.rate = 1\nrun.alpha = 0.05\nrun.seed = 1\nrun.n_sims = 50\nrun.theta_grid = 0.5, 1, 30000\n"
+)
+
+
+class TestFailedRunOutputDirectory:
+    def test_directories_the_run_made_are_removed(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.cfg", VARIANCE_RATIO_OVERFLOW)
+        out = tmp_path / "made" / "out"
+        assert main(["power", "--config", cfg, "--out", str(out)]) == 4
+        assert "outside the normal float range" in capsys.readouterr().err
+        assert not (tmp_path / "made").exists()
+        assert tmp_path.is_dir()
+
+    def test_a_directory_that_existed_is_kept(self, tmp_path):
+        cfg = write_config(tmp_path, "c.cfg", VARIANCE_RATIO_OVERFLOW)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["power", "--config", cfg, "--out", str(out)]) == 4
+        assert out.is_dir() and not any(out.iterdir())
 
 
 TWO_SAMPLE_KNOWN_VAR = """
@@ -995,7 +1051,7 @@ class TestPropsCommand:
         assert failed == ["subjective_score_bounds"]
         with open(os.path.join(out, "props.txt")) as fh:
             assert "     ValueError: planted\n" in fh.read()
-        assert "14/15 properties passed" in capsys.readouterr().out
+        assert "12/13 properties passed" in capsys.readouterr().out
 
 
 class TestReproduceSection6:

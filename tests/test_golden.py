@@ -182,8 +182,8 @@ RUNS = {
         {},
         0,
         {
-            "props.csv": "8271e0741d3770b351338fc9e219d0e2ca1462eeafa29623ccc094c769fb92bf",
-            "props.txt": "df36b9a12eaa4b44cbd7b3938e97dba3f8e68b661cce36f80d965a94396531cc",
+            "props.csv": "4b2cbad00bd2eb9d48633393dd620b316c3da62a41e0e0e6b3a84bdb0f7eb725",
+            "props.txt": "d1437f8da789eb7d747801339be8178a75140b38009e63bc7127a6e1832824c2",
         },
     ),
     "johnson": (

@@ -25,7 +25,7 @@ from bfequiv.problems import normal_log_ratio
 class TestDensityPrior:
     def test_normalizes_unnormalized_density(self):
         # pass exp(-x) on (0, inf) scaled by an arbitrary constant
-        prior = DensityPrior(lambda x: 3.7 - x, (0.0, np.inf))
+        prior = DensityPrior(lambda x: 3.7 - x, (0.0, np.inf), log_z=3.7)
         xs = np.array([0.1, 0.5, 2.0])
         assert_allclose(np.exp(prior.logpdf(xs)), np.exp(-xs), rtol=1e-8)
 

@@ -1,10 +1,11 @@
 import importlib
+import sys
 
 import numpy as np
 import pytest
 
 from bfequiv import bayes_factors as bf
-from bfequiv import cli, priors
+from bfequiv import cli, integrate, priors
 from bfequiv import problems as prob
 from bfequiv.problems import SufficientSummary
 from bfequiv.properties import PropertySpec, catalogue, run_catalogue, run_property
@@ -133,8 +134,6 @@ DEFECTS = {
     "two_sided_convex": (
         lambda mp: _wrap(mp, bf, "bf_two_sided_normal_conjugate", _reciprocal), "B at interpolant"
     ),
-    # the mirror term of the paired integrand dropped
-    "two_sided_equal_at_pair": (lambda mp: mp.setattr(bf, "_logaddexp", lambda x, y: x), "B("),
     # the statistic route of the CLI's t-test pair reads t 1 % too large
     "t_test_statistic_function": (
         lambda mp: _plant_factory(
@@ -168,7 +167,6 @@ DEFECTS = {
         ),
         "B*(",
     ),
-    "pairing_solver_exact": (lambda mp: _wrap(mp, priors, "brentq", _shift_root), "mirror of"),
     "calibration_round_trip": (lambda mp: _wrap(mp, calibration, "brentq", _shift_root), "round trip"),
     "pooled_ss_decomposition": (
         lambda mp: _wrap(mp, prob.TwoSampleMeansUnknownEqualVar, "summarize", _biased_s2),
@@ -198,3 +196,33 @@ def test_planted_defect_fails_the_property(monkeypatch, name, plant, expected):
 
 def test_every_property_has_a_planted_defect():
     assert list(DEFECTS) == [s.name for s in catalogue()]
+
+
+def test_catalogue_reaches_only_config_routes(monkeypatch):
+    """No property runs adaptive quadrature, the bounded minimiser, the
+    pairing solver or a test-only B route: with each made to raise,
+    wherever the package looks it up, the whole catalogue still passes."""
+
+    def planted(name):
+        def raising(*args, **kwargs):
+            raise AssertionError(f"{name} ran")
+
+        return raising
+
+    modules = [m for name, m in sys.modules.items() if name == "bfequiv" or name.startswith("bfequiv.")]
+    for owner, name in (
+        (integrate, "quad"),
+        (integrate, "log_quad"),
+        (integrate, "minimize_bounded"),
+        (priors, "solve_pairing"),
+        (bf, "bf_two_sided"),
+    ):
+        original = getattr(owner, name)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, planted(name))
+    monkeypatch.setattr(bf.VarianceRatioBf, "adaptive", planted("VarianceRatioBf.adaptive"))
+    results, _ = run_catalogue(RngStream(7), n_trials=20)
+    assert [r.line() for r in results if not r.passed] == []
+    assert len(results) == 13
