@@ -707,9 +707,11 @@ class SubsetSelectionBf:
         self.kappa = (c / (1.0 + c)) ** (p2 / 2.0)
 
     def __call__(self, t_stat):
+        # T rounds to 1 once F passes about 9e15; B stays finite there, at
+        # its F -> inf limit kappa ((1+c)/c)^{n/2}
         t = np.asarray(t_stat, dtype=float)
-        if np.any(t < 0) or np.any(t >= 1):
-            raise ValueError("T must lie in [0, 1)")
+        if np.any(t < 0) or np.any(t > 1):
+            raise ValueError("T must lie in [0, 1]")
         return self.kappa * (1.0 - t / (1.0 + self.c)) ** (-self.n / 2.0)
 
     def from_f(self, f):

@@ -28,7 +28,7 @@ __all__ = [
     "lambda_from_gamma",
     "gamma_from_lambda",
     "EquivalenceReport",
-    "decide_block",
+    "decide",
     "verify_equivalence",
 ]
 
@@ -181,21 +181,32 @@ class EquivalenceReport:
         return 1.0 - self.n_mismatch / self.n_total if self.n_total else float("nan")
 
 
-def decide_block(problem: TestProblem, rule: DecisionRule, bf_of_summary, summary) -> tuple:
-    """(classical rejections, Bayes rejections, disagreements, statistics of
-    the first MAX_EXAMPLES disagreeing draws) on one block of simulated
-    summaries, derived (`TestProblem.derive`) before it is read."""
-    block = problem.derive(summary)
-    stat = np.asarray(problem.decision_stat(block), dtype=float)
-    classical = rule.classical(stat)
-    bayes = rule.bayes(bf_of_summary(block))
-    bad = classical != bayes
-    return (
-        int(np.count_nonzero(classical)),
-        int(np.count_nonzero(bayes)),
-        int(np.count_nonzero(bad)),
-        [float(x) for x in stat[bad][:MAX_EXAMPLES]],
-    )
+def decide(problem: TestProblem, rule: DecisionRule, bf_of_summary, thetas: Sequence, rng: RngStream,
+           n_sims: int) -> list:
+    """Per theta of thetas: (classical rejections, Bayes rejections,
+    disagreements, statistics of the first MAX_EXAMPLES disagreeing draws)
+    over n_sims draws of the problem.
+
+    Every theta reads the same draws (`rng.sweep`: blocks of them from
+    numbered substreams, run on up to two threads), each block derived
+    (`TestProblem.derive`) before it is read, so the counts are
+    reproducible for a fixed seed and n_sims.
+    """
+    def count(j, base):
+        block = problem.derive(problem.at(base, thetas[j]))
+        stat = np.asarray(problem.decision_stat(block), dtype=float)
+        classical = rule.classical(stat)
+        bayes = rule.bayes(bf_of_summary(block))
+        bad = classical != bayes
+        return (
+            int(np.count_nonzero(classical)),
+            int(np.count_nonzero(bayes)),
+            int(np.count_nonzero(bad)),
+            [float(x) for x in stat[bad][:MAX_EXAMPLES]],
+        )
+
+    sums = sweep(problem.draw_base, count, len(thetas), rng, n_sims)
+    return [(c, b, d, stats[:MAX_EXAMPLES]) for c, b, d, stats in sums]
 
 
 def verify_equivalence(
@@ -206,24 +217,17 @@ def verify_equivalence(
     n_sims: int,
     thetas: Sequence = (None,),
 ) -> EquivalenceReport:
-    """Draw summaries, apply both rules, count disagreements.
+    """Draw summaries, apply both rules, count disagreements (`decide`).
 
-    thetas entries of None mean the null.  Every theta reads the same
-    draws (`rng.sweep`: blocks of them from numbered substreams, run on up
-    to two threads), so results are reproducible for a fixed seed and
-    n_sims.
+    thetas entries of None mean the null.  The examples are the first
+    MAX_EXAMPLES disagreeing draws, theta by theta.
     """
     thetas = [problem.theta0 if theta is None else theta for theta in thetas]
-
-    def count(j, base):
-        n_reject, _, n_mismatch, stats = decide_block(problem, rule, bf_of_summary, problem.at(base, thetas[j]))
-        return n_reject, n_mismatch, [{"theta": thetas[j], "stat": x} for x in stats]
-
-    sums = sweep(problem.draw_base, count, len(thetas), rng, n_sims)
+    counts = decide(problem, rule, bf_of_summary, thetas, rng, n_sims)
     return EquivalenceReport(
         problem=type(problem).__name__,
         n_total=n_sims * len(thetas),
-        n_reject=sum(s[0] for s in sums),
-        n_mismatch=sum(s[1] for s in sums),
-        examples=[e for s in sums for e in s[2]][:MAX_EXAMPLES],
+        n_reject=sum(c[0] for c in counts),
+        n_mismatch=sum(c[2] for c in counts),
+        examples=[{"theta": th, "stat": x} for th, c in zip(thetas, counts) for x in c[3]][:MAX_EXAMPLES],
     )

@@ -177,16 +177,18 @@ _COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
 def _check(value, label: str, kind: type, bounds: str):
     """``value`` if it is of ``kind``: float (a finite number), int, str, or
     list (one finite number or a comma-separated list of them, returned as
-    a list), and meets each comparison of ``bounds`` ("> 0", ">= 1",
-    "> 0 and < 1"); else a ConfigError that starts with ``label``."""
+    a list), and meets (each entry of a list) each comparison of ``bounds``
+    ("> 0", ">= 1", "> 0 and < 1"); else a ConfigError that starts with
+    ``label``."""
     checked = [value] if kind is list and not isinstance(value, list) else value
     text, valid = _KINDS[kind]
     if not valid(checked):
         raise ConfigError(f"{label} must be {text}, got {value!r}")
     for bound in bounds.split(" and ") if bounds else ():
         op, limit = bound.split()
-        if not _COMPARE[op](checked, float(limit)):
-            raise ConfigError(f"{label} must be {bounds}, got {checked!r}")
+        for entry in checked if kind is list else [checked]:
+            if not _COMPARE[op](entry, float(limit)):
+                raise ConfigError(f"{label} must be {bounds}, got {entry!r}")
     return checked
 
 
@@ -533,8 +535,10 @@ def _seed(args, cfg: RunConfig, default=_REQUIRED) -> int:
     return default if seed is None else seed
 
 
-def _theta_grid(cfg: RunConfig, default=None):
-    grid = cfg.get("run.theta_grid", list, default)
+def _theta_grid(cfg: RunConfig, problem, default=None):
+    """run.theta_grid, else ``default``: values in the problem's
+    `theta_domain`."""
+    grid = cfg.get("run.theta_grid", list, default, problem.theta_domain)
     return None if grid is None else np.asarray(grid, dtype=float)
 
 
@@ -590,8 +594,9 @@ def _setup(args, default_grid: bool = False):
     cfg = parse_config(args.config)
     out = _out_dir(args, cfg)
     seed = _seed(args, cfg, None if args.command == "calibrate" else _REQUIRED)
-    run = seed, cfg.get("run.n_sims", int, 100_000, ">= 1"), _theta_grid(cfg)
+    n_sims = cfg.get("run.n_sims", int, 100_000, ">= 1")
     problem = build_problem(cfg)
+    run = seed, n_sims, _theta_grid(cfg, problem)
     # the proper nuisance prior rejects on a strict subset of {T > gamma},
     # so the two rules cannot agree draw by draw
     if args.command in ("verify", "power") and isinstance(problem, prob.SubjectiveVarianceEquality):
@@ -683,6 +688,12 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
+def _print_mismatches(examples) -> None:
+    """A line per disagreeing draw (at most MAX_EXAMPLES), theta by theta."""
+    for e in examples:
+        print(f"  mismatch at theta = {format_float(e['theta'])}: statistic {format_float(e['stat'])}")
+
+
 def cmd_verify(args) -> int:
     out, problem, pair, rule, _, (seed, n_sims, thetas), _ = _setup(args)
     theta_list = (None,) if thetas is None else tuple(thetas)
@@ -699,15 +710,13 @@ def cmd_verify(args) -> int:
         f"agreement {report.n_total - report.n_mismatch}/{report.n_total}"
         + ("" if ok else f"  ({report.n_mismatch} mismatches)")
     )
-    # the first disagreeing draws (at most MAX_EXAMPLES), theta by theta
-    for e in report.examples:
-        print(f"  mismatch at theta = {format_float(e['theta'])}: statistic {format_float(e['stat'])}")
+    _print_mismatches(report.examples)
     return EXIT_OK if ok else EXIT_ERROR
 
 
 def cmd_power(args) -> int:
     out, problem, pair, rule, alpha, (seed, n_sims, thetas), _ = _setup(args, default_grid=True)
-    classical, bayes, identical = mc_power(
+    classical, bayes, n_disagree, examples = mc_power(
         problem, rule, RngStream(seed), thetas, n_sims, bf_of_summary=pair.of_summary
     )
     exact = exact_power(problem, rule.region, thetas)
@@ -723,12 +732,14 @@ def cmd_power(args) -> int:
     )
     series = {"classical (MC)": classical.power, "Bayes (MC)": bayes.power, "exact": exact.power}
     write_svg_lines(os.path.join(out, "power.svg"), thetas, series, title="power")
+    ok = n_disagree == 0
     print(
         "decision vectors identical under common random numbers"
-        if identical
+        if ok
         else "WARNING: Bayes and classical decisions diverged"
     )
-    return EXIT_OK if identical else EXIT_ERROR
+    _print_mismatches(examples)
+    return EXIT_OK if ok else EXIT_ERROR
 
 
 def cmd_dominance(args) -> int:
@@ -743,7 +754,7 @@ def cmd_dominance(args) -> int:
         raise ConfigError(f"{cfg.where('prior.kind')} must be gamma for dominance")
     alpha = _alpha(cfg, problem.region_shape, 0.05)
     n_sims = cfg.get("run.n_sims", int, 1_000_000, ">= 1")
-    thetas = _theta_grid(cfg, default=[1.5, 2.0, 3.0, 5.0])
+    thetas = _theta_grid(cfg, problem, default=[1.5, 2.0, 3.0, 5.0])
     cfg.check_read("dominance")
     _make_dir(out, args, cfg)
     rep = dominance_study(problem, alpha, thetas, RngStream(seed), n_sims)
@@ -785,7 +796,7 @@ def cmd_johnson(args) -> int:
     n = cfg.get("problem.n", int, bounds=">= 1")
     alpha = _alpha(cfg, prob.OneSidedNormal.region_shape, 0.05)
     n_sims = cfg.get("run.n_sims", int, 100_000, ">= 1")
-    thetas = _theta_grid(cfg)
+    thetas = _theta_grid(cfg, prob.OneSidedNormal)
     if cfg.get("problem.kind", str) != "one_sided_normal":
         raise ConfigError(f"{cfg.where('problem.kind')} must be one_sided_normal for johnson")
     cfg.check_read("johnson")  # it builds its own point mass, so no prior.* key

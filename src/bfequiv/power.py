@@ -20,7 +20,7 @@ import numpy as np
 from scipy import special
 
 from .bayes_factors import NumericalIntegrityError, bf_subjective_variance, johnson_umpbt_threshold
-from .calibrate import CriticalRegion, DecisionRule, decide_block, gamma_from_alpha
+from .calibrate import MAX_EXAMPLES, CriticalRegion, DecisionRule, decide, gamma_from_alpha
 from .problems import (OneSidedNormal, SubjectiveVarianceEquality, TestProblem, normal_log_ratio,
                        subjective_t)
 from .rng import RngStream, sweep
@@ -76,26 +76,23 @@ def mc_power(
     bf_of_summary: Callable,
 ):
     """Monte Carlo power for the classical rule and the Bayes rule,
-    evaluated on the same simulated summaries.
+    evaluated on the same simulated summaries (`calibrate.decide`).
 
-    Returns (classical_curve, bayes_curve, identical) where
-    identical reports whether the two decision vectors matched draw for
-    draw at every theta.  Every theta maps the same standard draws
-    (`rng.sweep`: block i from rng.substream(i), on up to two threads), so
-    each point keeps its exact marginal law and its own binomial se, while
-    the points of the curve are positively correlated.
+    Returns (classical_curve, bayes_curve, n_disagree, examples):
+    n_disagree counts the draws, over every theta, on which the two rules
+    decided differently, and examples holds the first MAX_EXAMPLES of them
+    as {"theta", "stat"}, theta by theta.  Every theta maps the same
+    standard draws, so each point keeps its exact marginal law and its own
+    binomial se, while the points of the curve are positively correlated.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-
-    def count(i, base):
-        return decide_block(problem, rule, bf_of_summary, problem.at(base, thetas[i]))[:3]
-
-    # per theta: classical rejections, Bayes rejections, disagreements
-    hits = np.array(sweep(problem.draw_base, count, thetas.size, rng, n_sims))
+    counts = decide(problem, rule, bf_of_summary, thetas, rng, n_sims)
+    hits = np.array([c[:3] for c in counts])
     return (
         _curve(thetas, hits[:, 0] / n_sims, n_sims),
         _curve(thetas, hits[:, 1] / n_sims, n_sims),
-        not hits[:, 2].any(),
+        int(hits[:, 2].sum()),
+        [{"theta": th, "stat": x} for th, c in zip(thetas, counts) for x in c[3]][:MAX_EXAMPLES],
     )
 
 
@@ -321,10 +318,8 @@ def johnson_comparison(
     rule share the same rejection boundary, so they reject on the same
     datasets.  The Monte Carlo comparison evaluates both rules on common
     random numbers, the point-mass rule through its own Bayes factor, and
-    passes only when no draw is decided differently.  thetas None means 21
-    points from 0 to where the classical power reaches 0.99.  Every theta
-    maps the same standard draws (`rng.sweep`: block i from
-    rng.substream(i), on up to two threads).
+    passes only when no draw is decided differently (`mc_power`).  thetas
+    None means 21 points from 0 to where the classical power reaches 0.99.
     """
     problem = OneSidedNormal(n)
     theta_star, g_min, _ = johnson_umpbt_threshold(lam, n)
@@ -338,17 +333,10 @@ def johnson_comparison(
     # the point-mass rule {B > lam_matched}, decided through its own
     # Bayes factor in log space; lam_matched = B(gamma_matched)
     rule = DecisionRule(region, normal_log_ratio(region.upper, theta_star, 0.0, n))
-
-    def count(i, base):
-        # both rules see the same draws, so a match is pathwise, not
-        # merely statistical
-        summary = problem.at(base, thetas[i])
-        return decide_block(problem, rule, lambda s: normal_log_ratio(s.t, theta_star, 0.0, n), summary)[:3]
-
-    # per theta: classical rejections, point-mass rejections, disagreements
-    hits = np.array(sweep(problem.draw_base, count, thetas.size, rng, n_sims))
-    power_classical, power_point_mass = hits[:, 0] / n_sims, hits[:, 1] / n_sims
-    n_disagree = int(hits[:, 2].sum())
+    classical, point_mass, n_disagree, _ = mc_power(
+        problem, rule, rng, thetas, n_sims, lambda s: normal_log_ratio(s.t, theta_star, 0.0, n)
+    )
+    power_classical, power_point_mass = classical.power, point_mass.power
     se = np.sqrt(
         power_point_mass * (1 - power_point_mass) / n_sims
         + power_classical * (1 - power_classical) / n_sims

@@ -93,6 +93,9 @@ class TestProblem:
     #: "upper" (reject if stat > gamma) or "two_tail" (stat < g1 or > g2)
     region_shape = "upper"
     theta0 = 0.0
+    #: the values theta may take, in the config reader's bounds vocabulary
+    #: ("> 0", ">= 0"; "" for every finite number)
+    theta_domain = ""
     #: the summary field that holds the decision statistic
     stat = "t"
 
@@ -281,6 +284,7 @@ class RegressionKnownVar(TestProblem):
     p: int = 1
     n: int = 2
     region_shape = "upper"
+    theta_domain = ">= 0"  # the noncentrality |delta|
     stat = "t_abs"
 
     def __post_init__(self):
@@ -315,6 +319,7 @@ class RegressionUnknownVar(TestProblem):
     p: int = 1
     n: int = 2
     region_shape = "upper"
+    theta_domain = ">= 0"  # the noncentrality |delta|
     stat = "f"
 
     def __post_init__(self):
@@ -469,6 +474,7 @@ class VarianceRatio(TestProblem):
     n2: int = 2
     region_shape = "upper"
     theta0 = 1.0
+    theta_domain = "> 0"
     stat = "f"
 
     def __post_init__(self):
@@ -510,6 +516,7 @@ class SubsetSelection(TestProblem):
     p1: int = 1
     p2: int = 1
     region_shape = "upper"
+    theta_domain = ">= 0"  # the noncentrality
     stat = "f"
 
     def __post_init__(self):
@@ -566,6 +573,7 @@ class SubjectiveVarianceEquality(TestProblem):
     b: float = 2.0
     region_shape = "two_tail"
     theta0 = 1.0
+    theta_domain = "> 0"
     stat = "f"
 
     def __post_init__(self):

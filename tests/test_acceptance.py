@@ -163,7 +163,7 @@ class TestPowerCoincidence:
     def test_crn_curves_identical_everywhere(self):
         for i, (name, problem, of_stat, of_summary, grid) in enumerate(problem_catalogue()):
             rule = calibrate(problem, 0.05, of_stat).rule
-            classical, bayes, identical = mc_power(
+            classical, bayes, n_disagree, _ = mc_power(
                 problem,
                 rule,
                 RngStream(200 + i),
@@ -171,7 +171,7 @@ class TestPowerCoincidence:
                 100_000,
                 bf_of_summary=of_summary,
             )
-            assert identical, name
+            assert n_disagree == 0, name
             assert np.array_equal(classical.power, bayes.power), name
 
     def test_exact_one_sided_power_value(self):

@@ -600,6 +600,18 @@ class TestSubsetSelection:
         with pytest.raises(ValueError):
             engine(1.5)
 
+    def test_t_at_one_is_the_f_to_infinity_limit(self):
+        # T = F/(1+F) rounds to 1 once F passes about 9e15; B is finite
+        # there, kappa ((1+c)/c)^{n/2}, and the limit of B as F grows
+        n, p2, c = 10, 2, 0.5
+        engine = bf.SubsetSelectionBf(n, p2, c)
+        limit = (c / (1 + c)) ** (p2 / 2) * ((1 + c) / c) ** (n / 2)
+        assert engine.from_f(1e16) == engine(1.0)
+        assert_allclose(engine(1.0), limit, rtol=1e-14)
+        assert_allclose(engine.from_f(1e12), limit, rtol=1e-10)
+        with pytest.raises(ValueError):
+            engine(-0.1)
+
 
 class TestSubjective:
     def test_hand_algebra(self):

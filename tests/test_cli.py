@@ -250,6 +250,30 @@ run.alpha = 0.05
         assert_allclose(float(row["bayes_factor"]), expected, rtol=1e-9)
 
 
+T_TEST_N2 = "problem.kind = t_test\nproblem.n = 2\nprior.kind = gaussian_scale\nrun.alpha = 0.05\n"
+
+
+class TestTAtOne:
+    """T = n xbar^2 / sum(x^2) rounds to 1 once F passes about 9e15; B is
+    finite there (its F -> inf limit), so the run goes on."""
+
+    def test_calibrate_on_data_at_the_limit(self, tmp_path):
+        (tmp_path / "x.csv").write_text("x\n100000000\n100000000.0000000149\n")
+        cfg = write_config(tmp_path, "c.cfg", T_TEST_N2 + "problem.data = x.csv\n")
+        out = str(tmp_path / "out")
+        assert main(["calibrate", "--config", cfg, "--out", out]) == 0
+        (row,) = read_csv(os.path.join(out, "calibration.csv"))
+        # kappa ((1+c)/c)^{n/2} with n = 2, c = 1/2: sqrt(1/3) * 3
+        assert row["bayes_factor"] == "1.73205080757" and row["reject"] == "1"
+
+    def test_power_with_draws_at_the_limit(self, tmp_path):
+        text = T_TEST_N2 + "run.theta_grid = 0, 10000\nrun.n_sims = 100000\n"
+        out = str(tmp_path / "out")
+        assert main(["power", "--config", write_config(tmp_path, "c.cfg", text), "--out", out, "--seed", "7"]) == 0
+        rows = read_csv(os.path.join(out, "power.csv"))
+        assert [r["power"] for r in rows if r["method"] == "mc_bayes"][1] == "1"
+
+
 class TestBadConfigValues:
     """A bad value exits 1 with the key and its path:line, not a traceback."""
 
@@ -267,6 +291,36 @@ class TestBadConfigValues:
         )
         assert main(["calibrate", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert f"{cfg}:4: run.lambda" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, model, theta, bound",
+        [
+            ("power", "problem.kind = regression_known_var\nproblem.p = 2\nproblem.n = 10\n"
+             "prior.kind = gaussian_spherical", "0.5, -1", ">= 0"),
+            ("power", "problem.kind = subset_selection\nproblem.n = 20\nproblem.p1 = 1\nproblem.p2 = 2\n"
+             "prior.kind = conjugate", "-1", ">= 0"),
+            ("verify", "problem.kind = regression_unknown_var\nproblem.p = 2\nproblem.n = 10\n"
+             "prior.kind = gaussian_spherical", "-1", ">= 0"),
+            ("power", VARIANCE_RATIO_MODEL, "0", "> 0"),
+            ("power", VARIANCE_RATIO_MODEL, "-1", "> 0"),
+            ("dominance", SUBJECTIVE_MODEL, "-1", "> 0"),
+        ],
+        ids=["regression_known_var", "subset_selection", "regression_unknown_var", "variance_ratio_0",
+             "variance_ratio_negative", "dominance"],
+    )
+    def test_theta_outside_the_problem_domain(self, tmp_path, capsys, command, model, theta, bound):
+        text = f"{model}\nrun.alpha = 0.05\nrun.seed = 1\nrun.n_sims = 200\nrun.theta_grid = {theta}\n"
+        cfg, out = write_config(tmp_path, "c.cfg", text), tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        line = model.count("\n") + 5
+        assert err == f"error: {cfg}:{line}: run.theta_grid must be {bound}, got {theta.split(', ')[-1]}\n"
+        assert not out.exists()
+
+    def test_list_bounds_apply_to_each_entry(self):
+        assert cli._check([1.0, 0.0], "x", list, ">= 0") == [1.0, 0.0]
+        with pytest.raises(cli.ConfigError, match="x must be >= 0, got -2.0"):
+            cli._check([1.0, -2.0], "x", list, ">= 0")
 
     def test_non_numeric_theta_grid(self, tmp_path, capsys):
         cfg = write_config(
@@ -769,7 +823,8 @@ run.n_sims = 20000
         cfg = write_config(tmp_path, "v.cfg", ONE_SIDED)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
 
-    def test_mismatches_name_their_draws(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("command", ["verify", "power"])
+    def test_mismatches_name_their_draws(self, tmp_path, monkeypatch, capsys, command):
         # lambda 1 % above B(gamma): draws just past gamma reject only classically
         planted, calibrate_rule = [], cli._calibrate
 
@@ -784,15 +839,19 @@ run.n_sims = 20000
             tmp_path,
             "v.cfg",
             "problem.kind = t_test\nproblem.n = 12\nprior.kind = gaussian_scale\n"
-            "run.alpha = 0.05\nrun.seed = 5\nrun.n_sims = 20000\n",
+            "run.alpha = 0.05\nrun.seed = 5\nrun.n_sims = 20000\nrun.theta_grid = 0\n",
         )
         out = str(tmp_path / "out")
-        assert main(["verify", "--config", cfg, "--out", out]) == 1
-        (row,) = read_csv(os.path.join(out, "verify.csv"))
+        assert main([command, "--config", cfg, "--out", out]) == 1
         lines = capsys.readouterr().out.splitlines()
-        n_mismatch = int(row["n_mismatch"])
-        assert lines[0] == f"agreement {20000 - n_mismatch}/20000  ({n_mismatch} mismatches)"
-        assert len(lines) == 1 + min(n_mismatch, MAX_EXAMPLES) > 1
+        if command == "verify":
+            (row,) = read_csv(os.path.join(out, "verify.csv"))
+            n_mismatch = int(row["n_mismatch"])
+            assert lines[0] == f"agreement {20000 - n_mismatch}/20000  ({n_mismatch} mismatches)"
+            assert len(lines) == 1 + min(n_mismatch, MAX_EXAMPLES) > 1
+        else:
+            assert lines[0] == "WARNING: Bayes and classical decisions diverged"
+            assert len(lines) == 1 + MAX_EXAMPLES
         ((rule, of_stat),) = planted
         for line in lines[1:]:
             head, stat = line.split(": statistic ")

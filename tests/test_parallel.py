@@ -100,7 +100,7 @@ class TestThreadedEqualsSequential:
     def test_mc_power(self, threads):
         problem, rule, of_summary = two_sample_t()
         thetas, n_sims = [0.0, 0.4, 1.2], 50_000
-        classical, bayes, identical = mc_power(problem, rule, RngStream(61), thetas, n_sims, of_summary)
+        classical, bayes, n_disagree, _ = mc_power(problem, rule, RngStream(61), thetas, n_sims, of_summary)
         counts = np.zeros((len(thetas), 2), dtype=np.int64)
         for base in sequential_blocks(problem, RngStream(61), n_sims):
             for i, th in enumerate(thetas):
@@ -111,7 +111,7 @@ class TestThreadedEqualsSequential:
                 ]
         assert_array_equal(classical.power, counts[:, 0] / n_sims)
         assert_array_equal(bayes.power, counts[:, 1] / n_sims)
-        assert identical
+        assert n_disagree == 0
 
     def test_verify_examples_and_their_order(self, threads, monkeypatch):
         # a threshold 0.2 % high: a few disagreeing draws in most blocks
@@ -240,6 +240,6 @@ def test_studies_count_the_same_classical_rejections():
     g = lambda t: bf.bf_one_sided_normal_halfnormal(np.asarray(t), 4, 1.0)
     rule = calibrate(p, 0.05, g).rule
     report = verify_equivalence(p, lambda s: g(s.t), rule, RngStream(8), n_sims, thetas=(theta,))
-    classical, _, _ = mc_power(p, rule, RngStream(8), [theta], n_sims, lambda s: g(s.t))
+    classical, _, _, _ = mc_power(p, rule, RngStream(8), [theta], n_sims, lambda s: g(s.t))
     comp = johnson_comparison(10.0, 4, [theta], rng=RngStream(8), n_sims=n_sims)
     assert report.n_reject == classical.power[0] * n_sims == comp.power_classical[0] * n_sims == 37_155

@@ -54,7 +54,7 @@ class TestMcPower:
         g = lambda t: bf.bf_one_sided_normal_halfnormal(np.asarray(t), 4, 1.0)
         rule = calibrate(p, 0.05, g).rule
         thetas = np.linspace(0.0, 2.0, 5)
-        classical, _, _ = mc_power(p, rule, RngStream(31), thetas, 100_000, lambda s: g(s.t))
+        classical, _, _, _ = mc_power(p, rule, RngStream(31), thetas, 100_000, lambda s: g(s.t))
         exact = exact_power(p, rule.region, thetas)
         assert np.all(
             np.abs(classical.power - exact.power)
@@ -65,18 +65,18 @@ class TestMcPower:
         p = OneSidedNormal(n=4)
         g = lambda t: bf.bf_one_sided_normal_exponential(np.asarray(t), 4, 2.0)
         rule = calibrate(p, 0.05, g).rule
-        classical, bayes, identical = mc_power(
+        classical, bayes, n_disagree, _ = mc_power(
             p, rule, RngStream(32), [0.0, 0.5, 1.0], 20_000, bf_of_summary=lambda s: g(s.t)
         )
-        assert identical
+        assert n_disagree == 0
         assert_allclose(classical.power, bayes.power, rtol=0)
 
     def test_se_scaling(self):
         p = OneSidedNormal(n=4)
         g = lambda t: bf.bf_one_sided_normal_halfnormal(np.asarray(t), 4, 1.0)
         rule = calibrate(p, 0.05, g).rule
-        small, _, _ = mc_power(p, rule, RngStream(33), [0.5], 10_000, lambda s: g(s.t))
-        large, _, _ = mc_power(p, rule, RngStream(33), [0.5], 20_000, lambda s: g(s.t))
+        small, _, _, _ = mc_power(p, rule, RngStream(33), [0.5], 10_000, lambda s: g(s.t))
+        large, _, _, _ = mc_power(p, rule, RngStream(33), [0.5], 20_000, lambda s: g(s.t))
         ratio = small.se[0] / large.se[0]
         assert abs(ratio - math.sqrt(2)) < 0.05 * math.sqrt(2)
 

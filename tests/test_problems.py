@@ -338,9 +338,9 @@ def test_mc_power_matches_exact_power(kind):
     # proper-prior subjective rule, which `dominance_study` shows is not)
     problem, pair, rule = cli_rule(kind)
     thetas, n_sims = _default_grid(problem, rule.region, 0.05), 20_000
-    classical, _, identical = mc_power(problem, rule, RngStream(22), thetas, n_sims, pair.of_summary)
+    classical, _, n_disagree, _ = mc_power(problem, rule, RngStream(22), thetas, n_sims, pair.of_summary)
     exact = exact_power(problem, rule.region, thetas).power
-    assert identical == (kind != "subjective_variance")
+    assert (n_disagree == 0) == (kind != "subjective_variance")
     assert np.all(np.abs(classical.power - exact) < 5 * np.sqrt(exact * (1 - exact) / n_sims))
 
 
@@ -352,8 +352,8 @@ def test_rejections_never_fall_as_theta_rises(kind):
     problem, pair, rule = cli_rule(kind)
     thetas = problem.theta0 + np.linspace(0.0, 0.3, 61)
     n_sims = 20_000
-    classical, bayes, identical = mc_power(problem, rule, RngStream(25), thetas, n_sims, pair.of_summary)
-    assert identical
+    classical, bayes, n_disagree, _ = mc_power(problem, rule, RngStream(25), thetas, n_sims, pair.of_summary)
+    assert n_disagree == 0
     for curve in (classical, bayes):
         hits = np.rint(curve.power * n_sims)
         assert np.all(np.diff(hits) >= 0) and hits[-1] > hits[0]
