@@ -23,7 +23,7 @@ __all__ = [
     "ClassViolationError",
     "CriticalRegion",
     "DecisionRule",
-    "CalibrationResult",
+    "InfeasibleLambda",
     "gamma_from_alpha",
     "lambda_from_gamma",
     "gamma_from_lambda",
@@ -40,6 +40,11 @@ MAX_EXAMPLES = 5
 class ClassViolationError(ValueError):
     """The prior does not give equal Bayes-factor values at the two
     critical points, so no single lambda reproduces the two-tailed rule."""
+
+
+class InfeasibleLambda(Exception):
+    """B never crosses the requested lambda on the statistic range, so no
+    critical region matches it."""
 
 
 @dataclass(frozen=True)
@@ -89,13 +94,6 @@ class DecisionRule:
         return np.asarray(bf_values, dtype=float) > self.lam
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
-    rule: DecisionRule
-    alpha: float
-    lam_values: tuple  # B at each critical point (1 or 2 entries)
-
-
 def gamma_from_alpha(problem: TestProblem, alpha: float) -> CriticalRegion:
     """Equal-tailed critical region of exact size alpha for the problem."""
     if not 0 < alpha < 1:
@@ -110,41 +108,36 @@ def gamma_from_alpha(problem: TestProblem, alpha: float) -> CriticalRegion:
     )
 
 
-def lambda_from_gamma(region: CriticalRegion, bf_of_stat: Callable) -> tuple:
-    """lambda = B(gamma); for two-tailed regions B must agree at both ends.
+def lambda_from_gamma(region: CriticalRegion, bf_of_stat: Callable) -> float:
+    """lambda = B(gamma); for two-tailed regions B must agree at both ends,
+    and lambda is the mean of the two.
 
-    bf_of_stat maps the decision statistic to the Bayes factor.  Returns
-    (lam, lam_values).
+    bf_of_stat maps the decision statistic to the Bayes factor.
     """
     b_up = float(np.asarray(bf_of_stat(region.upper), dtype=float))
     if region.shape == "upper":
-        return b_up, (b_up,)
+        return b_up
     b_lo = float(np.asarray(bf_of_stat(region.lower), dtype=float))
     if abs(b_lo - b_up) > TWO_SIDED_MATCH_RTOL * max(abs(b_lo), abs(b_up)):
         raise ClassViolationError(
             f"B({region.lower:.6g}) = {b_lo:.12g} but B({region.upper:.6g}) = {b_up:.12g}; "
             "the prior is outside the calibrated two-sided class"
         )
-    lam = 0.5 * (b_lo + b_up)
-    return lam, (b_lo, b_up)
+    return 0.5 * (b_lo + b_up)
 
 
-def calibrate(
-    problem: TestProblem, alpha: float, bf_of_stat: Callable
-) -> CalibrationResult:
-    """Build the matched decision rule at size alpha."""
+def calibrate(problem: TestProblem, alpha: float, bf_of_stat: Callable) -> DecisionRule:
+    """The matched decision rule at size alpha."""
     region = gamma_from_alpha(problem, alpha)
-    lam, values = lambda_from_gamma(region, bf_of_stat)
-    return CalibrationResult(DecisionRule(region, lam), alpha, values)
+    return DecisionRule(region, lambda_from_gamma(region, bf_of_stat))
 
 
 def gamma_from_lambda(problem: TestProblem, bf_of_stat: Callable, lam: float) -> tuple:
     """Invert lambda to the critical value of a monotone one-sided test.
 
     The search runs between the null law's 1e-12 and 1 - 1e-12 quantiles.
-    Returns (region, implied_alpha).  implied_alpha is 1.0 when B exceeds
-    lambda everywhere on the bracket (always reject) and 0.0 when it
-    never does.
+    Returns (region, implied_alpha); InfeasibleLambda when B exceeds lambda
+    everywhere on the bracket (always reject) or nowhere (never reject).
     """
     if problem.region_shape != "upper":
         raise ValueError("inversion is defined for one-sided (upper) regions")
@@ -154,11 +147,9 @@ def gamma_from_lambda(problem: TestProblem, bf_of_stat: Callable, lam: float) ->
     f_lo = float(np.asarray(bf_of_stat(lo))) - lam
     f_hi = float(np.asarray(bf_of_stat(hi))) - lam
     if f_lo > 0 and f_hi > 0:
-        region = CriticalRegion("upper", None, lo)
-        return region, 1.0
+        raise InfeasibleLambda(f"lambda = {lam} is exceeded by B everywhere")
     if f_lo < 0 and f_hi < 0:
-        region = CriticalRegion("upper", None, hi)
-        return region, 0.0
+        raise InfeasibleLambda(f"lambda = {lam} is never crossed by B on the statistic range")
     gamma = brentq(lambda s: float(np.asarray(bf_of_stat(s))) - lam, lo, hi, xtol=1e-13)
     region = CriticalRegion("upper", None, float(gamma))
     return region, region.size(law)
@@ -215,14 +206,12 @@ def verify_equivalence(
     rule: DecisionRule,
     rng: RngStream,
     n_sims: int,
-    thetas: Sequence = (None,),
+    thetas: Sequence,
 ) -> EquivalenceReport:
-    """Draw summaries, apply both rules, count disagreements (`decide`).
-
-    thetas entries of None mean the null.  The examples are the first
-    MAX_EXAMPLES disagreeing draws, theta by theta.
+    """Draw summaries at each of thetas, apply both rules, count
+    disagreements (`decide`).  The examples are the first MAX_EXAMPLES
+    disagreeing draws, theta by theta.
     """
-    thetas = [problem.theta0 if theta is None else theta for theta in thetas]
     counts = decide(problem, rule, bf_of_summary, thetas, rng, n_sims)
     return EquivalenceReport(
         problem=type(problem).__name__,

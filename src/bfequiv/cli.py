@@ -11,12 +11,13 @@ Every value is checked before any work starts, by one reader,
 `RunConfig.get`: numbers are finite, counts and seeds integers (100000,
 not 1e5), file names text; run.seed >= 0, run.n_sims and run.n_trials
 >= 1, 0 < run.alpha < 1 with 1 - run.alpha (1 - run.alpha/2 when
-two-tailed) below 1, prior precisions, rates and c > 0, and for
-johnson run.lambda > 1 and problem.n >= 1.  A key that nothing reads is
-an error: after its reads, and before any calibration or draw, each
-subcommand calls `RunConfig.check_read`, which names the first key that
-no `get` looked up.  calibrate, verify and power read the same keys
-(`_setup`), so one config serves all three.
+two-tailed) below 1, prior precisions, rates and c > 0, a one-sided
+point mass above the null, and for johnson run.lambda > 1 and
+problem.n >= 1; data cells and the observed statistic are finite.  A
+key that nothing reads is an error: after its reads, and before any
+calibration or draw, each subcommand calls `RunConfig.check_read`, which
+names the first key that no `get` looked up.  calibrate, verify and
+power read the same keys (`_setup`), so one config serves all three.
 
 Exit codes: calibrate returns 0 on success, 2 when the requested Bayes
 threshold cannot be inverted to a critical region, 3 when the prior
@@ -52,6 +53,7 @@ from .calibrate import (
     TWO_SIDED_MATCH_RTOL,
     ClassViolationError,
     DecisionRule,
+    InfeasibleLambda,
     calibrate,
     gamma_from_lambda,
     verify_equivalence,
@@ -72,10 +74,6 @@ EXIT_NUMERICAL = 4
 
 class ConfigError(Exception):
     """Malformed configuration; message carries the offending line number."""
-
-
-class InfeasibleLambda(Exception):
-    pass
 
 
 _REQUIRED = object()  # the default of a key that must be set
@@ -212,7 +210,10 @@ def _stat_pair(problem: prob.TestProblem, g: Callable) -> BfPair:
 
 
 def _point_mass(problem, get):
-    prior, n, theta0 = PointMass(get("prior.theta1")), problem.n, problem.theta0
+    # a one-sided B is increasing in the statistic only for a point mass
+    # above the null; the two-sided class check judges the other case
+    bounds = f"> {problem.theta0!r}" if problem.region_shape == "upper" else ""
+    prior, n, theta0 = PointMass(get("prior.theta1", bounds=bounds)), problem.n, problem.theta0
     return _stat_pair(problem, lambda t: bf.bf_one_sided(prior, t, n, theta0))
 
 
@@ -233,11 +234,11 @@ def _shifted_normal_mean(closed_form: str, hyper: str):
 def _t_test_gaussian(problem, get):
     # The N(0, sigma^2) prior on the mean is Zellner's g-prior with g = n,
     # so B is the subset-selection form with p2 = 1 and c = 1/n at
-    # T = n xbar^2 / sum(x^2) = t^2 / ((n-1) + t^2).
+    # T = n xbar^2 / sum(x^2), which is F/(1+F) at F = t^2 / (n-1).
     n = problem.n
     engine = bf.SubsetSelectionBf(n, 1, 1.0 / n)
     return BfPair(
-        lambda t: engine(np.square(t) / ((n - 1) + np.square(t))),
+        lambda t: engine.from_f(np.square(t) / (n - 1)),
         lambda s: engine(n * s.xbar**2 / s.sum_sq),
     )
 
@@ -284,7 +285,7 @@ def _variance_ratio(problem, prior, remedy: str) -> BfPair:
 
 
 def _variance_ratio_point_mass(problem, get):
-    prior = PointMass(get("prior.theta1"))
+    prior = PointMass(get("prior.theta1", bounds="> 1"))  # B is constant at theta1 = 1
     return _variance_ratio(problem, prior, "lower problem.n2 or prior.theta1")
 
 
@@ -312,7 +313,8 @@ class DataError(Exception):
 
 
 def load_columns(path: str, base_dir: str) -> dict:
-    """Columns of a CSV data file (header row, one column per variable)."""
+    """Columns of a CSV data file (header row, one column per variable),
+    every cell a finite number."""
     full = path if os.path.isabs(path) else os.path.join(base_dir, path)
     if not os.path.exists(full):
         raise DataError(f"data file not found: {full}")
@@ -326,9 +328,12 @@ def load_columns(path: str, base_dir: str) -> dict:
     cols = {}
     for j, name in enumerate(header):
         try:
-            cols[name.strip()] = np.array([float(r[j]) for r in rows])
+            values = [float(r[j]) for r in rows]
         except (ValueError, IndexError) as exc:
             raise DataError(f"bad value in column {name!r} of {full}: {exc}") from exc
+        if not all(map(math.isfinite, values)):
+            raise DataError(f"column {name!r} of {full} holds a value that is not finite")
+        cols[name.strip()] = np.array(values)
     return cols
 
 
@@ -471,9 +476,10 @@ _ROWS = {"data": "n", "data1": "n1", "data2": "n2"}
 def load_observed_summary(problem: prob.TestProblem, cfg: RunConfig):
     """The sufficient summary of the data files that the config's problem.*
     keys name, or None when they name none (naming one requires them all).
-    Each file must hold as many rows as its declared size (`_ROWS`).  A file
-    that fails, or data that ``summarize`` rejects, raises a DataError that
-    starts with the path:line of the data key."""
+    Each file must hold as many rows as its declared size (`_ROWS`), and the
+    decision statistic of the summary must be finite.  A file that fails,
+    or data that ``summarize`` rejects, raises a DataError that starts with
+    the path:line of the data key."""
     files = KINDS[_KIND_OF[type(problem)]].data
     if not any(f"problem.{key}" in cfg.values for key in files):
         return None
@@ -490,7 +496,13 @@ def load_observed_summary(problem: prob.TestProblem, cfg: RunConfig):
                     raise DataError(f"{path} has {len(col)} rows, not problem.{_ROWS[key]} = {size}")
                 columns.append(col)
         where = cfg.where(f"problem.{next(iter(files))}")
-        return problem.summarize(*columns)
+        # finite cells can still overflow the sums; the check below names that
+        with np.errstate(over="ignore", invalid="ignore"):
+            summary = problem.summarize(*columns)
+            stat = problem.decision_stat(summary)
+        if not math.isfinite(stat):
+            raise DataError(f"the decision statistic of the data is {float(stat)}, not a finite number")
+        return summary
     except (DataError, ValueError, np.linalg.LinAlgError) as exc:
         raise DataError(f"{where}: {exc}") from exc
 
@@ -617,16 +629,9 @@ def _setup(args, default_grid: bool = False):
         )
     cfg.check_read(args.command)
     if alpha is not None:
-        result = _calibrate(cfg, problem, alpha, pair.of_stat)
-        rule, size = result.rule, result.alpha
+        rule, size = _calibrate(cfg, problem, alpha, pair.of_stat), alpha
     else:
         region, size = gamma_from_lambda(problem, pair.of_stat, lam)
-        if size in (0.0, 1.0):
-            raise InfeasibleLambda(
-                f"lambda = {lam} is never crossed by B on the statistic range"
-                if size == 0.0
-                else f"lambda = {lam} is exceeded by B everywhere"
-            )
         rule = DecisionRule(region, lam)
     if default_grid and run[2] is None:
         run = seed, run[1], _default_grid(problem, rule.region, size)
@@ -643,16 +648,19 @@ def _write_fields(path: str, values: dict) -> None:
 
 
 def _default_grid(problem, region, alpha):
-    """21 equally spaced thetas covering classical power 0.05 -> 0.99."""
+    """21 equally spaced thetas from classical power max(alpha, 0.05) to
+    0.99, or to theta0 + 1024 where 0.99 is out of reach."""
     def power_at(th):
-        return float(exact_power(problem, region, [th]).power[0])
+        return float(exact_power(problem, region, [th])[0])
 
     theta0 = problem.theta0
-    hi = theta0 + 1.0
-    while power_at(hi) < 0.99 and hi < theta0 + 1e3:
-        hi = theta0 + (hi - theta0) * 2.0
     lo_target, hi_target = max(alpha, 0.05), 0.99
-    th_hi = brentq(lambda th: power_at(th) - hi_target, theta0, hi)
+    hi = theta0 + 1.0
+    while (power_hi := power_at(hi)) < hi_target and hi < theta0 + 1e3:
+        hi = theta0 + (hi - theta0) * 2.0
+    # with few degrees of freedom the power can stay below 0.99 out to the
+    # cap (0.76 at theta0 + 1024 for variance_ratio, n1 = n2 = 2)
+    th_hi = hi if power_hi < hi_target else brentq(lambda th: power_at(th) - hi_target, theta0, hi)
     try:
         th_lo = brentq(lambda th: power_at(th) - lo_target, theta0, th_hi)
     except ValueError:
@@ -696,10 +704,8 @@ def _print_mismatches(examples) -> None:
 
 def cmd_verify(args) -> int:
     out, problem, pair, rule, _, (seed, n_sims, thetas), _ = _setup(args)
-    theta_list = (None,) if thetas is None else tuple(thetas)
-    report = verify_equivalence(
-        problem, pair.of_summary, rule, RngStream(seed), n_sims, thetas=theta_list
-    )
+    theta_list = (problem.theta0,) if thetas is None else tuple(thetas)
+    report = verify_equivalence(problem, pair.of_summary, rule, RngStream(seed), n_sims, theta_list)
     write_csv(
         os.path.join(out, "verify.csv"),
         ["problem", "n_total", "n_reject", "n_mismatch", "agreement"],
@@ -720,7 +726,7 @@ def cmd_power(args) -> int:
         problem, rule, RngStream(seed), thetas, n_sims, bf_of_summary=pair.of_summary
     )
     exact = exact_power(problem, rule.region, thetas)
-    rows = [[th, pw, 0.0, "exact", alpha, 0] for th, pw in zip(exact.thetas, exact.power)]
+    rows = [[th, pw, 0.0, "exact", alpha, 0] for th, pw in zip(classical.thetas, exact)]
     for th, pw, se in zip(classical.thetas, classical.power, classical.se):
         rows.append([th, pw, se, "mc_classical", alpha, n_sims])
     for th, pw, se in zip(bayes.thetas, bayes.power, bayes.se):
@@ -730,7 +736,7 @@ def cmd_power(args) -> int:
         ["theta", "power", "se", "method", "alpha", "N"],
         rows,
     )
-    series = {"classical (MC)": classical.power, "Bayes (MC)": bayes.power, "exact": exact.power}
+    series = {"classical (MC)": classical.power, "Bayes (MC)": bayes.power, "exact": exact}
     write_svg_lines(os.path.join(out, "power.svg"), thetas, series, title="power")
     ok = n_disagree == 0
     print(

@@ -41,30 +41,27 @@ __all__ = [
 class PowerCurve:
     thetas: np.ndarray
     power: np.ndarray
-    # zeros for exact curves; a Monte Carlo point's own binomial se.  The
-    # points of one curve share their draws, so their errors are
-    # positively correlated: neighbouring points err together, and the
-    # curve is smoother than independent points would make it
+    # each Monte Carlo point's own binomial se.  The points of one curve
+    # share their draws, so their errors are positively correlated:
+    # neighbouring points err together, and the curve is smoother than
+    # independent points would make it
     se: np.ndarray
 
 
 def _curve(thetas, power, n_sims):
-    """The curve of `power` at thetas; n_sims = 0 marks an exact curve."""
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    power = np.asarray(power, dtype=float)
-    se = np.sqrt(power * (1.0 - power) / n_sims) if n_sims else np.zeros_like(power)
-    return PowerCurve(thetas, power, se)
+    """The Monte Carlo curve of `power` at thetas over n_sims draws."""
+    return PowerCurve(thetas, power, np.sqrt(power * (1.0 - power) / n_sims))
 
 
-def exact_power(problem: TestProblem, region: CriticalRegion, thetas) -> PowerCurve:
-    """Rejection probability from the exact alternative law."""
+def exact_power(problem: TestProblem, region: CriticalRegion, thetas) -> np.ndarray:
+    """Rejection probability at each of thetas from the exact alternative law."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     out = np.empty(thetas.shape)
     for i, th in enumerate(thetas):
         out[i] = region.mass(lambda x: problem.alt_cdf(th, x))
         if not math.isfinite(out[i]):
             raise NumericalIntegrityError(f"the exact power at theta = {th!r} is not a number")
-    return _curve(thetas, out, 0)
+    return out
 
 
 def mc_power(
@@ -256,9 +253,7 @@ def dominance_study(
         thetas=thetas,
         power_subjective=power_subjective,
         power_classical=power_classical,
-        power_classical_exact=np.asarray(
-            exact_power(problem, region_f, thetas).power
-        ),
+        power_classical_exact=exact_power(problem, region_f, thetas),
         max_violation=max_violation,
         verdict="PASS" if passed else "FAIL",
         size_classical=size_classical,
@@ -328,7 +323,7 @@ def johnson_comparison(
     if thetas is None:
         thetas = np.linspace(0.0, (region.upper - math.sqrt(n) * special.ndtri(0.01)) / n, 21)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    power_exact = exact_power(problem, region, thetas).power
+    power_exact = exact_power(problem, region, thetas)
 
     # the point-mass rule {B > lam_matched}, decided through its own
     # Bayes factor in log space; lam_matched = B(gamma_matched)

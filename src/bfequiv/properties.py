@@ -336,7 +336,7 @@ def _p13_roundtrip_test(c):
     problem = prob.OneSidedNormal(n=c["n"])
     bf_of_stat = _production_bf(problem, "half_normal", precision=c["tau"]).of_stat
     region = gamma_from_alpha(problem, c["alpha"])
-    lam, _ = lambda_from_gamma(region, bf_of_stat)
+    lam = lambda_from_gamma(region, bf_of_stat)
     region2, alpha2 = gamma_from_lambda(problem, bf_of_stat, lam)
     if (abs(region2.upper - region.upper) > 1e-8 * max(1.0, abs(region.upper))
             or abs(alpha2 - c["alpha"]) > 1e-8):

@@ -125,9 +125,9 @@ class TestExactDecisionAgreement:
     def test_full_agreement_each_problem(self):
         start = time.monotonic()
         for i, (name, problem, of_stat, of_summary, grid) in enumerate(problem_catalogue()):
-            rule = calibrate(problem, 0.05, of_stat).rule
+            rule = calibrate(problem, 0.05, of_stat)
             report = verify_equivalence(
-                problem, of_summary, rule, RngStream(100 + i), 100_000
+                problem, of_summary, rule, RngStream(100 + i), 100_000, (problem.theta0,)
             )
             assert report.n_total == 100_000, name
             assert report.n_mismatch == 0, (name, report.examples)
@@ -147,7 +147,7 @@ class TestPriorIndependence:
         ]
         gammas = []
         for g in engines:
-            lam = calibrate(problem, 0.05, g).rule.lam
+            lam = calibrate(problem, 0.05, g).lam
             region, implied = gamma_from_lambda(problem, g, lam)
             gammas.append(region.upper)
             assert abs(implied - 0.05) < 1e-9
@@ -162,7 +162,7 @@ class TestPowerCoincidence:
 
     def test_crn_curves_identical_everywhere(self):
         for i, (name, problem, of_stat, of_summary, grid) in enumerate(problem_catalogue()):
-            rule = calibrate(problem, 0.05, of_stat).rule
+            rule = calibrate(problem, 0.05, of_stat)
             classical, bayes, n_disagree, _ = mc_power(
                 problem,
                 rule,
@@ -180,9 +180,9 @@ class TestPowerCoincidence:
             problem,
             0.05,
             lambda t: bf.bf_one_sided_normal_halfnormal(np.asarray(t, dtype=float), 4, 1.0),
-        ).rule
-        curve = exact_power(problem, rule.region, [1.0])
-        assert abs(curve.power[0] - 0.63876) <= 1e-5
+        )
+        power = exact_power(problem, rule.region, [1.0])
+        assert abs(power[0] - 0.63876) <= 1e-5
 
 
 class TestDominance:

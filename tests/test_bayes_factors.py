@@ -473,7 +473,7 @@ def test_variance_ratio_decision_boundary(n1, n2, rate):
     # {B > lambda} and {F > gamma} may disagree only in a window of a few
     # floats above gamma, where B(F) still rounds to lambda = B(gamma)
     problem, pair = _cli_pair("variance_ratio", n1, n2, {"prior.kind": "shifted_exponential", "prior.rate": rate})
-    rule = calibrate(problem, 0.05, pair.of_stat).rule
+    rule = calibrate(problem, 0.05, pair.of_stat)
     gamma = rule.region.upper
     # the smallest float F with B(F) > lambda, by bisection on floats
     below, above = gamma / 2.0, 2.0 * gamma
@@ -505,7 +505,7 @@ def test_two_sample_t_decision_boundary(n1, n2, c):
     # at each pooled and in each tail, the first |d| where B(d, pooled) > lambda
     # lies within 16 floats of the first where derive's T enters the region
     problem, pair = _cli_pair("two_sample_t", n1, n2, {"prior.kind": "conjugate", "prior.c": c})
-    rule = calibrate(problem, 0.05, pair.of_stat).rule
+    rule = calibrate(problem, 0.05, pair.of_stat)
 
     def decisions(d, pooled):
         s = problem.derive(SufficientSummary(d=d, pooled=np.full_like(d, pooled)))
@@ -554,7 +554,7 @@ def test_closed_form_decision_boundary(config):
     cfg = RunConfig({"problem.kind": kind, **keys, **prior})
     problem = build_problem(cfg)
     pair = build_bf(problem, cfg)
-    rule = calibrate(problem, 0.05, pair.of_stat).rule
+    rule = calibrate(problem, 0.05, pair.of_stat)
 
     def decisions(stat):
         s = problem.derive(SufficientSummary({problem.stat: np.asarray(stat, dtype=float)}))

@@ -10,6 +10,7 @@ from bfequiv.calibrate import (
     ClassViolationError,
     CriticalRegion,
     DecisionRule,
+    InfeasibleLambda,
     calibrate,
     gamma_from_alpha,
     gamma_from_lambda,
@@ -68,14 +69,14 @@ class TestLambdaGammaRoundTrip:
         p = OneSidedNormal(n=4)
         prior = PointMass(1.0)
         g = lambda t: bf.bf_one_sided(prior, t, n=4)
-        result = calibrate(p, 0.05, g)
+        rule = calibrate(p, 0.05, g)
         # B(gamma) with theta1 = 1: exp(gamma - 2)
-        assert_allclose(result.rule.lam, math.exp(3.2897072539029444 - 2.0), rtol=1e-12)
+        assert_allclose(rule.lam, math.exp(3.2897072539029444 - 2.0), rtol=1e-12)
 
     def test_inversion_recovers_gamma(self):
         p = OneSidedNormal(n=4)
         g = lambda t: bf.bf_one_sided_normal_halfnormal(np.asarray(t), 4, 2.0)
-        rule = calibrate(p, 0.05, g).rule
+        rule = calibrate(p, 0.05, g)
         region, implied = gamma_from_lambda(p, g, rule.lam)
         assert_allclose(region.upper, rule.region.upper, atol=1e-9)
         assert_allclose(implied, 0.05, atol=1e-10)
@@ -90,10 +91,10 @@ class TestLambdaGammaRoundTrip:
     def test_always_and_never_reject(self):
         p = OneSidedNormal(n=4)
         g = lambda t: bf.bf_one_sided_normal_halfnormal(np.asarray(t), 4, 1.0)
-        _, implied_hi = gamma_from_lambda(p, g, 1e30)
-        assert implied_hi == 0.0
-        _, implied_lo = gamma_from_lambda(p, g, 0.0)
-        assert implied_lo == 1.0
+        with pytest.raises(InfeasibleLambda, match="^lambda = 1e\\+30 is never crossed by B on the statistic range$"):
+            gamma_from_lambda(p, g, 1e30)
+        with pytest.raises(InfeasibleLambda, match="^lambda = 0.0 is exceeded by B everywhere$"):
+            gamma_from_lambda(p, g, 0.0)
 
 
 class TestClassViolation:
@@ -111,17 +112,19 @@ class TestClassViolation:
     def test_symmetric_prior_accepted(self):
         p = TwoSidedNormal(n=4)
         g = lambda t: bf.bf_two_sided_normal_conjugate(np.asarray(t), 4, 1.0)
-        result = calibrate(p, 0.05, g)
-        assert_allclose(result.lam_values[0], result.lam_values[1], rtol=1e-12)
+        rule = calibrate(p, 0.05, g)
+        b_lo, b_up = g(rule.region.lower), g(rule.region.upper)
+        assert_allclose(b_lo, b_up, rtol=1e-12)
+        assert_allclose(rule.lam, 0.5 * (b_lo + b_up), rtol=1e-12)
 
 
 class TestVerifyEquivalence:
     def test_one_sided_agreement(self):
         p = OneSidedNormal(n=4)
         g = lambda t: bf.bf_one_sided_normal_exponential(np.asarray(t), 4, 1.0)
-        rule = calibrate(p, 0.05, g).rule
+        rule = calibrate(p, 0.05, g)
         report = verify_equivalence(
-            p, lambda s: g(s.t), rule, RngStream(21), 50_000, thetas=(None, 0.5)
+            p, lambda s: g(s.t), rule, RngStream(21), 50_000, thetas=(p.theta0, 0.5)
         )
         assert report.n_mismatch == 0
         assert report.n_total == 100_000
@@ -129,8 +132,8 @@ class TestVerifyEquivalence:
     def test_reproducible_for_fixed_seed(self):
         p = VarianceRatio(n1=6, n2=6)
         engine = bf.VarianceRatioBf(PointMass(2.0), 6, 6)
-        rule = calibrate(p, 0.05, engine).rule
-        kw = dict(thetas=(None, 2.0))
+        rule = calibrate(p, 0.05, engine)
+        kw = dict(thetas=(p.theta0, 2.0))
         a = verify_equivalence(p, lambda s: engine(s.f), rule, RngStream(5), 30_000, **kw)
         b = verify_equivalence(p, lambda s: engine(s.f), rule, RngStream(5), 30_000, **kw)
         assert (a.n_reject, a.n_mismatch) == (b.n_reject, b.n_mismatch)
@@ -141,8 +144,8 @@ class TestVerifyEquivalence:
         # deliberately corrupt the threshold: mismatches must be reported
         p = OneSidedNormal(n=4)
         g = lambda t: bf.bf_one_sided_normal_halfnormal(np.asarray(t), 4, 1.0)
-        rule = calibrate(p, 0.05, g).rule
+        rule = calibrate(p, 0.05, g)
         bad = DecisionRule(rule.region, rule.lam * 1.5)
-        report = verify_equivalence(p, lambda s: g(s.t), bad, RngStream(3), 20_000)
+        report = verify_equivalence(p, lambda s: g(s.t), bad, RngStream(3), 20_000, (p.theta0,))
         assert report.n_mismatch > 0
         assert report.examples

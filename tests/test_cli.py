@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import importlib.util
 import json
 import math
@@ -315,6 +314,24 @@ class TestBadConfigValues:
         err = capsys.readouterr().err
         line = model.count("\n") + 5
         assert err == f"error: {cfg}:{line}: run.theta_grid must be {bound}, got {theta.split(', ')[-1]}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "model, line, expected",
+        [
+            (ONE_SIDED_MODEL.replace("1.0", "-1"), 4, "> 0.0, got -1"),
+            (ONE_SIDED_MODEL.replace("1.0", "0"), 4, "> 0.0, got 0"),
+            ("problem.kind = variance_ratio\nproblem.n1 = 5\nproblem.n2 = 5\nprior.kind = point_mass\n"
+             "prior.theta1 = 1", 5, "> 1, got 1"),
+        ],
+        ids=["one_sided_below_the_null", "one_sided_at_the_null", "variance_ratio_at_the_null"],
+    )
+    def test_point_mass_on_the_null_side(self, tmp_path, capsys, model, line, expected):
+        # B is then decreasing or constant in the statistic, so {B > lambda}
+        # is not the upper critical region
+        cfg, out = write_config(tmp_path, "c.cfg", f"{model}\nrun.alpha = 0.05\n"), tmp_path / "out"
+        assert main(["calibrate", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:{line}: prior.theta1 must be {expected}\n"
         assert not out.exists()
 
     def test_list_bounds_apply_to_each_entry(self):
@@ -647,6 +664,31 @@ def test_power_far_below_the_null_exits_0(tmp_path, alpha):
     assert len(rows) == 63 and all(math.isfinite(float(r["power"])) for r in rows)
 
 
+@pytest.mark.parametrize(
+    "model, theta0",
+    [
+        ("problem.kind = subset_selection\nproblem.n = 3\nproblem.p1 = 0\nproblem.p2 = 2\n"
+         "prior.kind = conjugate", 0.0),
+        ("problem.kind = regression_unknown_var\nproblem.p = 2\nproblem.n = 3\n"
+         "prior.kind = gaussian_spherical", 0.0),
+        ("problem.kind = variance_ratio\nproblem.n1 = 2\nproblem.n2 = 2\n"
+         "prior.kind = point_mass\nprior.theta1 = 2", 1.0),
+        ("problem.kind = variance_ratio\nproblem.n1 = 3\nproblem.n2 = 3\n"
+         "prior.kind = point_mass\nprior.theta1 = 2", 1.0),
+    ],
+    ids=["subset_selection", "regression_unknown_var", "variance_ratio_2", "variance_ratio_3"],
+)
+def test_default_grid_where_power_stays_below_099_ends_at_the_cap(tmp_path, model, theta0):
+    # with few degrees of freedom the classical power is below 0.99 still
+    # at theta0 + 1024, the last point the default grid tries
+    text = f"{model}\nrun.alpha = 0.05\nrun.seed = 1\nrun.n_sims = 2000\n"
+    out = tmp_path / "out"
+    assert main(["power", "--config", write_config(tmp_path, "c.cfg", text), "--out", str(out)]) == 0
+    exact = [r for r in read_csv(out / "power.csv") if r["method"] == "exact"]
+    assert len(exact) == 21 and float(exact[-1]["theta"]) == theta0 + 1024
+    assert float(exact[-1]["power"]) < 0.99
+
+
 def test_nan_exact_power_exits_4_before_the_output_directory(tmp_path, capsys, monkeypatch):
     # the default grid is built before the output directory is made, and
     # a power that is not a number is one error line with exit 4
@@ -714,6 +756,9 @@ RNG = np.random.default_rng(7)
 TWO_SAMPLES = "problem.n1 = 12\nproblem.n2 = 15\nproblem.data1 = x1.csv\nproblem.data2 = x2.csv\n"
 
 
+T_TEST_N4 = "problem.kind = t_test\nproblem.n = 4\nproblem.data = x.csv\nprior.kind = gaussian_scale"
+
+
 class TestObservedData:
     """Data that does not fit the declared problem exits 1 with the path:line
     of its data key, not with a wrong statistic or a traceback."""
@@ -766,17 +811,35 @@ class TestObservedData:
                            "z2": RNG.normal(size=8)}},
                 ":5: problem.data: design matrix is rank deficient",
             ),
+            (
+                T_TEST_N4,
+                {"x.csv": {"x": [1.0, np.nan, 2.0, 0.5]}},
+                ":3: problem.data: column 'x' of ",
+            ),
+            (
+                T_TEST_N4,
+                {"x.csv": {"x": [1.0, np.inf, 2.0, 0.5]}},
+                ":3: problem.data: column 'x' of ",
+            ),
+            (
+                # finite cells whose sums overflow
+                T_TEST_N4,
+                {"x.csv": {"x": [1e308, 1e308, -1e308, 0.5]}},
+                ":3: problem.data: the decision statistic of the data is nan, not a finite number",
+            ),
         ],
         ids=["t_test_rows", "two_sample_t_rows", "variance_ratio_rows1", "variance_ratio_rows2",
              "subset_selection_rows", "constant_column", "rank_deficient_design",
-             "collinear_subset_design"],
+             "collinear_subset_design", "nan_cell", "inf_cell", "overflowing_sums"],
     )
     def test_bad_data_exit_1(self, tmp_path, capsys, model, data, expected):
         for name, columns in data.items():
             write_data(tmp_path, name, columns)
-        cfg = write_config(tmp_path, "c.cfg", f"{model}\nrun.alpha = 0.05\n")
-        assert main(["calibrate", "--config", cfg, "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {cfg}{expected}")
+        cfg, out = write_config(tmp_path, "c.cfg", f"{model}\nrun.alpha = 0.05\n"), tmp_path / "out"
+        assert main(["calibrate", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}{expected}") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_subset_selection_without_null_covariates(self, tmp_path):
         # p1 = 0: the null model has no covariates, so H1 = 0,
@@ -829,10 +892,10 @@ run.n_sims = 20000
         planted, calibrate_rule = [], cli._calibrate
 
         def high_lambda(cfg, problem, alpha, of_stat):
-            result = calibrate_rule(cfg, problem, alpha, of_stat)
-            rule = DecisionRule(result.rule.region, 1.01 * result.rule.lam)
+            calibrated = calibrate_rule(cfg, problem, alpha, of_stat)
+            rule = DecisionRule(calibrated.region, 1.01 * calibrated.lam)
             planted.append((rule, of_stat))
-            return dataclasses.replace(result, rule=rule)
+            return rule
 
         monkeypatch.setattr(cli, "_calibrate", high_lambda)
         cfg = write_config(
@@ -933,8 +996,8 @@ class TestTwoSampleKnownVariance:
         calibrate = cli.calibrate
 
         def perturbed(problem, alpha, bf_of_stat):
-            result = calibrate(problem, alpha, bf_of_stat)
-            return dataclasses.replace(result, rule=DecisionRule(result.rule.region, 1.5 * result.rule.lam))
+            rule = calibrate(problem, alpha, bf_of_stat)
+            return DecisionRule(rule.region, 1.5 * rule.lam)
 
         monkeypatch.setattr(cli, "calibrate", perturbed)
         cfg = write_config(tmp_path, "k.cfg", TWO_SAMPLE_KNOWN_VAR)

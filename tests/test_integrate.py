@@ -113,7 +113,7 @@ def test_gamma_from_lambda_is_unchanged(path, monkeypatch):
 def test_default_power_grid_is_unchanged(monkeypatch):
     cfg = cli.parse_config(os.path.join(BENCH_CONFIGS, "closed", "lambda_one_sided_normal.ini"))
     problem = cli.build_problem(cfg)
-    rule = calibrate.calibrate(problem, 0.05, cli.build_bf(problem, cfg).of_stat).rule
+    rule = calibrate.calibrate(problem, 0.05, cli.build_bf(problem, cfg).of_stat)
     grid = cli._default_grid(problem, rule.region, 0.05)
     monkeypatch.setattr(cli, "brentq", scipy_optimize.brentq)
     assert np.array_equal(grid, cli._default_grid(problem, rule.region, 0.05))

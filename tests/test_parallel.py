@@ -53,7 +53,7 @@ def sequential_blocks(problem, rng, n_sims):
 def two_sample_t():
     problem = TwoSampleMeansUnknownEqualVar(n1=5, n2=7)
     engine = bf.TwoSampleTBf(5, 7, 1.0)
-    rule = calibrate(problem, 0.05, engine.from_t).rule
+    rule = calibrate(problem, 0.05, engine.from_t)
     return problem, rule, lambda s: engine(s.d, s.pooled)
 
 
@@ -118,10 +118,10 @@ class TestThreadedEqualsSequential:
         monkeypatch.setattr(rng_module, "ROW_BLOCK", 10_000)
         p = OneSidedNormal(n=4)
         g = lambda t: bf.bf_one_sided_normal_halfnormal(np.asarray(t), 4, 1.0)
-        rule = calibrate(p, 0.05, g).rule
+        rule = calibrate(p, 0.05, g)
         bad = DecisionRule(rule.region, rule.lam * 1.002)
         thetas, n_sims = (0.0, 0.5, 1.0), 40_000
-        report = verify_equivalence(p, lambda s: g(s.t), bad, RngStream(62), n_sims, thetas=(None,) + thetas[1:])
+        report = verify_equivalence(p, lambda s: g(s.t), bad, RngStream(62), n_sims, thetas)
         n_reject = n_mismatch = 0
         examples = [[] for _ in thetas]
         for b, base in enumerate(sequential_blocks(p, RngStream(62), n_sims)):
@@ -209,7 +209,7 @@ def test_each_two_sample_job_holds_one_block(monkeypatch):
     # their temporaries), whatever the number of draws
     problem = TwoSampleMeansUnknownEqualVar(n1=12, n2=15)
     engine = bf.TwoSampleTBf(12, 15, 1.0)
-    rule = calibrate(problem, 0.05, engine.from_t).rule
+    rule = calibrate(problem, 0.05, engine.from_t)
     peak, callers = traced_peak(
         monkeypatch,
         TwoSampleMeansUnknownEqualVar,
@@ -238,7 +238,7 @@ def test_studies_count_the_same_classical_rejections():
     # the same problem, theta and draws count the same classical rejections
     p, theta, n_sims = OneSidedNormal(n=4), 0.3, 250_000
     g = lambda t: bf.bf_one_sided_normal_halfnormal(np.asarray(t), 4, 1.0)
-    rule = calibrate(p, 0.05, g).rule
+    rule = calibrate(p, 0.05, g)
     report = verify_equivalence(p, lambda s: g(s.t), rule, RngStream(8), n_sims, thetas=(theta,))
     classical, _, _, _ = mc_power(p, rule, RngStream(8), [theta], n_sims, lambda s: g(s.t))
     comp = johnson_comparison(10.0, 4, [theta], rng=RngStream(8), n_sims=n_sims)

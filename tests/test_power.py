@@ -26,45 +26,45 @@ class TestExactPower:
     def test_one_sided_normal_closed_form(self):
         p = OneSidedNormal(n=4)
         region = gamma_from_alpha(p, 0.05)
-        curve = exact_power(p, region, [0.0, 1.0])
+        power = exact_power(p, region, [0.0, 1.0])
         # power(theta) = 1 - Phi(z_{0.95} - 2 theta)
-        assert_allclose(curve.power[0], 0.05, atol=1e-12)
+        assert isinstance(power, np.ndarray) and power.shape == (2,)
+        assert_allclose(power[0], 0.05, atol=1e-12)
         expected = 1.0 - stats.norm.cdf(stats.norm.ppf(0.95) - 2.0)
-        assert_allclose(curve.power[1], expected, rtol=1e-12)
-        assert_allclose(curve.power[1], 0.63876003, atol=1e-8)
-        assert np.all(curve.se == 0.0)
+        assert_allclose(power[1], expected, rtol=1e-12)
+        assert_allclose(power[1], 0.63876003, atol=1e-8)
 
     def test_size_at_null_two_sided(self):
         p = GaussianMeanUnknownVar(n=9)
         region = gamma_from_alpha(p, 0.05)
-        curve = exact_power(p, region, [0.0])
-        assert_allclose(curve.power[0], 0.05, atol=1e-9)
+        power = exact_power(p, region, [0.0])
+        assert_allclose(power[0], 0.05, atol=1e-9)
 
     def test_power_increases_to_one(self):
         p = OneSidedNormal(n=4)
         region = gamma_from_alpha(p, 0.05)
-        curve = exact_power(p, region, np.linspace(0, 4, 15))
-        assert np.all(np.diff(curve.power) > 0)
-        assert curve.power[-1] > 0.999
+        power = exact_power(p, region, np.linspace(0, 4, 15))
+        assert np.all(np.diff(power) > 0)
+        assert power[-1] > 0.999
 
 
 class TestMcPower:
     def test_matches_exact_within_3se(self):
         p = OneSidedNormal(n=4)
         g = lambda t: bf.bf_one_sided_normal_halfnormal(np.asarray(t), 4, 1.0)
-        rule = calibrate(p, 0.05, g).rule
+        rule = calibrate(p, 0.05, g)
         thetas = np.linspace(0.0, 2.0, 5)
         classical, _, _, _ = mc_power(p, rule, RngStream(31), thetas, 100_000, lambda s: g(s.t))
         exact = exact_power(p, rule.region, thetas)
         assert np.all(
-            np.abs(classical.power - exact.power)
-            <= 3 * np.sqrt(exact.power * (1 - exact.power) / 100_000) + 1e-12
+            np.abs(classical.power - exact)
+            <= 3 * np.sqrt(exact * (1 - exact) / 100_000) + 1e-12
         )
 
     def test_crn_decisions_identical(self):
         p = OneSidedNormal(n=4)
         g = lambda t: bf.bf_one_sided_normal_exponential(np.asarray(t), 4, 2.0)
-        rule = calibrate(p, 0.05, g).rule
+        rule = calibrate(p, 0.05, g)
         classical, bayes, n_disagree, _ = mc_power(
             p, rule, RngStream(32), [0.0, 0.5, 1.0], 20_000, bf_of_summary=lambda s: g(s.t)
         )
@@ -74,7 +74,7 @@ class TestMcPower:
     def test_se_scaling(self):
         p = OneSidedNormal(n=4)
         g = lambda t: bf.bf_one_sided_normal_halfnormal(np.asarray(t), 4, 1.0)
-        rule = calibrate(p, 0.05, g).rule
+        rule = calibrate(p, 0.05, g)
         small, _, _, _ = mc_power(p, rule, RngStream(33), [0.5], 10_000, lambda s: g(s.t))
         large, _, _, _ = mc_power(p, rule, RngStream(33), [0.5], 20_000, lambda s: g(s.t))
         ratio = small.se[0] / large.se[0]

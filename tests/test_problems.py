@@ -327,7 +327,7 @@ def cli_rule(kind):
     cfg = RunConfig({"problem.kind": kind, **keys, **prior})
     problem = build_problem(cfg)
     pair = build_bf(problem, cfg)
-    return problem, pair, calibrate(problem, 0.05, pair.of_stat).rule
+    return problem, pair, calibrate(problem, 0.05, pair.of_stat)
 
 
 @pytest.mark.parametrize("kind", sorted(CLI_PROBLEMS))
@@ -339,7 +339,7 @@ def test_mc_power_matches_exact_power(kind):
     problem, pair, rule = cli_rule(kind)
     thetas, n_sims = _default_grid(problem, rule.region, 0.05), 20_000
     classical, _, n_disagree, _ = mc_power(problem, rule, RngStream(22), thetas, n_sims, pair.of_summary)
-    exact = exact_power(problem, rule.region, thetas).power
+    exact = exact_power(problem, rule.region, thetas)
     assert (n_disagree == 0) == (kind != "subjective_variance")
     assert np.all(np.abs(classical.power - exact) < 5 * np.sqrt(exact * (1 - exact) / n_sims))
 
