@@ -110,20 +110,33 @@ def gamma_from_alpha(problem: TestProblem, alpha: float) -> CriticalRegion:
 
 def lambda_from_gamma(region: CriticalRegion, bf_of_stat: Callable) -> float:
     """lambda = B(gamma); for two-tailed regions B must agree at both ends,
-    and lambda is the mean of the two.
+    and lambda is the mean of the two, and B must fall below lambda at the
+    midpoint of the two, or {B > lambda} is not the two-tailed test.
 
     bf_of_stat maps the decision statistic to the Bayes factor.
     """
-    b_up = float(np.asarray(bf_of_stat(region.upper), dtype=float))
+    def b(stat):
+        return float(np.asarray(bf_of_stat(stat), dtype=float))
+
+    b_up = b(region.upper)
     if region.shape == "upper":
         return b_up
-    b_lo = float(np.asarray(bf_of_stat(region.lower), dtype=float))
+    b_lo = b(region.lower)
     if abs(b_lo - b_up) > TWO_SIDED_MATCH_RTOL * max(abs(b_lo), abs(b_up)):
         raise ClassViolationError(
             f"B({region.lower:.6g}) = {b_lo:.12g} but B({region.upper:.6g}) = {b_up:.12g}; "
             "the prior is outside the calibrated two-sided class"
         )
-    return 0.5 * (b_lo + b_up)
+    lam = 0.5 * (b_lo + b_up)
+    mid = 0.5 * (region.lower + region.upper)
+    if not (b_mid := b(mid)) < lam:
+        # a point mass at theta0 gives B = 1 at every statistic
+        raise ClassViolationError(
+            f"B({mid:.6g}) = {b_mid:.12g} is not below B at the critical values, {lam:.12g}: B is "
+            "constant between them, or not convex, so {B > lambda} is not the two-tailed test; "
+            "the prior is outside the calibrated two-sided class"
+        )
+    return lam
 
 
 def calibrate(problem: TestProblem, alpha: float, bf_of_stat: Callable) -> DecisionRule:
@@ -179,8 +192,8 @@ def decide(problem: TestProblem, rule: DecisionRule, bf_of_summary, thetas: Sequ
     over n_sims draws of the problem.
 
     Every theta reads the same draws (`rng.sweep`: blocks of them from
-    numbered substreams, run on up to two threads), each block derived
-    (`TestProblem.derive`) before it is read, so the counts are
+    numbered substreams, with a helper thread while it pays), each block
+    derived (`TestProblem.derive`) before it is read, so the counts are
     reproducible for a fixed seed and n_sims.
     """
     def count(j, base):

@@ -63,7 +63,7 @@ from .power import dominance_study, exact_power, johnson_comparison, mc_power
 from .priors import DensityPrior, PointMass
 from .properties import run_catalogue
 from .reports import format_float, write_csv, write_svg_lines, write_text
-from .rng import RngStream
+from .rng import RngStream, keep_heap
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -966,6 +966,7 @@ _EXIT_CODES = {
 
 
 def main(argv=None) -> int:
+    keep_heap()
     args = None
     try:
         args = build_parser().parse_args(argv)

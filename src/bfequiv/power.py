@@ -204,7 +204,7 @@ def dominance_study(
     LIMIT_SIZE_TOL of alpha, and the subset relation holds draw by draw on
     every run.  The runs (unit-scale size, limiting size, one per theta)
     map the same standard draws (`rng.sweep`: block i from
-    rng.substream(i), on up to two threads).
+    rng.substream(i), with a helper thread while it pays).
     """
     if problem.n1 != problem.n2:
         raise ValueError("the T-coordinate region is equal-tailed only for n1 == n2")

@@ -112,6 +112,27 @@ run.alpha = 0.05
         err = capsys.readouterr().err
         assert "B(" in err  # names both Bayes-factor values
 
+    @pytest.mark.parametrize("command", ["calibrate", "verify", "power"])
+    def test_constant_bayes_factor_exit_3(self, tmp_path, capsys, command):
+        # a point mass at theta0 gives B = 1 at every statistic: equal at
+        # the two critical values, yet {B > lambda} never rejects
+        cfg = write_config(
+            tmp_path,
+            "c.cfg",
+            """
+problem.kind = two_sided_normal
+problem.n = 4
+prior.kind = point_mass
+prior.theta1 = 0
+run.alpha = 0.05
+run.n_sims = 20000
+""",
+        )
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), "--seed", "1"]) == 3
+        assert "B is constant" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infeasible_lambda_exit_2(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -5,11 +5,16 @@ than the two the package uses, and than the cores of a small machine),
 with a short switch interval, and its result must equal a loop written
 here over the same layout: block after block of at most ROW_BLOCK base
 draws, block i from substream i, every theta (or run) mapped from a block
-before the next block is drawn.
+before the next block is drawn.  A fake clock sets whether `map_jobs`
+keeps its helpers (two threads) or drops them after one round (three).
 """
 
+import itertools
+import os
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -29,9 +34,28 @@ from bfequiv.problems import (
 from bfequiv.rng import ROW_BLOCK, RngStream, map_jobs, sweep
 
 
+def paced(tick):
+    """A clock for `map_jobs` whose k-th reading is tick(k)."""
+    readings = itertools.count()
+    return lambda: tick(next(readings))
+
+
+# readings 0, 1, 2, ...: every job the calling thread times takes as long
+# as job 0, so the helpers keep taking jobs
+def helpers_kept(k):
+    return k
+
+
+# readings 1, 2, 4, 8, ...: a job read from 4 to 8 takes four times
+# job 0 read from 1 to 2, so the helpers stop after one round
+def helpers_dropped(k):
+    return 2**k
+
+
 @pytest.fixture(params=[1, 2, 3], ids=lambda w: f"{w}_threads")
 def threads(request, monkeypatch):
     monkeypatch.setattr(rng_module, "WORKERS", request.param)
+    monkeypatch.setattr(rng_module, "clock", paced(helpers_kept if request.param == 2 else helpers_dropped))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -73,6 +97,24 @@ class TestMapJobs:
         with pytest.raises(ZeroDivisionError, match="job 3"):
             map_jobs(job, 200)
         assert len(started) < 200
+
+    @pytest.mark.parametrize("tick, kept", [(helpers_kept, True), (helpers_dropped, False)], ids=["kept", "dropped"])
+    def test_helper_takes_jobs_while_it_pays(self, monkeypatch, tick, kept):
+        monkeypatch.setattr(rng_module, "WORKERS", 2)
+        monkeypatch.setattr(rng_module, "clock", paced(tick))
+        caller, ran_on = threading.get_ident(), {}
+
+        def job(k):
+            ran_on[k] = threading.get_ident()
+            time.sleep(0.002)  # releases the interpreter lock, so the helper takes jobs
+            return k * k
+
+        assert map_jobs(job, 40) == [k * k for k in range(40)]
+        assert ran_on[0] == caller  # job 0 runs alone on the calling thread
+        helped = sum(thread != caller for thread in ran_on.values())
+        # kept: about half the jobs; dropped: at most the jobs the helper
+        # took beside the first job the calling thread timed
+        assert helped >= 10 if kept else helped <= 2
 
 
 @pytest.mark.parametrize(
@@ -243,3 +285,27 @@ def test_studies_count_the_same_classical_rejections():
     classical, _, _, _ = mc_power(p, rule, RngStream(8), [theta], n_sims, lambda s: g(s.t))
     comp = johnson_comparison(10.0, 4, [theta], rng=RngStream(8), n_sims=n_sims)
     assert report.n_reject == classical.power[0] * n_sims == comp.power_classical[0] * n_sims == 37_155
+
+
+def test_power_run_keeps_its_heap(tmp_path):
+    # a fresh process, as a user's CLI run, counts its own minor page faults
+    # over one power run on the benchmark's two-sample t config (21 theta x
+    # 400 000 draws); a heap trimmed after each block faults its pages back
+    # in for the next, about 96 000 times
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    script = (
+        "import resource, sys\n"
+        "from bfequiv.cli import main\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    config = os.path.join(root, "bench", "configs", "closed", "two_sample_t.ini")
+    src = os.path.dirname(os.path.dirname(rng_module.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "power", "--config", config, "--out", str(tmp_path / "out"), "--seed", "7"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    code, faults = map(int, proc.stdout.split("\n")[-2].split())
+    assert code == 0 and faults < 5_000
