@@ -649,12 +649,13 @@ def _write_fields(path: str, values: dict) -> None:
 
 def _default_grid(problem, region, alpha):
     """21 equally spaced thetas from classical power max(alpha, 0.05) to
-    0.99, or to theta0 + 1024 where 0.99 is out of reach."""
+    max(0.99, (1 + alpha)/2), which stays above alpha when alpha > 0.98, or
+    to theta0 + 1024 where that power is out of reach."""
     def power_at(th):
         return float(exact_power(problem, region, [th])[0])
 
     theta0 = problem.theta0
-    lo_target, hi_target = max(alpha, 0.05), 0.99
+    lo_target, hi_target = max(alpha, 0.05), max(0.99, (1.0 + alpha) / 2.0)
     hi = theta0 + 1.0
     while (power_hi := power_at(hi)) < hi_target and hi < theta0 + 1e3:
         hi = theta0 + (hi - theta0) * 2.0
@@ -936,6 +937,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Calibrate Bayes-factor thresholds against classical tests.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # subcommand -> (handler, whether --config is required; None: not taken)
     specs = {
         "calibrate": (cmd_calibrate, True),
         "power": (cmd_power, True),
@@ -943,11 +945,12 @@ def build_parser() -> argparse.ArgumentParser:
         "dominance": (cmd_dominance, True),
         "johnson": (cmd_johnson, True),
         "props": (cmd_props, False),
-        "reproduce-sec6": (cmd_reproduce_sec6, False),
+        "reproduce-sec6": (cmd_reproduce_sec6, None),
     }
     for name, (handler, config_required) in specs.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", required=config_required)
+        if config_required is not None:
+            p.add_argument("--config", required=config_required)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
         p.set_defaults(handler=handler)

@@ -99,7 +99,10 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = 4 * EPS) ->
                 # extrapolate
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                # fblk = fpre where f is flat (say B underflows to 0 on
+                # both): no step, so bisect, as an infinite step does in C
+                den = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
             limit = abs(spre) if abs(spre) < 3 * abs(sbis) - delta else 3 * abs(sbis) - delta
             if 2 * abs(stry) < limit:
                 # good short step

@@ -1,11 +1,12 @@
-"""Randomized property checks for the structural claims the calibration
-machinery relies on: monotonicity, convexity, invariances, and the
-threshold identities.
+"""Randomized property checks for the claims the calibration machinery
+relies on: the paper's identity, that the calibrated rule {B > lambda} is
+the classical test, on every pair the CLI calibrates, and the invariances
+and identities of the summaries that B reads.
 
 Each property draws random instances from a seeded stream, so a given
 seed yields a byte-identical transcript.  A property fails when its check
-returns a message or raises; the counterexample is then shrunk toward a
-baseline instance before reporting.  Every property that evaluates a
+returns a message or raises, and the first failing instance is reported
+as its counterexample.  Every property that evaluates a
 Bayes factor gets it from `cli.build_bf`, so the catalogue certifies only
 the routes the CLI decides with.
 """
@@ -13,13 +14,14 @@ the routes the CLI decides with.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import distributions as dist
 from . import problems as prob
-from .calibrate import gamma_from_alpha, gamma_from_lambda, lambda_from_gamma
+from .calibrate import calibrate, gamma_from_lambda
 from .problems import SufficientSummary
 from .rng import RngStream
 
@@ -32,8 +34,6 @@ class PropertySpec:
     claim: str
     draw: Callable[[RngStream], dict]
     test: Callable[[dict], Optional[str]]  # None = pass, else failure message
-    shrink_keys: tuple = ()
-    baseline: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -62,33 +62,12 @@ def _failure(spec: PropertySpec, case: dict) -> Optional[str]:
         return f"{type(exc).__name__}: {exc}"
 
 
-def _shrink(spec: PropertySpec, case: dict) -> dict:
-    """Halve each shrinkable value toward its baseline while still failing,
-    at most 50 rounds."""
-    current = dict(case)
-    for _ in range(50):
-        moved = False
-        for key in spec.shrink_keys:
-            base = spec.baseline.get(key, 0.0)
-            candidate = dict(current)
-            candidate[key] = base + 0.5 * (current[key] - base)
-            if candidate[key] != current[key] and _failure(spec, candidate) is not None:
-                current = candidate
-                moved = True
-        if not moved:
-            break
-    return current
-
-
 def run_property(spec: PropertySpec, rng: RngStream, n_trials: int = 200) -> PropertyResult:
     for i in range(n_trials):
         case = spec.draw(rng.substream(i))
         message = _failure(spec, case)
         if message is not None:
-            shrunk = _shrink(spec, case)
-            return PropertyResult(
-                spec.name, spec.claim, i + 1, False, shrunk, _failure(spec, shrunk) or message
-            )
+            return PropertyResult(spec.name, spec.claim, i + 1, False, case, message)
     return PropertyResult(spec.name, spec.claim, n_trials, True)
 
 
@@ -109,65 +88,69 @@ def _production_bf(problem, prior_kind: str, **params):
     return build_bf(problem, RunConfig(prior))
 
 
-def _increasing(b, x: float, dx: float) -> Optional[str]:
-    """The shared monotonicity check: B(x + dx) > B(x)."""
-    b1, b2 = float(b(x)), float(b(x + dx))
-    if not b2 > b1:
-        return f"B({x + dx}) = {b2} not above B({x}) = {b1}"
-    return None
+def _drawn(rng, kind: type, bounds: str):
+    """A value for a config key: an integer in [1, 30], else a number
+    log-uniform in (0.2, 5) above the key's lower bound (0 when it has none)."""
+    if kind is int:
+        return int(rng.generator.integers(1, 31))
+    lower = float(bounds.split()[1]) if bounds.startswith(">") else 0.0
+    return lower + math.exp(_u(rng, math.log(0.2), math.log(5.0)))
 
 
-def _c_free(problem, c: dict, stat: float, gamma: float) -> Optional[str]:
-    """The shared check of the prior-scale properties: the CLI's B at each
-    scale c1 and c2, thresholded at its own B(gamma), rejects at ``stat``
-    exactly when the classical rule |stat| > gamma does (the upper region
-    of a nonnegative statistic, or the symmetric two-tailed one)."""
-    decisions = []
-    for scale in (c["c1"], c["c2"]):
-        b = _production_bf(problem, "conjugate", c=scale).of_stat
-        decisions.append(bool(float(b(stat)) > float(b(gamma))))
-    classical = abs(stat) > gamma
-    if decisions != [classical, classical]:
-        return f"decisions {decisions} vs classical {classical}"
-    return None
+def _p01_classical_draw(rng):
+    # trial i takes pair i mod 13 of cli.KINDS: every pair but the two-sided
+    # point mass, which is outside the two-sided class (calibrate exits 3)
+    from .cli import KINDS, ConfigError, RunConfig, build_bf, build_problem
 
+    pairs = [(kind, prior) for kind in KINDS for prior in KINDS[kind].priors
+             if (kind, prior) != ("two_sided_normal", "point_mass")]
+    kinds = dict(zip(("problem.kind", "prior.kind"), pairs[rng.path[-1] % len(pairs)]))
+    cfg = RunConfig()
 
-def _p01_monotone_draw(rng):
-    g = rng
-    kind = "half_normal" if g.generator.uniform() < 0.5 else "exponential"
+    def get(key, kind=float, default=None, bounds=""):
+        # RunConfig.get of a config that draws (`_drawn`) each key it lacks
+        if key not in cfg.values:
+            cfg.values[key] = _drawn(rng, kind, bounds)
+        return RunConfig.get(cfg, key, kind, bounds=bounds)
+
+    cfg.get = get
+    for _ in range(1000):  # after which the test reports the ConfigError
+        cfg.values = dict(kinds)
+        try:
+            build_bf(build_problem(cfg), cfg)
+        except ConfigError:
+            continue  # say n <= p, or n1 != n2 for subjective_variance
+        except Exception:
+            pass  # the test builds the same B and reports what it raises
+        break
     return {
-        "kind": kind,
-        "tau": _u(g, 0.2, 5.0),
-        "n": int(g.generator.integers(1, 30)),
-        "t1": _u(g, -6.0, 5.0),
-        "dt": _u(g, 1e-3, 4.0),
+        "config": cfg.values,
+        "alpha": _u(rng, 0.005, 0.3),
+        "q": _u(rng, 1e-6, 1.0 - 1e-6),
+        "r": [math.exp(_u(rng, math.log(1e-6), math.log(1e-1))) for _ in range(2)],
     }
 
 
-def _p01_monotone_test(c):
-    hyper = "precision" if c["kind"] == "half_normal" else "rate"
-    pair = _production_bf(prob.OneSidedNormal(n=c["n"]), c["kind"], **{hyper: c["tau"]})
-    return _increasing(pair.of_stat, c["t1"], c["dt"])
+def _p01_classical_test(c):
+    from .cli import RunConfig, build_bf, build_problem
 
-
-def _p02_convex_draw(rng):
-    return {
-        "tau": _u(rng, 0.2, 5.0),
-        "n": int(rng.generator.integers(1, 30)),
-        "t1": _u(rng, -8.0, 6.0),
-        "dt": _u(rng, 0.1, 4.0),
-        "w": _u(rng, 0.05, 0.95),
-    }
-
-
-def _p02_convex_test(c):
-    t1, t2, w = c["t1"], c["t1"] + c["dt"], c["w"]
-    b = _production_bf(prob.TwoSidedNormal(n=c["n"]), "normal", precision=c["tau"]).of_stat
-    f = lambda t: float(b(t))
-    mid = f(w * t1 + (1 - w) * t2)
-    chord = w * f(t1) + (1 - w) * f(t2)
-    if mid > chord * (1 + 1e-12):
-        return f"B at interpolant {mid} exceeds chord {chord}"
+    cfg = RunConfig(dict(c["config"]))
+    problem = build_problem(cfg)
+    b = build_bf(problem, cfg).of_stat
+    rule = calibrate(problem, c["alpha"], b)
+    region = rule.region
+    gammas = [g for g in (region.lower, region.upper) if g is not None]
+    # the null quantile q, and gamma -/+ r |gamma| at each critical value gamma
+    stats = [float(dist.quantile(problem.null_law(), c["q"]))]
+    stats += [g + side * r * abs(g) for g, r in zip(gammas, c["r"]) for side in (-1.0, 1.0)]
+    for s in stats:
+        if bool(rule.bayes(b(s))) != bool(rule.classical(s)):
+            return f"decisions differ at statistic {s!r}: B = {float(b(s))!r}, lambda = {rule.lam!r}"
+    if region.shape == "upper":
+        region2, alpha2 = gamma_from_lambda(problem, b, rule.lam)
+        if (abs(region2.upper - region.upper) > 1e-8 * max(1.0, abs(region.upper))
+                or abs(alpha2 - c["alpha"]) > 1e-8):
+            return f"round trip: gamma {region.upper} -> {region2.upper}, alpha {c['alpha']} -> {alpha2}"
     return None
 
 
@@ -211,100 +194,6 @@ def _p05_rotation_test(c):
     return None
 
 
-def _p06_fmono_draw(rng):
-    g = rng.generator
-    p = int(g.integers(1, 4))
-    n = int(g.integers(p + 2, p + 20))
-    return {"p": p, "n": n, "tau": _u(rng, 0.3, 3.0), "f1": _u(rng, 0.0, 6.0), "df": _u(rng, 1e-3, 4.0)}
-
-
-def _p06_fmono_test(c):
-    problem = prob.RegressionUnknownVar(p=c["p"], n=c["n"])
-    pair = _production_bf(problem, "gaussian_spherical", precision=c["tau"])
-    return _increasing(pair.of_stat, c["f1"], c["df"])
-
-
-def _p07_2skv_cindep_draw(rng):
-    g = rng.generator
-    return {
-        "n1": int(g.integers(2, 20)),
-        "n2": int(g.integers(2, 20)),
-        "tau1": _u(rng, 0.3, 3.0),
-        "tau2": _u(rng, 0.3, 3.0),
-        "c1": _u(rng, 0.1, 10.0),
-        "c2": _u(rng, 0.1, 10.0),
-        "gamma": _u(rng, 0.2, 4.0),
-        "t": _u(rng, 0.0, 8.0),
-    }
-
-
-def _p07_2skv_cindep_test(c):
-    problem = prob.TwoSampleMeansKnownVar(c["n1"], c["n2"], c["tau1"], c["tau2"])
-    return _c_free(problem, c, c["t"], c["gamma"])
-
-
-def _p08_2st_cindep_draw(rng):
-    g = rng.generator
-    return {
-        "n1": int(g.integers(2, 15)),
-        "n2": int(g.integers(2, 15)),
-        "c1": _u(rng, 0.1, 10.0),
-        "c2": _u(rng, 0.1, 10.0),
-        "gamma": _u(rng, 0.05, 1.5),
-        "t": _u(rng, -2.0, 2.0),
-    }
-
-
-def _p08_2st_cindep_test(c):
-    problem = prob.TwoSampleMeansUnknownEqualVar(c["n1"], c["n2"])
-    return _c_free(problem, c, c["t"], c["gamma"])
-
-
-def _p09_subset_cindep_draw(rng):
-    g = rng.generator
-    p1, p2 = int(g.integers(1, 4)), int(g.integers(1, 4))
-    n = int(g.integers(p1 + p2 + 2, p1 + p2 + 25))
-    return {
-        "n": n,
-        "p1": p1,
-        "p2": p2,
-        "c1": _u(rng, 0.1, 10.0),
-        "c2": _u(rng, 0.1, 10.0),
-        "gamma_t": _u(rng, 0.05, 0.9),
-        "t": _u(rng, 0.0, 0.99),
-    }
-
-
-def _p09_subset_cindep_test(c):
-    # drawn on the scale of T = F/(1+F); the CLI's B reads F = T/(1-T)
-    problem = prob.SubsetSelection(c["n"], c["p1"], c["p2"])
-    f_of = lambda t: t / (1.0 - t)
-    return _c_free(problem, c, f_of(c["t"]), f_of(c["gamma_t"]))
-
-
-def _p10_vr_mono_draw(rng):
-    g = rng.generator
-    kind = "point" if g.uniform() < 0.5 else "density"
-    return {
-        "kind": kind,
-        "theta1": _u(rng, 1.0, 6.0),
-        "rate": _u(rng, 0.3, 3.0),
-        "n1": int(g.integers(2, 15)),
-        "n2": int(g.integers(2, 15)),
-        "f1": _u(rng, 0.05, 8.0),
-        "df": _u(rng, 1e-3, 4.0),
-    }
-
-
-def _p10_vr_mono_test(c):
-    problem = prob.VarianceRatio(c["n1"], c["n2"])
-    if c["kind"] == "point":
-        pair = _production_bf(problem, "point_mass", theta1=c["theta1"])
-    else:
-        pair = _production_bf(problem, "shifted_exponential", rate=c["rate"])
-    return _increasing(pair.of_stat, c["f1"], c["df"])
-
-
 def _p11_bstar_draw(rng):
     return {
         "q": _u(rng, 1e-6, 5.0),
@@ -321,26 +210,9 @@ def _p11_bstar_test(c):
     b_q, b_0 = b_star(q, t), b_star(0.0, t)
     if b_q > b_0:
         return f"B*({q},{t}) = {b_q} above the diffuse limit {b_0}"
-    return _increasing(lambda x: b_star(q, x), t, min(c["dt"], 0.2499999 - t))
-
-
-def _p13_roundtrip_draw(rng):
-    return {
-        "n": int(rng.generator.integers(1, 20)),
-        "tau": _u(rng, 0.3, 4.0),
-        "alpha": _u(rng, 0.005, 0.3),
-    }
-
-
-def _p13_roundtrip_test(c):
-    problem = prob.OneSidedNormal(n=c["n"])
-    bf_of_stat = _production_bf(problem, "half_normal", precision=c["tau"]).of_stat
-    region = gamma_from_alpha(problem, c["alpha"])
-    lam = lambda_from_gamma(region, bf_of_stat)
-    region2, alpha2 = gamma_from_lambda(problem, bf_of_stat, lam)
-    if (abs(region2.upper - region.upper) > 1e-8 * max(1.0, abs(region.upper))
-            or abs(alpha2 - c["alpha"]) > 1e-8):
-        return f"round trip: gamma {region.upper} -> {region2.upper}, alpha {c['alpha']} -> {alpha2}"
+    t2 = t + min(c["dt"], 0.2499999 - t)
+    if not (b_2 := b_star(q, t2)) > b_q:
+        return f"B*({q},{t2}) = {b_2} not above B*({q},{t}) = {b_q}"
     return None
 
 
@@ -403,90 +275,29 @@ def catalogue() -> list:
     """The standing property catalogue (order is stable)."""
     return [
         PropertySpec(
-            "one_sided_monotone",
-            "one-sided Bayes factors increase strictly in the statistic",
-            _p01_monotone_draw,
-            _p01_monotone_test,
-            ("dt",),
-            {"dt": 1e-3},
+            "calibrated_rule_is_classical",
+            "once lambda = B(gamma), {B > lambda} is the classical test on every pair the CLI calibrates",
+            _p01_classical_draw, _p01_classical_test,
         ),
         PropertySpec(
-            "two_sided_convex",
-            "two-sided conjugate Bayes factor is convex in the statistic",
-            _p02_convex_draw,
-            _p02_convex_test,
-            ("dt",),
-            {"dt": 0.1},
+            "t_test_statistic_function", "the t-test Bayes factor depends on data only through t^2",
+            _p04_tsq_draw, _p04_tsq_test,
         ),
         PropertySpec(
-            "t_test_statistic_function",
-            "the t-test Bayes factor depends on data only through t^2",
-            _p04_tsq_draw,
-            _p04_tsq_test,
+            "radial_rotation_invariant", "spherical-prior regression Bayes factor is rotation invariant",
+            _p05_rotation_draw, _p05_rotation_test,
         ),
         PropertySpec(
-            "radial_rotation_invariant",
-            "spherical-prior regression Bayes factor is rotation invariant",
-            _p05_rotation_draw,
-            _p05_rotation_test,
+            "subjective_score_bounds", "B*(Q,T) never exceeds its diffuse limit B*(0,T) and increases in T",
+            _p11_bstar_draw, _p11_bstar_test,
         ),
         PropertySpec(
-            "f_test_monotone",
-            "unknown-variance regression Bayes factor increases in F",
-            _p06_fmono_draw,
-            _p06_fmono_test,
-            ("df",),
-            {"df": 1e-3},
+            "pooled_ss_decomposition", "total sum of squares splits into within plus scaled between",
+            _p14_ssdecomp_draw, _p14_ssdecomp_test,
         ),
         PropertySpec(
-            "two_sample_known_var_c_free",
-            "two-sample known-variance decisions do not depend on the prior scale c",
-            _p07_2skv_cindep_draw,
-            _p07_2skv_cindep_test,
-        ),
-        PropertySpec(
-            "two_sample_t_c_free",
-            "two-sample t-test decisions do not depend on the prior scale c",
-            _p08_2st_cindep_draw,
-            _p08_2st_cindep_test,
-        ),
-        PropertySpec(
-            "subset_selection_c_free",
-            "subset-selection decisions do not depend on the prior scale c",
-            _p09_subset_cindep_draw,
-            _p09_subset_cindep_test,
-        ),
-        PropertySpec(
-            "variance_ratio_monotone",
-            "variance-ratio Bayes factor increases in F for priors on theta > 1",
-            _p10_vr_mono_draw,
-            _p10_vr_mono_test,
-            ("df",),
-            {"df": 1e-3},
-        ),
-        PropertySpec(
-            "subjective_score_bounds",
-            "B*(Q,T) never exceeds its diffuse limit B*(0,T) and increases in T",
-            _p11_bstar_draw,
-            _p11_bstar_test,
-        ),
-        PropertySpec(
-            "calibration_round_trip",
-            "gamma -> lambda -> gamma round trip is the identity",
-            _p13_roundtrip_draw,
-            _p13_roundtrip_test,
-        ),
-        PropertySpec(
-            "pooled_ss_decomposition",
-            "total sum of squares splits into within plus scaled between",
-            _p14_ssdecomp_draw,
-            _p14_ssdecomp_test,
-        ),
-        PropertySpec(
-            "hat_matrix_split",
-            "the null residual splits across the nested projections",
-            _p15_hat_draw,
-            _p15_hat_test,
+            "hat_matrix_split", "the null residual splits across the nested projections",
+            _p15_hat_draw, _p15_hat_test,
         ),
     ]
 

@@ -710,6 +710,33 @@ def test_default_grid_where_power_stays_below_099_ends_at_the_cap(tmp_path, mode
     assert float(exact[-1]["power"]) < 0.99
 
 
+@pytest.mark.parametrize(
+    "model",
+    ["problem.kind = t_test\nproblem.n = 2\nprior.kind = gaussian_scale",
+     "problem.kind = one_sided_normal\nproblem.n = 4\nprior.kind = half_normal\nprior.precision = 2.0"],
+    ids=["t_test", "one_sided_normal"],
+)
+def test_default_grid_above_alpha_099_reaches_power_above_alpha(tmp_path, model):
+    # the classical power starts at alpha = 0.999, above 0.99, so the grid
+    # ends at power (1 + alpha)/2 in place of 0.99
+    text = f"{model}\nrun.alpha = 0.999\nrun.seed = 1\nrun.n_sims = 2000\n"
+    out = tmp_path / "out"
+    assert main(["power", "--config", write_config(tmp_path, "c.cfg", text), "--out", str(out)]) == 0
+    power = [float(r["power"]) for r in read_csv(out / "power.csv") if r["method"] == "exact"]
+    assert len(power) == 21 and power == sorted(power)
+    assert power[0] == pytest.approx(0.999) and power[-1] == pytest.approx(0.9995)
+
+
+def test_lambda_where_b_underflows_below_it_inverts(tmp_path, capsys):
+    # B of this point mass is 0 in floats over the lower part of the
+    # bracket, so the root search meets two equal values of B - lambda
+    text = ("problem.kind = one_sided_normal\nproblem.n = 28\nproblem.theta0 = 0.5755642078448213\n"
+            "prior.kind = point_mass\nprior.theta1 = 5.493880674407275\nrun.lambda = 1.9019115212643883e-130\n")
+    out = tmp_path / "out"
+    assert main(["calibrate", "--config", write_config(tmp_path, "c.cfg", text), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("gamma = 24.2414468584  ")
+
+
 def test_nan_exact_power_exits_4_before_the_output_directory(tmp_path, capsys, monkeypatch):
     # the default grid is built before the output directory is made, and
     # a power that is not a number is one error line with exit 4
@@ -1153,14 +1180,13 @@ def test_subcommands_import_no_scipy_stats_optimize_or_integrate(tmp_path):
     paths["props"] = write_config(tmp_path, "props.cfg", "run.n_trials = 2\nrun.seed = 3\n")
     # power without run.theta_grid searches its default grid with brentq,
     # and calibrate with run.lambda inverts B with it; each run is (exit
-    # code, argv), and at 2000 draws dominance's size check fails
+    # code, argv)
     runs = [
         [0, command, "--config", paths[name]]
         for name in ("t", "t2", "vr", "lambda")
         for command in ("calibrate", "verify", "power")
     ]
-    runs += [[int(command == "dominance"), command, "--config", paths[command]]
-             for command in ("dominance", "johnson", "props")]
+    runs += [[0, command, "--config", paths[command]] for command in ("dominance", "johnson", "props")]
     runs.append([0, "reproduce-sec6"])
     src = os.path.dirname(os.path.dirname(bfequiv.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -1179,7 +1205,7 @@ class TestPropsCommand:
         assert main(["props", "--config", cfg, "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "props.txt"))
         rows = read_csv(os.path.join(out, "props.csv"))
-        assert len(rows) >= 12
+        assert len(rows) == 6
         assert all(r["status"] == "PASS" for r in rows)
 
     def test_raising_property_is_a_fail(self, tmp_path, monkeypatch, capsys):
@@ -1194,7 +1220,7 @@ class TestPropsCommand:
         assert failed == ["subjective_score_bounds"]
         with open(os.path.join(out, "props.txt")) as fh:
             assert "     ValueError: planted\n" in fh.read()
-        assert "12/13 properties passed" in capsys.readouterr().out
+        assert "5/6 properties passed" in capsys.readouterr().out
 
 
 class TestReproduceSection6:
@@ -1210,6 +1236,14 @@ class TestReproduceSection6:
         assert abs(slope + 0.5) < 0.02
         with open(os.path.join(out, "reproduce_sec6.txt")) as fh:
             assert fh.read().endswith("verdict: PASS\n")
+
+    def test_config_is_a_usage_error(self, tmp_path, capsys):
+        # the command reads no config, so a --config it would ignore is refused
+        out = tmp_path / "out"
+        assert main(["reproduce-sec6", "--config", "/nonexistent.ini", "--out", str(out), "--seed", "7"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bfequiv: unrecognized arguments: --config") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_wrong_threshold_scaling_fails(self, tmp_path, monkeypatch):
         # lambda(n) ~ n^(-0.45): the fitted slope misses -1/2 by 0.05

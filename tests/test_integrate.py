@@ -68,6 +68,14 @@ def test_brentq_is_scipys_brentq():
         assert brentq(f, a, b, **keywords) == scipy_optimize.brentq(f, a, b, **keywords)
 
 
+@pytest.mark.parametrize("c", [math.exp(-300.0), 1e-130])
+def test_brentq_bisects_where_f_is_flat(c):
+    # exp(5t - 420) underflows to 0 below t = -65, so f = -c at two points
+    # of the bracket and the extrapolation step divides by fblk - fpre = 0
+    f = lambda t: math.exp(5.0 * t - 420.0) - c
+    assert brentq(f, -20.0, 50.0, xtol=1e-13) == scipy_optimize.brentq(f, -20.0, 50.0, xtol=1e-13)
+
+
 def test_brentq_errors(monkeypatch):
     with pytest.raises(ValueError, match="different signs"):
         brentq(lambda x: x * x + 1.0, -1.0, 1.0)

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
@@ -120,6 +121,22 @@ class TestDominance:
         rep = dominance_study(p, 0.05, [1.5, 2.0, 3.0, 5.0], RngStream(3), 200_000)
         assert rep.verdict == "FAIL"
         assert rep.n_proper_only > 0
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_correct_study_passes_at_20000_draws(self, seed):
+        # the limiting size is held to 6 binomial se at n_sims draws, not to
+        # a bound sized for 1e6 draws
+        p = SubjectiveVarianceEquality(n1=10, n2=10, b=2.0)
+        rep = dominance_study(p, 0.05, [1.5, 2.0, 3.0, 5.0], RngStream(seed), 20_000)
+        assert rep.verdict == "PASS"
+
+    def test_verdict_fails_at_unit_limit_scale(self, monkeypatch):
+        # at nuisance scale 1 the proper rule's size is about 0.012, far
+        # below alpha, so it is no limit
+        monkeypatch.setattr(power, "LIMIT_SCALE", 1.0)
+        p = SubjectiveVarianceEquality(n1=10, n2=10, b=2.0)
+        rep = dominance_study(p, 0.05, [1.5, 2.0, 3.0, 5.0], RngStream(1), 20_000)
+        assert rep.verdict == "FAIL"
 
     def test_strict_dominance_away_from_null(self):
         p = SubjectiveVarianceEquality(n1=10, n2=10, b=2.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import sys
 
@@ -16,8 +17,8 @@ calibration = importlib.import_module("bfequiv.calibrate")
 
 
 class TestCatalogue:
-    def test_size_at_least_twelve(self):
-        assert len(catalogue()) >= 12
+    def test_size(self):
+        assert len(catalogue()) == 6
 
     def test_names_unique_and_claims_present(self):
         specs = catalogue()
@@ -37,20 +38,17 @@ class TestCatalogue:
 
 
 class TestRunProperty:
-    def test_failure_reports_shrunk_counterexample(self):
+    def test_failure_reports_the_failing_case(self):
         spec = PropertySpec(
             name="always_fails_above_one",
             claim="x stays below 1",
             draw=lambda rng: {"x": float(rng.generator.uniform(5.0, 10.0))},
             test=lambda c: None if c["x"] < 1.0 else f"x = {c['x']}",
-            shrink_keys=("x",),
         )
         result = run_property(spec, RngStream(1), n_trials=10)
-        assert not result.passed
-        assert result.counterexample is not None
-        # shrinking halves toward zero while the predicate still fails
-        assert result.counterexample["x"] < 5.0
-        assert result.counterexample["x"] >= 1.0
+        assert not result.passed and result.n_trials == 1
+        assert result.message == f"x = {result.counterexample['x']}"
+        assert 5.0 <= result.counterexample["x"] < 10.0
         assert "FAIL" in result.line()
 
     def test_pass_line_format(self):
@@ -123,19 +121,66 @@ def _raise_integrity(method):
     return raising
 
 
+def _inverse_stat(pair):
+    """The pair with its statistic route reading 1/F in place of F."""
+    return cli.BfPair(lambda f: pair.of_stat(1.0 / np.asarray(f)), pair.of_summary)
+
+
+def _reject_config(build_problem):
+    def rejecting(cfg):
+        raise cli.ConfigError("planted")
+
+    return rejecting
+
+
 def _plant_reciprocal_one_sided(monkeypatch):
     for name in ("bf_one_sided_normal_halfnormal", "bf_one_sided_normal_exponential"):
         _wrap(monkeypatch, bf, name, _reciprocal)
 
 
-# property -> (plant(monkeypatch), start of the failure message)
+CLASSICAL = "calibrated_rule_is_classical"
+# defect -> (the property it fails, plant(monkeypatch), start of the failure message)
 DEFECTS = {
-    "one_sided_monotone": (_plant_reciprocal_one_sided, "B("),
-    "two_sided_convex": (
-        lambda mp: _wrap(mp, bf, "bf_two_sided_normal_conjugate", _reciprocal), "B at interpolant"
+    "one_sided_reciprocal": (CLASSICAL, _plant_reciprocal_one_sided, "decisions differ"),
+    # 1/B of the conjugate peaks between the critical values
+    "two_sided_reciprocal": (
+        CLASSICAL, lambda mp: _wrap(mp, bf, "bf_two_sided_normal_conjugate", _reciprocal), "ClassViolationError"
+    ),
+    # the CLI's unknown-variance regression factory reads 1/F
+    "regression_reads_inverse_f": (
+        CLASSICAL,
+        lambda mp: _plant_factory(mp, "regression_unknown_var", "gaussian_spherical", _inverse_stat),
+        "decisions differ",
+    ),
+    "two_sample_known_var_reciprocal": (
+        CLASSICAL, lambda mp: _wrap(mp, bf.TwoSampleKnownVarBf, "from_t", _reciprocal), "decisions differ"
+    ),
+    "two_sample_t_reciprocal": (
+        CLASSICAL, lambda mp: _wrap(mp, bf.TwoSampleTBf, "from_t", _reciprocal), "ClassViolationError"
+    ),
+    "two_sample_t_raises": (
+        CLASSICAL, lambda mp: _wrap(mp, bf.TwoSampleTBf, "from_t", _raise_integrity),
+        "NumericalIntegrityError: planted",
+    ),
+    # B of the subset-selection form, shared by t_test, regression_unknown_var
+    # and subset_selection, reads the complement of T
+    "subset_selection_complement_t": (
+        CLASSICAL, lambda mp: _wrap(mp, bf.SubsetSelectionBf, "from_f", _complement_t), "ClassViolationError"
+    ),
+    # the CLI's shifted-exponential factory reads 1/F
+    "variance_ratio_reads_inverse_f": (
+        CLASSICAL,
+        lambda mp: _plant_factory(mp, "variance_ratio", "shifted_exponential", _inverse_stat),
+        "decisions differ",
+    ),
+    "brentq_shifted": (CLASSICAL, lambda mp: _wrap(mp, calibration, "brentq", _shift_root), "round trip"),
+    # a CLI that rejects every config stops the redrawing, and fails
+    "every_config_rejected": (
+        CLASSICAL, lambda mp: _wrap(mp, cli, "build_problem", _reject_config), "ConfigError: planted"
     ),
     # the statistic route of the CLI's t-test pair reads t 1 % too large
     "t_test_statistic_function": (
+        "t_test_statistic_function",
         lambda mp: _plant_factory(
             mp, "t_test", "gaussian_scale",
             lambda pair: cli.BfPair(lambda t: pair.of_stat(1.01 * np.asarray(t)), pair.of_summary),
@@ -143,47 +188,29 @@ DEFECTS = {
         "B at xbar",
     ),
     "radial_rotation_invariant": (
-        lambda mp: _wrap(mp, prob.RegressionKnownVar, "summarize", _l1_statistic), "rotation changed B"
-    ),
-    "f_test_monotone": (lambda mp: _wrap(mp, bf.SubsetSelectionBf, "from_f", _complement_t), "B("),
-    "two_sample_known_var_c_free": (
-        lambda mp: _wrap(mp, bf.TwoSampleKnownVarBf, "from_t", _reciprocal), "decisions"
-    ),
-    "two_sample_t_c_free": (lambda mp: _wrap(mp, bf.TwoSampleTBf, "from_t", _reciprocal), "decisions"),
-    "subset_selection_c_free": (
-        lambda mp: _wrap(mp, bf.SubsetSelectionBf, "from_f", _complement_t), "decisions"
-    ),
-    # the CLI's shifted-exponential factory reads 1/F
-    "variance_ratio_monotone": (
-        lambda mp: _plant_factory(
-            mp, "variance_ratio", "shifted_exponential",
-            lambda pair: cli.BfPair(lambda f: pair.of_stat(1.0 / np.asarray(f)), pair.of_summary),
-        ),
-        "B(",
+        "radial_rotation_invariant",
+        lambda mp: _wrap(mp, prob.RegressionKnownVar, "summarize", _l1_statistic),
+        "rotation changed B",
     ),
     "subjective_score_bounds": (
+        "subjective_score_bounds",
         lambda mp: _wrap(
             mp, bf, "bf_subjective_variance", lambda g: lambda q, t: g(0.0, t) * (1.0 + np.asarray(q))
         ),
         "B*(",
     ),
-    "calibration_round_trip": (lambda mp: _wrap(mp, calibration, "brentq", _shift_root), "round trip"),
     "pooled_ss_decomposition": (
+        "pooled_ss_decomposition",
         lambda mp: _wrap(mp, prob.TwoSampleMeansUnknownEqualVar, "summarize", _biased_s2),
         "sum-of-squares decomposition off",
     ),
-    "hat_matrix_split": (lambda mp: _wrap(mp, prob, "orthonormalize", _skewed_z), "summary (rss_null"),
+    "hat_matrix_split": (
+        "hat_matrix_split", lambda mp: _wrap(mp, prob, "orthonormalize", _skewed_z), "summary (rss_null"
+    ),
 }
-RAISES = (
-    lambda mp: _wrap(mp, bf.TwoSampleTBf, "from_t", _raise_integrity), "NumericalIntegrityError: planted"
-)
 
 
-@pytest.mark.parametrize(
-    "name, plant, expected",
-    [(name, *DEFECTS[name]) for name in DEFECTS] + [("two_sample_t_c_free", *RAISES)],
-    ids=list(DEFECTS) + ["two_sample_t_c_free_raises"],
-)
+@pytest.mark.parametrize("name, plant, expected", DEFECTS.values(), ids=list(DEFECTS))
 def test_planted_defect_fails_the_property(monkeypatch, name, plant, expected):
     """Each property fails on a defect planted in the code it checks; a
     check that raises fails with the exception's type and message."""
@@ -195,7 +222,20 @@ def test_planted_defect_fails_the_property(monkeypatch, name, plant, expected):
 
 
 def test_every_property_has_a_planted_defect():
-    assert list(DEFECTS) == [s.name for s in catalogue()]
+    assert {name for name, _, _ in DEFECTS.values()} == {s.name for s in catalogue()}
+
+
+def test_calibration_property_reaches_every_pair():
+    """At the bench's 20 trials the calibration property draws each of the
+    13 pairs of `cli.KINDS` that calibrate, and passes on every one."""
+    (spec,) = [s for s in catalogue() if s.name == CLASSICAL]
+    cases = []
+    drawing = dataclasses.replace(spec, draw=lambda rng: cases.append(spec.draw(rng)) or cases[-1])
+    assert run_property(drawing, RngStream(7), n_trials=20).passed
+    drawn = {(c["config"]["problem.kind"], c["config"]["prior.kind"]) for c in cases}
+    expected = {(kind, prior) for kind, entry in cli.KINDS.items() for prior in entry.priors}
+    assert drawn == expected - {("two_sided_normal", "point_mass")}
+    assert len(drawn) == 13
 
 
 def test_catalogue_reaches_only_config_routes(monkeypatch):
@@ -225,4 +265,4 @@ def test_catalogue_reaches_only_config_routes(monkeypatch):
     monkeypatch.setattr(bf.VarianceRatioBf, "adaptive", planted("VarianceRatioBf.adaptive"))
     results, _ = run_catalogue(RngStream(7), n_trials=20)
     assert [r.line() for r in results if not r.passed] == []
-    assert len(results) == 13
+    assert len(results) == len(catalogue())
